@@ -85,6 +85,7 @@ class AdaptationResult:
     baseline_prediction: Prediction
     entropy_trace: list[float]
     evaluations: int
+    nonfinite_count: int  # objective values the search replaced by +inf
     quant_warnings: Optional[dict] = None  # fixed mode: saturation/clamp counts
 
 
@@ -167,6 +168,7 @@ def adapt(
         baseline_prediction=best["first"],
         entropy_trace=result.trace,
         evaluations=result.evaluations,
+        nonfinite_count=result.nonfinite_count,
         quant_warnings=quant_warnings,
     )
 

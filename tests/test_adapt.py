@@ -1,12 +1,14 @@
 import hashlib
+import importlib
+import math
 
 import numpy as np
 import pytest
 
-from latentadapt import datagen
+from latentadapt import datagen, linalg
 from latentadapt.adapt import AdaptationConfig, adapt, adapt_batch
 from latentadapt.decoder import LinearDecoder, decode
-from latentadapt.errors import ContractViolation
+from latentadapt.errors import ContractViolation, ConvergenceFailure
 from latentadapt.quant import FixedPointFormat
 from latentadapt.rng import derive_seed
 from latentadapt.subspace import PrincipalSubspace, apply_correction, fit, project
@@ -222,3 +224,36 @@ def test_batch_collects_row_errors_without_failing():
     assert set(batch.errors) == {3}
     assert batch.results[3] is None
     assert all(batch.results[i] is not None for i in range(len(rows)) if i != 3)
+
+
+def test_nonfinite_count_reported_every_mode(monkeypatch):
+    adapt_module = importlib.import_module("latentadapt.adapt")
+    real_fitness = adapt_module.fitness
+    calls = {"n": 0}
+
+    def every_fifth_nan(*args):
+        calls["n"] += 1
+        entropy, prediction = real_fitness(*args)
+        return (math.nan if calls["n"] % 5 == 0 else entropy), prediction
+
+    monkeypatch.setattr(adapt_module, "fitness", every_fifth_nan)
+    task, sub, dec = _small_setup(seed=16)
+    z = task.class_means[1] + 0.4
+    for mode, fmt in (("float", None), ("binary", None), ("fixed", FixedPointFormat(8, 4))):
+        calls["n"] = 0
+        cfg = AdaptationConfig(k=4, n=5, population=6, seed=3, mode=mode, fixed_format=fmt)
+        result = adapt(z, dec, sub, cfg)
+        assert result.evaluations == calls["n"] == 31
+        assert result.nonfinite_count == 31 // 5
+    monkeypatch.setattr(adapt_module, "fitness", real_fitness)
+    assert adapt(z, dec, sub, AdaptationConfig(k=4, n=3, seed=3)).nonfinite_count == 0
+
+
+def test_batch_records_eigensolver_sweep_cap_per_row(monkeypatch):
+    task, sub, dec = _small_setup(seed=17)
+    rows, _ = datagen.gen_source(task, 1, stream=6)
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    batch = adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=3, seed=8))
+    assert set(batch.errors) == set(range(len(rows)))
+    assert all(isinstance(e, ConvergenceFailure) for e in batch.errors.values())
+    assert batch.results == [None] * len(rows)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from latentadapt.errors import ContractViolation
+from latentadapt import linalg
+from latentadapt.errors import ContractViolation, ConvergenceFailure
 from latentadapt.linalg import matmul, sym_eig
 
 
@@ -136,3 +140,136 @@ def test_sym_eig_deterministic_across_calls():
     v2, w2 = sym_eig(s, 9)
     assert v1.tobytes() == v2.tobytes()
     assert w1.tobytes() == w2.tobytes()
+
+
+def _reference_sym_eig(s, k):
+    """The textbook cyclic-Jacobi loop that ``sym_eig`` must match bit for bit.
+
+    Plain column update, row update and eigenvector update per rotation, with
+    numpy scalars throughout.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    n = s.shape[0]
+    fro = float(np.sqrt(np.sum(s * s)))
+    a = (s + s.T) / 2.0
+    v = np.eye(n, dtype=np.float64)
+    tol = linalg._OFFDIAG_RTOL * fro
+    converged = False
+    for _ in range(linalg._MAX_SWEEPS):
+        off = np.abs(a - np.diag(np.diag(a)))
+        if float(off.max()) <= tol:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tol:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if theta >= 0.0:
+                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
+                else:
+                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                sn = t * c
+
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - sn * col_q
+                a[:, q] = sn * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - sn * row_q
+                a[q, :] = sn * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+
+                v_p = v[:, p].copy()
+                v_q = v[:, q].copy()
+                v[:, p] = c * v_p - sn * v_q
+                v[:, q] = sn * v_p + c * v_q
+
+    if not converged:
+        off = np.abs(a - np.diag(np.diag(a)))
+        if float(off.max()) > tol:
+            raise ConvergenceFailure("reference sweep cap reached")
+
+    values = np.diag(a).copy()
+    order = np.argsort(-values, kind="stable")[:k]
+    vectors = np.empty((n, k), dtype=np.float64)
+    for j, col in enumerate(order):
+        vec = v[:, col]
+        idx = int(np.argmax(np.abs(vec)))
+        vectors[:, j] = -vec if vec[idx] < 0.0 else vec
+    return values[order], vectors
+
+
+def _assert_matches_reference(s, k=None):
+    k = s.shape[0] if k is None else k
+    ref_values, ref_vectors = _reference_sym_eig(s, k)
+    values, vectors = sym_eig(s, k)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(vectors, ref_vectors)
+
+
+def _random_spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _cmaes_shaped(rng, n, rank):
+    # alpha*I + low rank, as after the first covariance update: the
+    # eigenvalue alpha is repeated n - rank times
+    y = rng.standard_normal((rank, n))
+    weights = np.linspace(1.0, 0.2, rank)
+    return 0.75 * np.eye(n) + 0.1 * (y.T * weights) @ y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_sym_eig_bit_identical_to_reference_on_spd(n):
+    rng = np.random.default_rng(100 + n)
+    _assert_matches_reference(_random_spd(rng, n))
+    if n > 1:
+        _assert_matches_reference(_random_spd(rng, n), k=max(1, n // 4))
+
+
+@pytest.mark.parametrize("n, rank", [(3, 1), (16, 1), (16, 7), (64, 5)])
+def test_sym_eig_bit_identical_on_degenerate_cmaes_covariances(n, rank):
+    rng = np.random.default_rng(200 + n + rank)
+    s = _cmaes_shaped(rng, n, rank)
+    _assert_matches_reference(s)
+
+
+@pytest.mark.parametrize("diagonal", [[3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.5, 2.0, 2.0, -1.0, 0.0]])
+def test_sym_eig_bit_identical_on_diagonal(diagonal):
+    _assert_matches_reference(np.diag(diagonal))
+
+
+def test_sym_eig_bit_identical_when_mirrored_entries_differ_in_last_bit():
+    # the input may be asymmetric within the symmetry tolerance; the
+    # rotations themselves keep the iterate exactly symmetric
+    rng = np.random.default_rng(300)
+    s = _random_spd(rng, 8)
+    for p, q in ((0, 1), (2, 7), (5, 6)):
+        s[q, p] = np.nextafter(s[p, q], np.inf)
+    assert not np.array_equal(s, s.T)
+    _assert_matches_reference(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 6).map(lambda n: (n, n)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_sym_eig_bit_identical_property(m):
+    _assert_matches_reference((m + m.T) / 2.0)
+
+
+def test_sym_eig_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(13)
+    with pytest.raises(ConvergenceFailure):
+        sym_eig(_random_spd(rng, 8), 8)
