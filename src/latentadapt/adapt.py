@@ -10,7 +10,7 @@ subspace is ever modified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -64,17 +64,7 @@ class AdaptationConfig:
         return self.population if self.population is not None else cmaes.default_lambda(self.k)
 
     def with_seed(self, seed: int) -> "AdaptationConfig":
-        return AdaptationConfig(
-            k=self.k,
-            n=self.n,
-            population=self.population,
-            sigma0=self.sigma0,
-            seed=seed,
-            mode=self.mode,
-            fixed_format=self.fixed_format,
-            binary_alpha=self.binary_alpha,
-            binary_feedback=self.binary_feedback,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

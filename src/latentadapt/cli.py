@@ -17,9 +17,9 @@ import numpy as np
 
 from . import datagen, fileio, report
 from .adapt import AdaptationConfig, adapt
-from .cmaes import default_lambda
+from .cmaes import CmaEsParams, default_lambda
 from .errors import ContractViolation, ConvergenceFailure, DataFormatError
-from .quant import FixedPointFormat
+from .quant import FixedPointFormat, quantization_health
 from .rng import Xoshiro256pp, derive_seed
 from .subspace import fit
 
@@ -325,6 +325,8 @@ def _cmd_adapt(args) -> int:
             f"(sigma clamps: {warnings['sigma_clamps']}, "
             f"eigenvalue clamps: {warnings['eig_clamps']})\n"
         )
+        params = CmaEsParams.defaults(k, population=cfg.effective_population)
+        text += quantization_health(params, cfg.fixed_format) + "\n"
     out.with_suffix(".txt").write_text(text)
     print(text, end="")
     return 0

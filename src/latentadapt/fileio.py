@@ -154,7 +154,11 @@ def read_artifact(path: str | Path) -> ModelArtifact:
         pos += _SECTION_ENTRY.size
         if offset + length > len(blob):
             raise DataFormatError(f"{path}: section out of bounds")
-        sections[raw_name.rstrip(b"\0").decode()] = blob[offset : offset + length]
+        try:
+            name = raw_name.rstrip(b"\0").decode()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: bad section name {raw_name!r}") from exc
+        sections[name] = blob[offset : offset + length]
     for required in ("meta", "subspace", "decoder"):
         if required not in sections:
             raise DataFormatError(f"{path}: missing section {required!r}")
@@ -166,6 +170,8 @@ def read_artifact(path: str | Path) -> ModelArtifact:
 
     sub = sections["subspace"]
     sub_head = struct.Struct("<IIIB")
+    if len(sub) < sub_head.size:
+        raise DataFormatError(f"{path}: truncated subspace section")
     dim, k, source_count, rank_flag = sub_head.unpack_from(sub, 0)
     expect = sub_head.size + 8 * (dim + dim * k + k)
     if len(sub) != expect:
@@ -186,6 +192,8 @@ def read_artifact(path: str | Path) -> ModelArtifact:
 
     dec = sections["decoder"]
     dec_head = struct.Struct("<II")
+    if len(dec) < dec_head.size:
+        raise DataFormatError(f"{path}: truncated decoder section")
     c, d_dim = dec_head.unpack_from(dec, 0)
     if len(dec) != dec_head.size + 8 * (c * d_dim + c):
         raise DataFormatError(f"{path}: decoder section length mismatch")

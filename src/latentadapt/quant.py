@@ -9,6 +9,17 @@ wrapping) on overflow. Sampling noise stays in floating point and is
 quantized on arrival; scalar transcendentals (sqrt, exp) are evaluated in
 float on the fixed-point operand and requantized, standing in for the lookup
 tables real hardware would use.
+
+The register arithmetic is vectorized without changing a bit of it. A sum of
+many terms (the weighted mean step, the C^(-1/2) matvec, the squared path
+length, the rank-mu update) is defined as saturating adds from zero in index
+order; it is computed as int64 prefix sums, which are exact because every
+term fits in 32 bits, and the adds are replayed one at a time only where a
+prefix leaves the range, since saturating addition is not associative. The
+covariance decomposition is kept while the covariance register is unchanged
+bit for bit (the eigensolver is deterministic), as it is in every generation
+when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps still
+count once per generation.
 """
 
 from __future__ import annotations
@@ -159,9 +170,12 @@ class _FixedOps:
         self.fmt = fmt
         self.f = fmt.frac_bits
         self.saturations = 0
+        self._lo = np.int64(fmt.raw_min)
+        self._hi = np.int64(fmt.raw_max)
+        self._round = (1 << (self.f - 1)) - 1 if self.f > 0 else 0
 
     def _sat(self, raw):
-        clipped = np.clip(raw, self.fmt.raw_min, self.fmt.raw_max)
+        clipped = np.minimum(np.maximum(raw, self._lo), self._hi)
         self.saturations += int(np.count_nonzero(clipped != raw))
         return clipped
 
@@ -169,11 +183,7 @@ class _FixedOps:
         x = np.asarray(x, dtype=np.float64)
         if np.any(np.isnan(x)):
             raise ContractViolation("cannot quantize NaN")
-        scaled = np.rint(x * (1 << self.f))
-        out_of_range = (scaled < self.fmt.raw_min) | (scaled > self.fmt.raw_max)
-        self.saturations += int(np.count_nonzero(out_of_range))
-        clipped = np.clip(scaled, self.fmt.raw_min, self.fmt.raw_max)
-        return clipped.astype(np.int64)
+        return self._sat(np.rint(x * (1 << self.f))).astype(np.int64)
 
     def to_float(self, raw):
         return np.asarray(raw, dtype=np.float64) * self.fmt.resolution
@@ -181,17 +191,33 @@ class _FixedOps:
     def add(self, a, b):
         return self._sat(np.add(a, b, dtype=np.int64))
 
+    def sum(self, terms, axis=0):
+        """Saturating running sum from zero: one :meth:`add` per term, in order.
+
+        Every term is in range, so the int64 prefix sums cannot overflow. When
+        no prefix leaves the range, the last one is exactly what the
+        sequential adds give, with no saturation. Otherwise the adds are
+        replayed one at a time, since saturating addition is not associative.
+        """
+        terms = np.asarray(terms, dtype=np.int64)
+        prefix = np.cumsum(terms, axis=axis)
+        if prefix.min() >= self._lo and prefix.max() <= self._hi:
+            return np.take(prefix, -1, axis=axis)
+        total = np.int64(0)
+        for term in np.moveaxis(terms, axis, 0):
+            total = self.add(total, term)
+        return total
+
     def sub(self, a, b):
         return self._sat(np.subtract(a, b, dtype=np.int64))
 
     def _rhe_shift(self, p):
+        """p / 2^f rounded to nearest, ties to even: adding 2^(f-1) - 1 plus
+        the quotient's low bit carries into the quotient exactly when the
+        remainder is above half, or is half and the quotient is odd."""
         if self.f == 0:
             return p
-        q = p >> self.f
-        r = p - (q << self.f)
-        half = 1 << (self.f - 1)
-        inc = (r > half) | ((r == half) & ((q & 1) == 1))
-        return q + inc
+        return (p + self._round + ((p >> self.f) & 1)) >> self.f
 
     def mul(self, a, b):
         product = np.multiply(a, b, dtype=np.int64)
@@ -236,6 +262,22 @@ class FixedMinimizeResult(MinimizeResult):
     eig_clamp_count: int = 0
 
 
+# strategy constants held in registers: (attribute, label, value from params)
+_CONSTANTS = (
+    ("cs_over_ds", "c_sigma/d_sigma", lambda p: p.c_sigma / p.d_sigma),
+    ("one_minus_cs", "1-c_sigma", lambda p: 1.0 - p.c_sigma),
+    ("coef_sigma", "sqrt(c_sigma(2-c_sigma)mu_eff)",
+     lambda p: math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)),
+    ("one_minus_cc", "1-c_c", lambda p: 1.0 - p.c_c),
+    ("coef_c", "sqrt(c_c(2-c_c)mu_eff)",
+     lambda p: math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_eff)),
+    ("c1", "c_1", lambda p: p.c_1),
+    ("cmu", "c_mu", lambda p: p.c_mu),
+    ("base_coef", "1-c_1-c_mu", lambda p: 1.0 - p.c_1 - p.c_mu),
+    ("hsig_coef", "c_c(2-c_c)", lambda p: p.c_c * (2.0 - p.c_c)),
+)
+
+
 class _FixedCmaes:
     """CMA-ES state machine carried entirely in fixed-point registers."""
 
@@ -263,42 +305,33 @@ class _FixedCmaes:
         self.w = ops.quantize(params.recombination_weights)
         self.one = int(ops.quantize(1.0))
         self.chi = int(ops.quantize(params.chi_n))
-        self.cs_over_ds = int(ops.quantize(params.c_sigma / params.d_sigma))
-        self.one_minus_cs = int(ops.quantize(1.0 - params.c_sigma))
-        self.coef_sigma = int(
-            ops.quantize(math.sqrt(params.c_sigma * (2.0 - params.c_sigma) * params.mu_eff))
-        )
-        self.one_minus_cc = int(ops.quantize(1.0 - params.c_c))
-        self.coef_c = int(
-            ops.quantize(math.sqrt(params.c_c * (2.0 - params.c_c) * params.mu_eff))
-        )
-        self.c1 = int(ops.quantize(params.c_1))
-        self.cmu = int(ops.quantize(params.c_mu))
-        self.base_coef = int(ops.quantize(1.0 - params.c_1 - params.c_mu))
-        self.hsig_coef = int(ops.quantize(params.c_c * (2.0 - params.c_c)))
+        for attr, _, value in _CONSTANTS:
+            setattr(self, attr, int(ops.quantize(value(params))))
 
-    def _decompose(self) -> tuple[np.ndarray, np.ndarray]:
+    def _decompose(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Clamped eigenvalues, eigenvectors and the clamp count of ``cov``."""
         if self._eig_cache is None:
             cov_float = self.ops.to_float(self.cov)
             values, vectors = linalg.sym_eig(cov_float, self.params.dim)
             floor = self.ops.fmt.resolution
             clamped = np.maximum(values, floor)
-            self.eig_clamps += int(np.count_nonzero(values < floor))
-            self._eig_cache = (clamped, vectors)
+            self._eig_cache = (clamped, vectors, int(np.count_nonzero(values < floor)))
         return self._eig_cache
 
     def ask(self) -> np.ndarray:
         """Sample lambda candidates as raw fixed-point vectors."""
-        values, vectors = self._decompose()
+        values, vectors, clamps = self._decompose()
+        self.eig_clamps += clamps  # once per generation, reused or not
         scale = np.sqrt(values)
         mean_f = self.ops.to_float(self.mean)
         sigma_f = self.sigma * self.ops.fmt.resolution
-        out = np.empty((self.params.population, self.params.dim), dtype=np.int64)
-        for i in range(self.params.population):
-            n = self.rng.normals(self.params.dim)
-            y = vectors @ (scale * n)
-            out[i] = self.ops.quantize(mean_f + sigma_f * y)
-        return out
+        lam, k = self.params.population, self.params.dim
+        noise = self.rng.normals(lam * k).reshape(lam, k)
+        steps = np.empty((lam, k))
+        for i in range(lam):
+            # one matvec per row: a single matmul may round differently
+            steps[i] = vectors @ (scale * noise[i])
+        return self.ops.quantize(mean_f + sigma_f * steps)
 
     def tell(self, candidates_raw: np.ndarray, fitnesses: list[float]) -> None:
         params = self.params
@@ -306,30 +339,22 @@ class _FixedCmaes:
         order = np.argsort(np.asarray(fitnesses, dtype=np.float64), kind="stable")
         parents = candidates_raw[order[: params.parent_count]]
 
-        values, vectors = self._decompose()
+        values, vectors, _ = self._decompose()
 
         # normalized parent steps y_i = (x_i - m) / sigma
         y = ops.div(ops.sub(parents, self.mean[None, :]), np.int64(self.sigma))
-        y_w = np.zeros(params.dim, dtype=np.int64)
-        for i in range(params.parent_count):
-            y_w = ops.add(y_w, ops.mul(self.w[i], y[i]))
+        y_w = ops.sum(ops.mul(self.w[:, None], y))
         self.mean = ops.add(self.mean, ops.mul(np.int64(self.sigma), y_w))
 
         # C^(-1/2), tabulated from the float decomposition then fixed matvec
         invsqrt = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
-        prod = ops.mul(invsqrt, y_w[None, :])
-        invsqrt_yw = np.zeros(params.dim, dtype=np.int64)
-        for j in range(params.dim):
-            invsqrt_yw = ops.add(invsqrt_yw, prod[:, j])
+        invsqrt_yw = ops.sum(ops.mul(invsqrt, y_w[None, :]), axis=1)
         self.path_sigma = ops.add(
             ops.mul(np.int64(self.one_minus_cs), self.path_sigma),
             ops.mul(np.int64(self.coef_sigma), invsqrt_yw),
         )
 
-        sq = ops.mul(self.path_sigma, self.path_sigma)
-        total = np.int64(0)
-        for j in range(params.dim):
-            total = ops.add(total, sq[j])
+        total = ops.sum(ops.mul(self.path_sigma, self.path_sigma))
         ps_norm = int(ops.apply_float(total, np.sqrt))
 
         ratio = ops.div(np.int64(ps_norm), np.int64(self.chi))
@@ -357,10 +382,8 @@ class _FixedCmaes:
         rank1 = ops.mul(self.path_c[:, None], self.path_c[None, :])
         if not h_sig:
             rank1 = ops.add(rank1, ops.mul(np.int64(self.hsig_coef), self.cov))
-        rank_mu = np.zeros((params.dim, params.dim), dtype=np.int64)
-        for i in range(params.parent_count):
-            outer = ops.mul(y[i][:, None], y[i][None, :])
-            rank_mu = ops.add(rank_mu, ops.mul(self.w[i], outer))
+        outers = ops.mul(y[:, :, None], y[:, None, :])
+        rank_mu = ops.sum(ops.mul(self.w[:, None, None], outers))
 
         cov = ops.add(
             ops.add(
@@ -369,9 +392,34 @@ class _FixedCmaes:
             ),
             ops.mul(np.int64(self.cmu), rank_mu),
         )
-        self.cov = ops.halve(ops.add(cov, cov.T))
+        cov = ops.halve(ops.add(cov, cov.T))
+        if not np.array_equal(cov, self.cov):
+            # sym_eig is deterministic: an unchanged covariance keeps its decomposition
+            self._eig_cache = None
+        self.cov = cov
         self.generation = gen1
-        self._eig_cache = None
+
+
+def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
+    """One summary line on what quantizing the strategy constants did.
+
+    Lists the constants whose register value is exactly 0 or 1 although the
+    real value is not (c_1 and c_mu at 0 switch covariance adaptation off),
+    and the sum of the quantized recombination weights, which should be 1.
+    """
+    ops = _FixedOps(fmt)
+    unit = 1 << fmt.frac_bits  # raw value of exactly 1 (out of range if no integer bits)
+    degenerate = []
+    for _, label, value in _CONSTANTS:
+        real = value(params)
+        raw = int(ops.quantize(real))
+        if raw in (0, unit) and real != raw / unit:
+            degenerate.append(f"{label}->{raw // unit}")
+    weight_sum = float(np.sum(ops.to_float(ops.quantize(params.recombination_weights))))
+    return (
+        f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} "
+        f"(recombination weight sum: {weight_sum:g})"
+    )
 
 
 def fixed_cmaes_minimize(
@@ -416,7 +464,7 @@ def fixed_cmaes_minimize(
     trace: list[float] = []
     for _ in range(iterations):
         raw = machine.ask()
-        points = [ops.to_float(raw[i]) for i in range(params.population)]
+        points = ops.to_float(raw)
         fits = [evaluate(point) for point in points]
         for point, f in zip(points, fits):
             if best_p is None or f < best_f:

@@ -95,10 +95,49 @@ class Xoshiro256pp:
         return u * f
 
     def normals(self, n: int) -> np.ndarray:
-        """Array of ``n`` standard normals, drawn sequentially."""
+        """Array of ``n`` standard normals, drawn sequentially.
+
+        Equal to ``n`` calls of :meth:`normal`, spare value included; the
+        generator step and the uniform draw are inlined over local ints.
+        """
+        s0, s1, s2, s3 = self._s
+        spare = self._spare
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
-            out[i] = self.normal()
+            if spare is not None:
+                out[i] = spare
+                spare = None
+                continue
+            while True:
+                # two generator steps (next_u64), one per uniform
+                x = (s0 + s3) & _MASK64
+                a = ((((x << 23) | (x >> 41)) & _MASK64) + s0) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                x = (s0 + s3) & _MASK64
+                b = ((((x << 23) | (x >> 41)) & _MASK64) + s0) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                u = 2.0 * ((a >> 11) * (2.0 ** -53)) - 1.0
+                v = 2.0 * ((b >> 11) * (2.0 ** -53)) - 1.0
+                s = u * u + v * v
+                if 0.0 < s < 1.0:
+                    break
+            f = math.sqrt(-2.0 * math.log(s) / s)
+            out[i] = u * f
+            spare = v * f
+        self._s = [s0, s1, s2, s3]
+        self._spare = spare
         return out
 
     def state(self) -> tuple:

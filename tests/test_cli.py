@@ -123,6 +123,25 @@ def test_adapt_fixed_mode_records_format_and_saturation_counts(workdir):
     assert "saturation events:" in text
 
 
+def test_adapt_fixed_mode_reports_quantization_health(workdir, capsys):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "fx.csv"
+    assert main(
+        ["adapt", str(art), str(out / "target_combined.latf"),
+         "--mode", "fixed", "--fmt", "8b4", "--n", "2", "--out", str(rep)]
+    ) == 0
+    # at 8b4 and k=4 the rank-mu rate vanishes and the weights lose 1/8
+    line = "strategy constants at 0 or 1: c_mu->0 (recombination weight sum: 0.875)\n"
+    text = rep.with_suffix(".txt").read_text()
+    assert text.endswith(line)
+    assert capsys.readouterr().out.endswith(line)
+    assert main(
+        ["adapt", str(art), str(out / "target_combined.latf"),
+         "--mode", "fixed", "--fmt", "32b8", "--n", "2", "--out", str(rep)]
+    ) == 0
+    assert "strategy constants at 0 or 1: none" in rep.with_suffix(".txt").read_text()
+
+
 def test_adapt_lambda_flag_controls_budget(workdir):
     tmp_path, out, art = workdir
     rep = tmp_path / "lam.csv"

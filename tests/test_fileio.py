@@ -121,6 +121,41 @@ def test_artifact_rejects_corruption(tmp_path):
         fileio.read_artifact(short)
 
 
+def _written_artifact(tmp_path):
+    task = datagen.make_task(class_count=3, dim=6, seed=4)
+    source, _ = datagen.gen_source(task, 20)
+    artifact = fileio.ModelArtifact(
+        subspace=fit(source, 2), decoder=datagen.make_decoder(task), meta={}
+    )
+    path = tmp_path / "model.lama"
+    fileio.write_artifact(path, artifact)
+    return bytearray(path.read_bytes())
+
+
+# section table entries follow the 12-byte header: 16-byte name, u64 offset,
+# u64 length; write_artifact orders them meta, subspace, decoder
+_TABLE, _ENTRY = 12, 32
+
+
+def test_artifact_non_utf8_section_name_is_a_format_error(tmp_path):
+    blob = _written_artifact(tmp_path)
+    blob[_TABLE] = 0xFF
+    bad = tmp_path / "bad_name.lama"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="section name"):
+        fileio.read_artifact(bad)
+
+
+@pytest.mark.parametrize("index, name", [(1, "subspace"), (2, "decoder")])
+def test_artifact_section_shorter_than_its_header_is_a_format_error(tmp_path, index, name):
+    blob = _written_artifact(tmp_path)
+    struct.pack_into("<Q", blob, _TABLE + _ENTRY * index + 24, 3)
+    bad = tmp_path / f"short_{name}.lama"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=f"truncated {name} section"):
+        fileio.read_artifact(bad)
+
+
 def test_meta_json_is_canonical(tmp_path):
     task = datagen.make_task(class_count=3, dim=6, seed=5)
     source, _ = datagen.gen_source(task, 20)

@@ -1,17 +1,24 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt import cmaes
+from latentadapt import cmaes, linalg
 from latentadapt.errors import ContractViolation
 from latentadapt.quant import (
     FixedPointFormat,
     FixedPointValue,
+    _FixedCmaes,
+    _FixedOps,
+    _rhe_div,
     fixed_add,
     fixed_cmaes_minimize,
     fixed_mul,
     from_fixed,
+    quantization_health,
     quantize_binary,
     to_fixed,
 )
@@ -210,3 +217,185 @@ def test_fixed_cmaes_sigma_clamp_is_counted():
     res = fixed_cmaes_minimize(sphere, params, 3, F8B4)
     assert res.sigma_clamp_count >= 1
     assert np.all(np.isfinite(res.best_p))
+
+
+# ---------------------------------------------------------------- bit identity
+#
+# Digests of every FixedMinimizeResult field, recorded from the scalar-loop
+# implementation at commit ee2df22 (before the vectorised tell, the batched
+# ask, the decomposition reuse and the inlined normal generator). Any change
+# to a candidate, a count or the trace changes a digest.
+
+
+def _objective(name, k):
+    if name == "sphere":
+        return sphere
+    if name == "shifted":
+        c = np.linspace(-3.0, 3.0, k)
+        return lambda p: float(np.sum((p - c) ** 2))
+    if name == "far":  # optimum outside every small format: saturates
+        return lambda p: float(np.sum((p - 40.0) ** 2))
+    if name == "ellipsoid":
+        w = 10.0 ** (4.0 * np.arange(k) / max(k - 1, 1))
+        return lambda p: float(np.sum(w * (p - 0.7) ** 2))
+    if name == "holes":  # non-finite values on part of the space
+        def holes(p):
+            if p[0] > 0.25:
+                return float("nan")
+            if p[-1] < -1.5:
+                return float("inf")
+            return sphere(p - 0.5)
+        return holes
+    raise KeyError(name)
+
+
+def _result_digest(res):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(res.best_p, dtype=np.float64).tobytes())
+    h.update(struct.pack("<d", res.best_fitness))
+    h.update(struct.pack(f"<{len(res.trace)}d", *res.trace))
+    h.update(struct.pack("<5q", res.evaluations, res.nonfinite_count, res.saturation_count,
+                         res.sigma_clamp_count, res.eig_clamp_count))
+    return h.hexdigest()
+
+
+# (fmt, k, sigma0, seed, objective, baseline fill or None, iterations, digest);
+# the set covers saturation, sigma clamps, eigenvalue clamps and non-finite values
+_GOLDEN = [
+    ("4b2", 2, 1.0, 1, "sphere", None, 12,
+     "1acce3b36224f0bc9c2829c7b9060570cbe783d61406e144c9f73f48f29c168a"),
+    ("4b2", 8, 1.0, 2, "far", None, 12,
+     "43c120b103b192b3afeb50ec8d698ee41daeeff30abe48af025796c6a8b876bd"),
+    ("6b3", 5, 0.5, 3, "holes", None, 12,
+     "34fd092624e8defb44e7f53b302877e5bc790db86d179c6cd54fd537367d96b8"),
+    ("8b4", 16, 1.0, 4, "shifted", 0.0, 12,
+     "d94a87b8b02146a09bdbf0ffc3b7c940451f16f8d432d865337b74c7c771ef8b"),
+    ("8b4", 16, 1e-06, 5, "sphere", None, 12,
+     "b9db07a6b4c2b120ad9542e965eb7783cf810d308525eea91587ca4cb8289ad3"),
+    ("8b4", 3, 2.0, 6, "far", 0.0, 12,
+     "0259dfbb9adc0309ee4df5078f49a11aaf1524a9eb34bb61524b587c6b2b6b36"),
+    ("10b2", 4, 1.0, 7, "ellipsoid", None, 12,
+     "db9cc280956e645d204fc48ad2af4e3f3fd857109575f19d8a00a8549dd353eb"),
+    ("12b4", 16, 1.0, 8, "holes", 0.0, 12,
+     "1aa78a9943feafcf92598267f9263b4e3ead0f4895581bca78de326574863160"),
+    ("16b8", 6, 0.3, 9, "ellipsoid", None, 12,
+     "b937ba5afd72f9eb477dc18e34b76ab5242a56087ce59947aaed996bfc42b679"),
+    ("16b4", 8, 3.0, 10, "far", None, 12,
+     "27b4447d7fb0bf64537b0956878059f65ce09f632d575c3ba002dbb9193c96c7"),
+    ("24b8", 5, 1.0, 11, "ellipsoid", 0.0, 12,
+     "0db11d2795ca26babfe4ea14d3efa053c45792e39bce7183962321d2e8ee3fa6"),
+    ("32b8", 16, 1.0, 12, "shifted", None, 12,
+     "c2e2c68432ee8505eaa55e0dbd75a31f8f302d3edb3cd8f5907c1ac19a43ca24"),
+    ("32b8", 4, 1e-09, 13, "ellipsoid", None, 12,
+     "eebc53ac3fe66bb374ff1fe46e47f72bf0cf2d083f05d91c2c146b7cb2f25992"),
+    ("12b4", 2, 3.0, 0, "far", None, 30,
+     "ccd4c730f568e6a0e06ae1c0c48157aa7c156e26ba8fe63fd50d8e71dfbd8bb3"),
+    ("10b2", 3, 0.05, 1, "far", None, 30,
+     "8521cfba6a17ee4cf6e92115f098de9e5ae545cd1ce9e0553d6f0ed700f3af52"),
+]
+
+
+@pytest.mark.parametrize("fmt, k, sigma0, seed, objective, base, iterations, digest", _GOLDEN)
+def test_fixed_cmaes_matches_recorded_digests(fmt, k, sigma0, seed, objective, base, iterations,
+                                              digest):
+    params = cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0, seed=seed)
+    baseline = None if base is None else np.full(k, base)
+    res = fixed_cmaes_minimize(_objective(objective, k), params, iterations,
+                               FixedPointFormat.parse(fmt), baseline=baseline)
+    assert _result_digest(res) == digest
+
+
+def _sequential_sum(ops, terms):
+    total = np.int64(0)
+    for term in terms:
+        total = ops.add(total, term)
+    return total
+
+
+@st.composite
+def _format_and_terms(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    # extremes are over-weighted so that partial sums leave the range
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    count = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.lists(raw, min_size=width, max_size=width),
+                          min_size=count, max_size=count))
+    return fmt, np.array(terms, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_format_and_terms())
+def test_saturating_sum_equals_sequential_adds(case):
+    fmt, terms = case
+    for axis, ordered in ((0, terms), (1, terms.T)):
+        fast, slow = _FixedOps(fmt), _FixedOps(fmt)
+        got = fast.sum(ordered, axis=axis)
+        want = _sequential_sum(slow, terms)
+        np.testing.assert_array_equal(got, want)
+        assert fast.saturations == slow.saturations
+
+
+def test_saturating_sum_replays_in_order():
+    # max + max + min: the prefix sums end in range, the sequential adds do not
+    ops = _FixedOps(F8B4)
+    terms = np.array([F8B4.raw_max, F8B4.raw_max, F8B4.raw_min])
+    assert ops.sum(terms) == -1
+    assert ops.saturations == 1
+    assert int(np.sum(terms)) == F8B4.raw_max - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 31), st.lists(st.integers(-(2 ** 62), 2 ** 62), min_size=1, max_size=8))
+def test_rhe_shift_equals_exact_division(f, products):
+    # every format of 32 bits: integer bits 31 - f leave f fraction bits
+    ops = _FixedOps(FixedPointFormat(32, 31 - f))
+    assert ops.f == f
+    got = ops._rhe_shift(np.array(products, dtype=np.int64))
+    assert got.tolist() == [_rhe_div(p, 1 << f) for p in products]
+
+
+def _run_generations(monkeypatch, fmt, generations):
+    """Drive the fixed machine on the sphere; return it and its sym_eig calls."""
+    real_sym_eig = linalg.sym_eig
+    calls = []
+
+    def counting_sym_eig(*args):
+        calls.append(args)
+        return real_sym_eig(*args)
+
+    monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
+    machine = _FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=3), fmt)
+    machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+    start = machine.cov.copy()
+    for _ in range(generations):
+        raw = machine.ask()
+        machine.tell(raw, [sphere(p) for p in machine.ops.to_float(raw)])
+    return machine, start, len(calls)
+
+
+def test_unchanged_covariance_reuses_decomposition_and_counts_clamps(monkeypatch):
+    # at 8b4 and k=16, c_1 and c_mu are 0 and 1-c_1-c_mu is 1: C never moves
+    machine, start, eig_calls = _run_generations(monkeypatch, F8B4, 6)
+    np.testing.assert_array_equal(machine.cov, start)
+    assert eig_calls == 1
+    assert machine.eig_clamps == 6  # once per generation, as when recomputed
+
+
+def test_changed_covariance_is_decomposed_every_generation(monkeypatch):
+    machine, start, eig_calls = _run_generations(monkeypatch, FixedPointFormat(32, 8), 6)
+    assert not np.array_equal(machine.cov, start)
+    assert eig_calls == 6
+
+
+def test_quantization_health_at_harness_settings():
+    params = cmaes.CmaEsParams.defaults(16)
+    assert quantization_health(params, F8B4) == (
+        "strategy constants at 0 or 1: c_1->0, c_mu->0, 1-c_1-c_mu->1 "
+        "(recombination weight sum: 0.875)"
+    )
+    assert quantization_health(params, FixedPointFormat(32, 8)).startswith(
+        "strategy constants at 0 or 1: none"
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentadapt.rng import Xoshiro256pp, derive_seed, splitmix64_at
 
@@ -73,3 +75,23 @@ def test_normals_stream_is_replayable_and_clone_is_independent():
     clone = rng.clone()
     assert clone.state() == rng.state()
     np.testing.assert_array_equal(rng.normals(9), clone.normals(9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 3),
+    st.integers(0, 40),
+    st.integers(0, 40),
+)
+def test_normals_equal_sequential_normal_calls(seed, warmup, a, b):
+    # an odd warm-up leaves a spare pending when the batch calls start
+    batched = Xoshiro256pp(seed)
+    single = Xoshiro256pp(seed)
+    for _ in range(warmup):
+        assert batched.normal() == single.normal()
+    got = np.concatenate([batched.normals(a), batched.normals(b)])
+    want = np.array([single.normal() for _ in range(a + b)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (a + b,)
+    assert got.tobytes() == want.tobytes()
+    assert batched.state() == single.state()
