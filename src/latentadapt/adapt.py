@@ -2,14 +2,18 @@
 
 For each test latent, a coordinate vector is searched by entropy minimization
 over the fitted subspace, the frozen decoder scoring every candidate. The
-no-correction point competes in the selection, so an adapted prediction can
-never be less confident than the unadapted one. Nothing in the decoder or
+mode picks the search machine: ``ted`` searches in float, ``qted-v1`` with
+1-bit corrections and ``fixed`` in fixed-point registers, while ``none``
+evaluates the baseline alone. The no-correction point competes in the
+selection, so an adapted prediction can never be less confident than the
+unadapted one. Nothing in the decoder or
 subspace is ever modified.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -17,12 +21,12 @@ import numpy as np
 
 from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, fitness
-from .errors import ContractViolation
+from .errors import ContractViolation, ConvergenceFailure
 from .quant import FixedPointFormat
 from .rng import derive_seed
 from .subspace import PrincipalSubspace, apply_correction
 
-MODES = ("float", "binary", "fixed")
+MODES = ("none", "ted", "qted-v1", "fixed")
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class AdaptationConfig:
     population: Optional[int] = None
     sigma0: float = 1.0
     seed: int = 0
-    mode: str = "float"
+    mode: str = "ted"
     fixed_format: Optional[FixedPointFormat] = None
     binary_alpha: Optional[float] = None
     binary_feedback: bool = False
@@ -88,8 +92,9 @@ def adapt(
     """Adapt one latent and return the best correction found.
 
     Runs ``cfg.n`` generations of entropy-minimizing search over the
-    correction coordinates, with the zero correction evaluated first as the
-    baseline. The winner is the lowest-entropy point over every evaluation.
+    correction coordinates (none in mode ``none``), with the zero correction
+    evaluated first as the baseline. The winner is the lowest-entropy point
+    over every evaluation.
     """
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.shape != (s.dim,):
@@ -109,7 +114,7 @@ def adapt(
     )
 
     # track the best prediction alongside the optimizer's best fitness; calls
-    # happen in the same order minimize compares them (baseline first)
+    # happen in the same order search compares them (baseline first)
     best: dict = {"f": math.inf, "pred": None, "first": None}
 
     def objective(p: np.ndarray) -> float:
@@ -121,32 +126,14 @@ def adapt(
             best["pred"] = prediction
         return entropy
 
-    baseline = np.zeros(cfg.k)
-    quant_warnings = None
     if cfg.mode == "fixed":
-        result = quant.fixed_cmaes_minimize(
-            objective, params, cfg.n, cfg.fixed_format, baseline=baseline
-        )
-        quant_warnings = {
-            "saturations": result.saturation_count,
-            "sigma_clamps": result.sigma_clamp_count,
-            "eig_clamps": result.eig_clamp_count,
-        }
-    elif cfg.mode == "binary":
-        def transform(p: np.ndarray, state: cmaes.CmaEsState) -> np.ndarray:
-            alpha = cfg.binary_alpha if cfg.binary_alpha is not None else state.sigma
-            return quant.quantize_binary(p, alpha)
-
-        result = cmaes.minimize(
-            objective,
-            params,
-            cfg.n,
-            baseline=baseline,
-            transform=transform,
-            feed_transformed_to_tell=cfg.binary_feedback,
-        )
+        machine = quant.FixedCmaes(params, cfg.fixed_format)
+    elif cfg.mode == "qted-v1":
+        machine = quant.BinaryCmaes(params, cfg.binary_alpha, cfg.binary_feedback)
     else:
-        result = cmaes.minimize(objective, params, cfg.n, baseline=baseline)
+        machine = cmaes.CmaEs(params)
+    iterations = 0 if cfg.mode == "none" else cfg.n
+    result = cmaes.search(machine, objective, iterations, baseline=np.zeros(cfg.k))
 
     p_star = result.best_p
     z_adapted = apply_correction(s, z_t, p_star)
@@ -159,7 +146,7 @@ def adapt(
         entropy_trace=result.trace,
         evaluations=result.evaluations,
         nonfinite_count=result.nonfinite_count,
-        quant_warnings=quant_warnings,
+        quant_warnings=machine.quant_warnings,
     )
 
 
@@ -169,6 +156,7 @@ class BatchResult:
 
     results: list[Optional[AdaptationResult]]
     errors: dict[int, Exception] = field(default_factory=dict)
+    wall_ms: list[float] = field(default_factory=list)  # per row, failed rows too
 
 
 def adapt_batch(
@@ -182,8 +170,10 @@ def adapt_batch(
 
     Row ``i`` uses the seed derived from ``cfg.seed`` and ``indices[i]``
     (default: the row position), so outcomes do not depend on processing
-    order and shards can be recombined. Per-row failures are collected, not
-    raised.
+    order and shards can be recombined. A row that raises ContractViolation
+    or ConvergenceFailure is recorded as failed; any other exception
+    propagates. Each row's wall time runs from its seed derivation until
+    ``adapt`` returns or raises.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     if z_rows.ndim != 2:
@@ -196,13 +186,15 @@ def adapt_batch(
         if indices.shape != (n_rows,):
             raise ContractViolation("indices must have one entry per row")
 
-    results: list[Optional[AdaptationResult]] = []
-    errors: dict[int, Exception] = {}
+    batch = BatchResult(results=[])
     for i in range(n_rows):
+        start = time.perf_counter()
         row_cfg = cfg.with_seed(derive_seed(cfg.seed, int(indices[i])))
         try:
-            results.append(adapt(z_rows[i], decoder, s, row_cfg))
-        except Exception as exc:  # per-row isolation
-            results.append(None)
-            errors[i] = exc
-    return BatchResult(results=results, errors=errors)
+            result = adapt(z_rows[i], decoder, s, row_cfg)
+        except (ContractViolation, ConvergenceFailure) as exc:
+            result = None
+            batch.errors[i] = exc
+        batch.wall_ms.append((time.perf_counter() - start) * 1e3)
+        batch.results.append(result)
+    return batch

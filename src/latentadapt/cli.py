@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import datagen, fileio, report
-from .adapt import AdaptationConfig, adapt
-from .cmaes import CmaEsParams, default_lambda
+from .adapt import MODES, AdaptationConfig, adapt_batch
+from .cmaes import CmaEsParams
+from .decoder import LinearDecoder
 from .errors import ContractViolation, ConvergenceFailure, DataFormatError
 from .quant import FixedPointFormat, quantization_health
 from .rng import Xoshiro256pp, derive_seed
@@ -139,11 +140,7 @@ def _empirical_decoder(features, labels):
     var = sq_sum / (features.shape[0] * features.shape[1])
     if var <= 0.0:
         raise DataFormatError("zero within-class variance; decoder undefined")
-    weights = means / var
-    bias = -np.sum(means ** 2, axis=1) / (2.0 * var)
-    from .decoder import LinearDecoder
-
-    return LinearDecoder(weights=weights, bias=bias)
+    return LinearDecoder.from_class_means(means, var)
 
 
 def _cmd_fit(args) -> int:
@@ -185,9 +182,9 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- adapt
 
 
-def _build_adaptation_config(args, config, artifact_k) -> tuple[str, AdaptationConfig, int]:
+def _build_adaptation_config(args, config, artifact_k) -> AdaptationConfig:
     mode = _resolve(args, config, "mode", "ted", str)
-    if mode not in ("none", "ted", "qted-v1", "fixed"):
+    if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
     k = _resolve(args, config, "k", artifact_k, int)
     if not (1 <= k <= artifact_k):
@@ -200,12 +197,8 @@ def _build_adaptation_config(args, config, artifact_k) -> tuple[str, AdaptationC
     alpha = _resolve(args, config, "alpha", None, float)
     feedback = _resolve(args, config, "binary-feedback", False, _parse_bool)
 
-    if mode == "none":
-        return mode, None, k
-
-    internal = {"ted": "float", "qted-v1": "binary", "fixed": "fixed"}[mode]
     fmt = None
-    if internal == "fixed":
+    if mode == "fixed":
         if fmt_text is None:
             raise UsageError("--mode fixed requires --fmt (e.g. 8b4)")
         try:
@@ -213,71 +206,27 @@ def _build_adaptation_config(args, config, artifact_k) -> tuple[str, AdaptationC
         except ContractViolation as exc:
             raise UsageError(str(exc)) from exc
     try:
-        cfg = AdaptationConfig(
+        return AdaptationConfig(
             k=k,
             n=n,
             population=lam,
             sigma0=sigma0,
             seed=seed,
-            mode=internal,
+            mode=mode,
             fixed_format=fmt,
             binary_alpha=alpha,
             binary_feedback=feedback,
         )
     except ContractViolation as exc:
         raise UsageError(str(exc)) from exc
-    return mode, cfg, k
 
 
-def _run_samples(
-    features, labels, decoder, subspace, mode, cfg, seed
-) -> tuple[list[report.SampleRecord], dict[str, int]]:
-    from .decoder import decode
-
+def _records(batch, labels) -> list[report.SampleRecord]:
+    """One report row per batch row; a failed row keeps only its error name."""
     records = []
-    warning_totals = {"saturations": 0, "sigma_clamps": 0, "eig_clamps": 0}
-    for i in range(features.shape[0]):
+    for i, (result, wall) in enumerate(zip(batch.results, batch.wall_ms)):
         true_label = int(labels[i]) if labels is not None else -1
-        start = time.perf_counter()
-        if mode == "none":
-            pred = decode(decoder, features[i])
-            wall = (time.perf_counter() - start) * 1e3
-            records.append(
-                report.SampleRecord(
-                    index=i,
-                    true_label=true_label,
-                    noadapt_class=pred.predicted_class,
-                    noadapt_entropy=pred.entropy,
-                    adapted_class=pred.predicted_class,
-                    adapted_entropy=pred.entropy,
-                    evaluations=1,
-                    status="ok",
-                    wall_ms=wall,
-                )
-            )
-            continue
-        row_cfg = cfg.with_seed(derive_seed(seed, i))
-        try:
-            result = adapt(features[i], decoder, subspace, row_cfg)
-            wall = (time.perf_counter() - start) * 1e3
-            if result.quant_warnings is not None:
-                for key in warning_totals:
-                    warning_totals[key] += result.quant_warnings[key]
-            records.append(
-                report.SampleRecord(
-                    index=i,
-                    true_label=true_label,
-                    noadapt_class=result.baseline_prediction.predicted_class,
-                    noadapt_entropy=result.baseline_prediction.entropy,
-                    adapted_class=result.prediction.predicted_class,
-                    adapted_entropy=result.prediction.entropy,
-                    evaluations=result.evaluations,
-                    status="ok",
-                    wall_ms=wall,
-                )
-            )
-        except (ContractViolation, ConvergenceFailure) as exc:
-            wall = (time.perf_counter() - start) * 1e3
+        if result is None:
             records.append(
                 report.SampleRecord(
                     index=i,
@@ -287,11 +236,25 @@ def _run_samples(
                     adapted_class=-1,
                     adapted_entropy=float("nan"),
                     evaluations=0,
-                    status=f"error:{type(exc).__name__}",
+                    status=f"error:{type(batch.errors[i]).__name__}",
                     wall_ms=wall,
                 )
             )
-    return records, warning_totals
+            continue
+        records.append(
+            report.SampleRecord(
+                index=i,
+                true_label=true_label,
+                noadapt_class=result.baseline_prediction.predicted_class,
+                noadapt_entropy=result.baseline_prediction.entropy,
+                adapted_class=result.prediction.predicted_class,
+                adapted_entropy=result.prediction.entropy,
+                evaluations=result.evaluations,
+                status="ok",
+                wall_ms=wall,
+            )
+        )
+    return records
 
 
 def _cmd_adapt(args) -> int:
@@ -303,29 +266,32 @@ def _cmd_adapt(args) -> int:
             f"target dimension {features.shape[1]} does not match artifact "
             f"dimension {artifact.subspace.dim}"
         )
-    mode, cfg, k = _build_adaptation_config(args, config, artifact.subspace.k)
-    seed = cfg.seed if cfg is not None else _resolve(args, config, "seed", 0, int)
-    subspace = artifact.subspace.truncated(k)
+    cfg = _build_adaptation_config(args, config, artifact.subspace.k)
+    subspace = artifact.subspace.truncated(cfg.k)
 
-    records, warnings = _run_samples(
-        features, labels, artifact.decoder, subspace, mode, cfg, seed
-    )
+    batch = adapt_batch(features, artifact.decoder, subspace, cfg)
+    records = _records(batch, labels)
     out = Path(args.out)
     report.write_csv(out, records)
     summary = report.summarize(records)
     fmt_note = ""
-    if mode == "fixed":
+    if cfg.mode == "fixed":
         fmt_note = f" fmt={cfg.fixed_format}"
     text = report.summary_text(
-        summary, header=f"mode={mode}{fmt_note} k={k} samples={len(records)}"
+        summary, header=f"mode={cfg.mode}{fmt_note} k={cfg.k} samples={len(records)}"
     )
-    if mode == "fixed":
+    if cfg.mode == "fixed":
+        totals = {"saturations": 0, "sigma_clamps": 0, "eig_clamps": 0}
+        for result in batch.results:
+            if result is not None:
+                for key in totals:
+                    totals[key] += result.quant_warnings[key]
         text += (
-            f"saturation events: {warnings['saturations']} "
-            f"(sigma clamps: {warnings['sigma_clamps']}, "
-            f"eigenvalue clamps: {warnings['eig_clamps']})\n"
+            f"saturation events: {totals['saturations']} "
+            f"(sigma clamps: {totals['sigma_clamps']}, "
+            f"eigenvalue clamps: {totals['eig_clamps']})\n"
         )
-        params = CmaEsParams.defaults(k, population=cfg.effective_population)
+        params = CmaEsParams.defaults(cfg.k, population=cfg.effective_population)
         text += quantization_health(params, cfg.fixed_format) + "\n"
     out.with_suffix(".txt").write_text(text)
     print(text, end="")
@@ -356,32 +322,42 @@ def _parse_grid(text: str, cast):
     return [cast(part) for part in items]
 
 
-def _sweep_cell(artifact, features, labels, k, n, fmt_token, sigma0, seed):
-    if fmt_token == "none":
-        mode, internal, fmt = "none", None, None
-    elif fmt_token == "float":
-        mode, internal, fmt = "ted", "float", None
-    elif fmt_token == "qted-v1":
-        mode, internal, fmt = "qted-v1", "binary", None
-    else:
-        mode, internal, fmt = "fixed", "fixed", FixedPointFormat.parse(fmt_token)
+def _grid_mode(token: str) -> tuple[str, Optional[FixedPointFormat]]:
+    """Mode and fixed-point format of a ``--fmt-grid`` entry; ``<xby>`` is
+    short for mode ``fixed`` in that format."""
+    if token in MODES and token != "fixed":
+        return token, None
+    try:
+        return "fixed", FixedPointFormat.parse(token)
+    except ContractViolation as exc:
+        raise UsageError(
+            f"bad --fmt-grid entry {token!r}: expected none, ted, qted-v1 or a format like 8b4"
+        ) from exc
+
+
+def _sweep_cell(artifact, features, labels, k, n, mode, fmt, sigma0, seed):
     if not (1 <= k <= artifact.subspace.k):
         raise UsageError(f"k={k} not in [1, {artifact.subspace.k}] of the artifact")
     subspace = artifact.subspace.truncated(k)
-    cfg = None
-    if internal is not None:
-        cfg = AdaptationConfig(
-            k=k, n=n, sigma0=sigma0, seed=seed, mode=internal, fixed_format=fmt
-        )
-    records, _ = _run_samples(features, labels, artifact.decoder, subspace, mode, cfg, seed)
-    return report.summarize(records)
+    cfg = AdaptationConfig(k=k, n=n, sigma0=sigma0, seed=seed, mode=mode, fixed_format=fmt)
+    batch = adapt_batch(features, artifact.decoder, subspace, cfg)
+    return report.summarize(_records(batch, labels))
+
+
+def _drop_torn_line(path: Path) -> None:
+    """Cut a final line left without its newline by an interrupted write."""
+    data = path.read_bytes()
+    if data and not data.endswith(b"\n"):
+        with open(path, "r+b") as fh:
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     k_grid = _parse_grid(_resolve(args, config, "k-grid", "16", str), int)
     n_grid = _parse_grid(_resolve(args, config, "n-grid", "8", str), int)
-    fmt_grid = _parse_grid(_resolve(args, config, "fmt-grid", "float", str), str)
+    fmt_grid = _parse_grid(_resolve(args, config, "fmt-grid", "ted", str), str)
+    cells = {token: _grid_mode(token) for token in fmt_grid}
     sigma0 = _resolve(args, config, "sigma0", 1.0, float)
     seed = _resolve(args, config, "seed", 0, int)
 
@@ -391,12 +367,13 @@ def _cmd_sweep(args) -> int:
         raise UsageError("target dimension does not match artifact dimension")
 
     out = Path(args.out)
-    done: set[tuple[str, str, str]] = set()
+    done: set[tuple[str, str, str, str]] = set()
     if out.exists():
+        _drop_torn_line(out)
         with open(out, newline="") as fh:
             for row in csv.DictReader(fh):
-                done.add((row["k"], row["n"], row["fmt"]))
-    write_header = not out.exists()
+                done.add((row["k"], row["n"], row["fmt"], row["seed"]))
+    write_header = not out.exists() or out.stat().st_size == 0
     with open(out, "a", newline="") as fh:
         writer = csv.writer(fh)
         if write_header:
@@ -404,11 +381,11 @@ def _cmd_sweep(args) -> int:
         for k in k_grid:
             for n in n_grid:
                 for fmt_token in fmt_grid:
-                    if (str(k), str(n), fmt_token) in done:
+                    if (str(k), str(n), fmt_token, str(seed)) in done:
                         continue
                     try:
                         s = _sweep_cell(
-                            artifact, features, labels, k, n, fmt_token, sigma0, seed
+                            artifact, features, labels, k, n, *cells[fmt_token], sigma0, seed
                         )
                         writer.writerow(
                             [
@@ -484,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt = sub.add_parser("adapt", help="adapt a target file against an artifact")
     p_adapt.add_argument("artifact")
     p_adapt.add_argument("target")
-    p_adapt.add_argument("--mode", choices=["none", "ted", "qted-v1", "fixed"])
+    p_adapt.add_argument("--mode", choices=MODES)
     p_adapt.add_argument("--k", type=int)
     p_adapt.add_argument("--n", type=int)
     p_adapt.add_argument("--lambda", type=int, dest="lambda_")
@@ -504,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-grid", dest="k_grid")
     p_sweep.add_argument("--n-grid", dest="n_grid")
     p_sweep.add_argument("--fmt-grid", dest="fmt_grid",
-                         help="comma list of none|float|qted-v1|<xby>")
+                         help="comma list of none|ted|qted-v1|<xby>")
     p_sweep.add_argument("--sigma0", type=float)
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out", required=True)

@@ -6,6 +6,10 @@ adaptation of sigma, and a rank-1 plus rank-mu update of the covariance.
 Strategy constants follow the standard tutorial defaults; the covariance is
 decomposed with the package's own deterministic eigensolver and all noise
 comes from the package PRNG, so runs replay bit for bit from the seed.
+
+:func:`search` is the one ask/evaluate/tell loop. It drives any search
+machine: the float :class:`CmaEs` here, and the 1-bit and fixed-point
+machines in :mod:`latentadapt.quant`.
 """
 
 from __future__ import annotations
@@ -238,6 +242,32 @@ def tell(state: CmaEsState, candidates: list[np.ndarray], fitnesses: list[float]
     return state
 
 
+class CmaEs:
+    """Float CMA-ES as a search machine for :func:`search`.
+
+    A machine holds its ``params``, proposes the points to evaluate
+    (``ask``), takes back their fitnesses in the same order (``tell``) and
+    maps the baseline onto the point it stands for in its number system
+    (``start``).
+    """
+
+    quant_warnings: Optional[dict] = None  # counts kept by quantized machines
+
+    def __init__(self, params: CmaEsParams):
+        self.params = params
+        self.state = init(params)
+
+    def start(self, baseline: np.ndarray) -> np.ndarray:
+        return baseline
+
+    def ask(self) -> list[np.ndarray]:
+        self._candidates = ask(self.state)
+        return self._candidates
+
+    def tell(self, fitnesses: list[float]) -> None:
+        tell(self.state, self._candidates, fitnesses)
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     best_p: np.ndarray
@@ -247,26 +277,23 @@ class MinimizeResult:
     nonfinite_count: int        # objective values replaced by +inf
 
 
-def minimize(
+def search(
+    machine,
     objective: Callable[[np.ndarray], float],
-    params: CmaEsParams,
     iterations: int,
     baseline: Optional[np.ndarray] = None,
-    transform: Optional[Callable[[np.ndarray, CmaEsState], np.ndarray]] = None,
-    feed_transformed_to_tell: bool = False,
 ) -> MinimizeResult:
-    """Run ``iterations`` ask/evaluate/tell generations and return the best
-    point over every evaluation made.
+    """Run ``iterations`` ask/evaluate/tell generations of ``machine`` and
+    return the best point over every evaluation made.
 
-    The optional ``baseline`` is evaluated first and competes with sampled
-    candidates, so the result can never be worse than it. ``transform`` maps
-    each raw candidate to the point actually evaluated (and reported); by
-    default the raw candidates are fed back to ``tell`` so the transform does
-    not distort the search geometry.
+    The optional ``baseline`` is evaluated first and competes with the
+    machine's points, so the result can never be worse than it; with a
+    baseline, zero iterations evaluate it alone. A non-finite objective value
+    counts as +inf for selection and reaches ``tell`` as one more than the
+    generation's worst finite value (1 when none is finite).
     """
-    if iterations < 1:
-        raise ContractViolation("iterations must be >= 1")
-    state = init(params)
+    if iterations < 0 or (iterations == 0 and baseline is None):
+        raise ContractViolation("iterations must be >= 1, or 0 with a baseline")
     evaluations = 0
     nonfinite = 0
     best_p: Optional[np.ndarray] = None
@@ -283,15 +310,15 @@ def minimize(
 
     if baseline is not None:
         baseline = np.asarray(baseline, dtype=np.float64)
-        if baseline.shape != (params.dim,):
+        if baseline.shape != (machine.params.dim,):
             raise ContractViolation("baseline must have the search dimension")
-        best_f = evaluate(baseline)
-        best_p = baseline.copy()
+        point = machine.start(baseline)
+        best_f = evaluate(point)
+        best_p = point.copy()
 
     trace: list[float] = []
     for _ in range(iterations):
-        raw = ask(state)
-        points = [transform(c, state) for c in raw] if transform is not None else raw
+        points = machine.ask()
         fits = [evaluate(point) for point in points]
         for point, f in zip(points, fits):
             if best_p is None or f < best_f:
@@ -300,13 +327,11 @@ def minimize(
         if any(math.isinf(f) for f in fits):
             finite = [f for f in fits if math.isfinite(f)]
             sentinel = (max(finite) if finite else 0.0) + 1.0
-            fed = [f if math.isfinite(f) else sentinel for f in fits]
-        else:
-            fed = fits
-        tell(state, points if feed_transformed_to_tell else raw, fed)
+            fits = [f if math.isfinite(f) else sentinel for f in fits]
+        machine.tell(fits)
         trace.append(best_f)
 
-    assert best_p is not None  # iterations >= 1 guarantees evaluations
+    assert best_p is not None  # a baseline or an iteration guarantees evaluations
     return MinimizeResult(
         best_p=best_p,
         best_fitness=best_f,
@@ -314,3 +339,13 @@ def minimize(
         evaluations=evaluations,
         nonfinite_count=nonfinite,
     )
+
+
+def minimize(
+    objective: Callable[[np.ndarray], float],
+    params: CmaEsParams,
+    iterations: int,
+    baseline: Optional[np.ndarray] = None,
+) -> MinimizeResult:
+    """:func:`search` with a float :class:`CmaEs` machine."""
+    return search(CmaEs(params), objective, iterations, baseline)

@@ -106,10 +106,7 @@ def make_decoder(task: SyntheticTask) -> LinearDecoder:
     """Exact posterior log-odds decoder for the source mixture."""
     if task.within_class_std <= 0.0:
         raise ContractViolation("decoder undefined for zero within-class std")
-    var = task.within_class_std ** 2
-    weights = task.class_means / var
-    bias = -np.sum(task.class_means ** 2, axis=1) / (2.0 * var)
-    return LinearDecoder(weights=weights, bias=bias)
+    return LinearDecoder.from_class_means(task.class_means, task.within_class_std ** 2)
 
 
 def apply_shift(

@@ -29,6 +29,12 @@ class LinearDecoder:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
+    @classmethod
+    def from_class_means(cls, means: np.ndarray, var: float) -> "LinearDecoder":
+        """Posterior log-odds head for equally likely Gaussian classes with
+        these means and a shared isotropic variance ``var``."""
+        return cls(weights=means / var, bias=-np.sum(means ** 2, axis=1) / (2.0 * var))
+
     @property
     def class_count(self) -> int:
         return self.weights.shape[0]

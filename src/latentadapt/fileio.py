@@ -27,6 +27,7 @@ FORMAT_VERSION = 1
 
 _FEATURE_HEADER = struct.Struct("<4sIIIB")
 _SECTION_ENTRY = struct.Struct("<16sQQ")
+_ORTHONORMAL_ATOL = 1e-6  # on max |B^T B - I|; a fit reaches about 1e-14
 
 
 def write_features(
@@ -182,6 +183,12 @@ def read_artifact(path: str | Path) -> ModelArtifact:
     basis = np.frombuffer(sub, dtype="<f8", count=dim * k, offset=off).reshape(dim, k).copy()
     off += 8 * dim * k
     singular = np.frombuffer(sub, dtype="<f8", count=k, offset=off).copy()
+    if not all(np.all(np.isfinite(a)) for a in (mean, basis, singular)):
+        raise DataFormatError(f"{path}: non-finite subspace values")
+    with np.errstate(all="ignore"):  # a corrupt basis may overflow the product
+        deviation = np.max(np.abs(basis.T @ basis - np.eye(k)), initial=0.0)
+    if not deviation <= _ORTHONORMAL_ATOL:
+        raise DataFormatError(f"{path}: subspace basis is not orthonormal")
     subspace = PrincipalSubspace(
         mean=mean,
         basis=basis,

@@ -1,5 +1,4 @@
-"""Dense linear algebra: validated matrix product and a deterministic
-symmetric eigensolver.
+"""Dense linear algebra: a deterministic symmetric eigensolver.
 
 The eigensolver is a cyclic Jacobi iteration rather than a LAPACK call so
 that eigenvector signs and tie handling are fully specified: downstream file
@@ -37,17 +36,6 @@ def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ContractViolation(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with dimension checking."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

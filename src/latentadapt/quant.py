@@ -1,14 +1,14 @@
-"""Quantized adaptation support.
+"""Quantized adaptation support: the 1-bit and fixed-point search machines.
 
-Two independent pieces live here. The 1-bit correction collapses a candidate
-vector to a single magnitude with per-element signs, so the search reduces to
-flipping k switches. The fixed-point optimizer re-runs the CMA-ES update
-equations with every state component held in signed two's-complement
-fixed-point arithmetic: round-to-nearest-even everywhere, saturating (never
-wrapping) on overflow. Sampling noise stays in floating point and is
-quantized on arrival; scalar transcendentals (sqrt, exp) are evaluated in
-float on the fixed-point operand and requantized, standing in for the lookup
-tables real hardware would use.
+Both machines run under :func:`latentadapt.cmaes.search`. The 1-bit machine
+collapses each float candidate to a single magnitude with per-element signs,
+so the search reduces to flipping k switches. The fixed-point machine re-runs
+the CMA-ES update equations with every state component held in signed
+two's-complement fixed-point arithmetic: round-to-nearest-even everywhere,
+saturating (never wrapping) on overflow. Sampling noise stays in floating
+point and is quantized on arrival; scalar transcendentals (sqrt, exp) are
+evaluated in float on the fixed-point operand and requantized, standing in
+for the lookup tables real hardware would use.
 
 The register arithmetic is vectorized without changing a bit of it. A sum of
 many terms (the weighted mean step, the C^(-1/2) matvec, the squared path
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .cmaes import CmaEsParams, MinimizeResult
+from .cmaes import CmaEs, CmaEsParams, MinimizeResult, search
 from .errors import ContractViolation
 from .rng import Xoshiro256pp
 
@@ -159,6 +159,32 @@ def quantize_binary(p: np.ndarray, magnitude: float) -> np.ndarray:
     return np.where(p >= 0.0, magnitude, -magnitude)
 
 
+class BinaryCmaes(CmaEs):
+    """Float CMA-ES whose candidates are snapped to 1-bit corrections.
+
+    Each candidate collapses to ``alpha`` times its signs, with ``alpha``
+    the step size at ask time unless pinned. The optimizer is told the raw
+    candidates, or the snapped ones with ``feedback``.
+    """
+
+    def __init__(self, params: CmaEsParams, alpha: Optional[float] = None,
+                 feedback: bool = False):
+        super().__init__(params)
+        self.alpha = alpha
+        self.feedback = feedback
+
+    def ask(self) -> list[np.ndarray]:
+        raw = super().ask()
+        alpha = self.alpha if self.alpha is not None else self.state.sigma
+        self._points = [quantize_binary(c, alpha) for c in raw]
+        return self._points
+
+    def tell(self, fitnesses: list[float]) -> None:
+        if self.feedback:
+            self._candidates = self._points
+        super().tell(fitnesses)
+
+
 class _FixedOps:
     """Vectorized raw-integer fixed-point arithmetic with saturation counting.
 
@@ -278,8 +304,13 @@ _CONSTANTS = (
 )
 
 
-class _FixedCmaes:
-    """CMA-ES state machine carried entirely in fixed-point registers."""
+class FixedCmaes:
+    """CMA-ES state machine carried entirely in fixed-point registers.
+
+    A search machine for :func:`latentadapt.cmaes.search`: the baseline is
+    quantized onto the grid, and each candidate is evaluated at its exact
+    fixed-point value as a float.
+    """
 
     def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
         self.params = params
@@ -318,8 +349,19 @@ class _FixedCmaes:
             self._eig_cache = (clamped, vectors, int(np.count_nonzero(values < floor)))
         return self._eig_cache
 
+    @property
+    def quant_warnings(self) -> dict:
+        return {
+            "saturations": self.ops.saturations,
+            "sigma_clamps": self.sigma_clamps,
+            "eig_clamps": self.eig_clamps,
+        }
+
+    def start(self, baseline: np.ndarray) -> np.ndarray:
+        return self.ops.to_float(self.ops.quantize(baseline))
+
     def ask(self) -> np.ndarray:
-        """Sample lambda candidates as raw fixed-point vectors."""
+        """Sample lambda candidates; keep the raw registers, return floats."""
         values, vectors, clamps = self._decompose()
         self.eig_clamps += clamps  # once per generation, reused or not
         scale = np.sqrt(values)
@@ -331,13 +373,14 @@ class _FixedCmaes:
         for i in range(lam):
             # one matvec per row: a single matmul may round differently
             steps[i] = vectors @ (scale * noise[i])
-        return self.ops.quantize(mean_f + sigma_f * steps)
+        self._raw = self.ops.quantize(mean_f + sigma_f * steps)
+        return self.ops.to_float(self._raw)
 
-    def tell(self, candidates_raw: np.ndarray, fitnesses: list[float]) -> None:
+    def tell(self, fitnesses: list[float]) -> None:
         params = self.params
         ops = self.ops
         order = np.argsort(np.asarray(fitnesses, dtype=np.float64), kind="stable")
-        parents = candidates_raw[order[: params.parent_count]]
+        parents = self._raw[order[: params.parent_count]]
 
         values, vectors, _ = self._decompose()
 
@@ -429,65 +472,14 @@ def fixed_cmaes_minimize(
     fmt: FixedPointFormat,
     baseline: Optional[np.ndarray] = None,
 ) -> FixedMinimizeResult:
-    """Fixed-point counterpart of :func:`latentadapt.cmaes.minimize`.
-
-    Same loop, same baseline guarantee, same evaluation budget; the search
-    state lives in ``fmt`` registers and the objective sees each candidate's
-    exact fixed-point value as a float.
-    """
-    if iterations < 1:
-        raise ContractViolation("iterations must be >= 1")
-    machine = _FixedCmaes(params, fmt)
-    ops = machine.ops
-    evaluations = 0
-    nonfinite = 0
-    best_p: Optional[np.ndarray] = None
-    best_f = math.inf
-
-    def evaluate(point: np.ndarray) -> float:
-        nonlocal evaluations, nonfinite
-        value = float(objective(point))
-        evaluations += 1
-        if not math.isfinite(value):
-            nonfinite += 1
-            return math.inf
-        return value
-
-    if baseline is not None:
-        baseline = np.asarray(baseline, dtype=np.float64)
-        if baseline.shape != (params.dim,):
-            raise ContractViolation("baseline must have the search dimension")
-        point = ops.to_float(ops.quantize(baseline))
-        best_f = evaluate(point)
-        best_p = point.copy()
-
-    trace: list[float] = []
-    for _ in range(iterations):
-        raw = machine.ask()
-        points = ops.to_float(raw)
-        fits = [evaluate(point) for point in points]
-        for point, f in zip(points, fits):
-            if best_p is None or f < best_f:
-                best_f = f
-                best_p = point.copy()
-        if any(math.isinf(f) for f in fits):
-            finite = [f for f in fits if math.isfinite(f)]
-            sentinel = (max(finite) if finite else 0.0) + 1.0
-            fed = [f if math.isfinite(f) else sentinel for f in fits]
-        else:
-            fed = fits
-        machine.tell(raw, fed)
-        trace.append(best_f)
-
-    assert best_p is not None
+    """:func:`latentadapt.cmaes.search` with a :class:`FixedCmaes` machine,
+    plus its saturation and clamp counts."""
+    machine = FixedCmaes(params, fmt)
+    result = search(machine, objective, iterations, baseline)
     return FixedMinimizeResult(
-        best_p=best_p,
-        best_fitness=best_f,
-        trace=trace,
-        evaluations=evaluations,
-        nonfinite_count=nonfinite,
+        **vars(result),
         fmt=fmt,
-        saturation_count=ops.saturations,
+        saturation_count=machine.ops.saturations,
         sigma_clamp_count=machine.sigma_clamps,
         eig_clamp_count=machine.eig_clamps,
     )

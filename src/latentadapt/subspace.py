@@ -76,7 +76,7 @@ def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
 
     mean = z.mean(axis=0)
     centered = z - mean
-    scatter = linalg.matmul(centered.T, centered)
+    scatter = centered.T @ centered
     eigenvalues, basis = linalg.sym_eig(scatter, k)
     singular_values = np.sqrt(np.maximum(eigenvalues, 0.0))
     leading = float(eigenvalues[0])

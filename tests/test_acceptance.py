@@ -178,7 +178,7 @@ def test_criterion_4_grid_oracle_equivalence():
     for i, z in enumerate(shifted):
         target = grid_min_entropy(z) + 0.05
         cfg = AdaptationConfig(
-            k=2, n=20, sigma0=3.0, seed=derive_seed(777, i), mode="float"
+            k=2, n=20, sigma0=3.0, seed=derive_seed(777, i), mode="ted"
         )
         res = adapt(z, dec, sub, cfg)
         hits += res.prediction.entropy <= target
@@ -227,7 +227,7 @@ def test_criterion_6_forgetting_free_and_budget():
         return h.hexdigest()
 
     before = model_digest()
-    cfg = AdaptationConfig(k=4, n=3, population=6, seed=60, mode="float")
+    cfg = AdaptationConfig(k=4, n=3, population=6, seed=60, mode="ted")
     budget_ok = True
     for i in range(1000):
         res = adapt(targets[i], dec, sub, cfg.with_seed(derive_seed(60, i)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latentadapt import datagen, linalg
-from latentadapt.adapt import AdaptationConfig, adapt, adapt_batch
+from latentadapt.adapt import MODES, AdaptationConfig, adapt, adapt_batch
 from latentadapt.decoder import LinearDecoder, decode
 from latentadapt.errors import ContractViolation, ConvergenceFailure
 from latentadapt.quant import FixedPointFormat
@@ -73,8 +73,8 @@ def test_entropy_guarantee_every_mode():
     spec = datagen.preset_shifts(task.dim, 1.0, 5)[2]
     shifted = datagen.apply_shift(target, task.class_means.mean(axis=0), spec)
     for mode, fmt in (
-        ("float", None),
-        ("binary", None),
+        ("ted", None),
+        ("qted-v1", None),
         ("fixed", FixedPointFormat(8, 4)),
         ("fixed", FixedPointFormat(4, 2)),
     ):
@@ -87,7 +87,7 @@ def test_entropy_guarantee_every_mode():
 def test_budget_is_exact():
     task, sub, dec = _small_setup(seed=6)
     z = task.class_means[0] + 0.5
-    for mode, fmt in (("float", None), ("binary", None), ("fixed", FixedPointFormat(8, 4))):
+    for mode, fmt in (("ted", None), ("qted-v1", None), ("fixed", FixedPointFormat(8, 4))):
         cfg = AdaptationConfig(k=4, n=5, population=6, seed=2, mode=mode, fixed_format=fmt)
         result = adapt(z, dec, sub, cfg)
         assert result.evaluations == 5 * 6 + 1
@@ -108,7 +108,7 @@ def test_binary_mode_returns_one_bit_corrections():
     spec = datagen.preset_shifts(task.dim, 1.0, 8)[2]
     target, _ = datagen.gen_source(task, 8, stream=3)
     shifted = datagen.apply_shift(target, task.class_means.mean(axis=0), spec)
-    cfg = AdaptationConfig(k=4, n=4, seed=4, mode="binary", binary_alpha=0.75)
+    cfg = AdaptationConfig(k=4, n=4, seed=4, mode="qted-v1", binary_alpha=0.75)
     for z in shifted:
         result = adapt(z, dec, sub, cfg)
         values = set(np.unique(result.p_star))
@@ -192,14 +192,14 @@ def test_binary_mode_tracks_float_accuracy_at_k2():
     shifted = datagen.apply_shift(test, task.class_means.mean(axis=0), combined)
     sub = fit(train, 2)
     accuracy = {}
-    for mode in ("float", "binary"):
+    for mode in ("ted", "qted-v1"):
         cfg = AdaptationConfig(k=2, n=8, seed=21, mode=mode)
         batch = adapt_batch(shifted, dec, sub, cfg)
         preds = [r.prediction.predicted_class for r in batch.results]
         accuracy[mode] = 100.0 * np.mean(np.array(preds) == test_y)
-    assert accuracy["float"] == 76.5  # frozen at first measurement
-    assert accuracy["binary"] == 77.0
-    assert abs(accuracy["float"] - accuracy["binary"]) <= 3.0
+    assert accuracy["ted"] == 76.5  # frozen at first measurement
+    assert accuracy["qted-v1"] == 77.0
+    assert abs(accuracy["ted"] - accuracy["qted-v1"]) <= 3.0
 
 
 def test_fixed_mode_reports_quant_warnings():
@@ -239,7 +239,7 @@ def test_nonfinite_count_reported_every_mode(monkeypatch):
     monkeypatch.setattr(adapt_module, "fitness", every_fifth_nan)
     task, sub, dec = _small_setup(seed=16)
     z = task.class_means[1] + 0.4
-    for mode, fmt in (("float", None), ("binary", None), ("fixed", FixedPointFormat(8, 4))):
+    for mode, fmt in (("ted", None), ("qted-v1", None), ("fixed", FixedPointFormat(8, 4))):
         calls["n"] = 0
         cfg = AdaptationConfig(k=4, n=5, population=6, seed=3, mode=mode, fixed_format=fmt)
         result = adapt(z, dec, sub, cfg)
@@ -257,3 +257,47 @@ def test_batch_records_eigensolver_sweep_cap_per_row(monkeypatch):
     assert set(batch.errors) == set(range(len(rows)))
     assert all(isinstance(e, ConvergenceFailure) for e in batch.errors.values())
     assert batch.results == [None] * len(rows)
+
+
+def test_modes_are_the_cli_names():
+    assert MODES == ("none", "ted", "qted-v1", "fixed")
+    for old_name in ("float", "binary"):
+        with pytest.raises(ContractViolation):
+            AdaptationConfig(mode=old_name)
+
+
+def test_mode_none_evaluates_only_the_baseline():
+    task, sub, dec = _small_setup(seed=18)
+    z = task.class_means[1] + 0.6
+    result = adapt(z, dec, sub, AdaptationConfig(k=4, n=5, seed=2, mode="none"))
+    assert result.evaluations == 1
+    assert result.entropy_trace == []
+    np.testing.assert_array_equal(result.p_star, np.zeros(4))
+    base = decode(dec, z)
+    assert result.prediction is result.baseline_prediction
+    assert result.prediction.entropy == base.entropy
+    assert result.prediction.predicted_class == base.predicted_class
+
+
+def test_batch_times_every_row_failed_or_not():
+    task, sub, dec = _small_setup(seed=19)
+    rows, _ = datagen.gen_source(task, 1, stream=7)
+    rows = rows.copy()
+    rows[1, 0] = np.nan
+    batch = adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3))
+    assert set(batch.errors) == {1}
+    assert len(batch.wall_ms) == len(rows)
+    assert all(ms >= 0.0 for ms in batch.wall_ms)
+
+
+def test_batch_propagates_unexpected_errors(monkeypatch):
+    adapt_module = importlib.import_module("latentadapt.adapt")
+
+    def broken_fitness(*args):
+        raise RuntimeError("decoder fault")
+
+    monkeypatch.setattr(adapt_module, "fitness", broken_fitness)
+    task, sub, dec = _small_setup(seed=20)
+    rows, _ = datagen.gen_source(task, 1, stream=8)
+    with pytest.raises(RuntimeError, match="decoder fault"):
+        adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3))

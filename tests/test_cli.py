@@ -1,3 +1,4 @@
+import hashlib
 import csv
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_sweep_grid_and_resume(workdir):
         "sweep", str(art), str(out / "target_combined.latf"),
         "--k-grid", "2,4",
         "--n-grid", "2,3",
-        "--fmt-grid", "float,8b4",
+        "--fmt-grid", "ted,8b4",
         "--seed", "5",
         "--out", str(sweep_csv),
     ]
@@ -262,11 +263,48 @@ def test_sweep_grid_and_resume(workdir):
 
     # widening the grid appends only the new cells
     wider = args[:]
-    wider[wider.index("--fmt-grid") + 1] = "float,8b4,qted-v1"
+    wider[wider.index("--fmt-grid") + 1] = "ted,8b4,qted-v1"
     assert main(wider) == 0
     with open(sweep_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
+
+
+def _sweep_args(art, out, sweep_csv, seed="5", fmt_grid="ted,8b4"):
+    return ["sweep", str(art), str(out / "target_combined.latf"),
+            "--k-grid", "2,4", "--n-grid", "2", "--fmt-grid", fmt_grid,
+            "--seed", seed, "--out", str(sweep_csv)]
+
+
+def test_sweep_resume_drops_a_torn_final_row(workdir):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(_sweep_args(art, out, sweep_csv)) == 0
+    complete = sweep_csv.read_bytes()
+    last_row = complete.rstrip(b"\r\n").rsplit(b"\n", 1)[1]
+    # a crash in the middle of writing the last cell's row
+    sweep_csv.write_bytes(complete[: len(complete) - len(last_row) // 2 - 2])
+    assert main(_sweep_args(art, out, sweep_csv)) == 0
+    assert sweep_csv.read_bytes() == complete
+
+
+def test_sweep_resume_with_another_seed_runs_every_cell(workdir):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(_sweep_args(art, out, sweep_csv, seed="5")) == 0
+    assert main(_sweep_args(art, out, sweep_csv, seed="6")) == 0
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["seed"] for r in rows] == ["5"] * 4 + ["6"] * 4
+    assert all(r["status"] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("grid", ["ted,float", "binary", "fixed", "8x4"])
+def test_sweep_unknown_grid_token_is_a_usage_error(workdir, grid):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(_sweep_args(art, out, sweep_csv, fmt_grid=grid)) == 1
+    assert not sweep_csv.exists()
 
 
 def test_sweep_single_cell_matches_adapt(workdir):
@@ -274,7 +312,7 @@ def test_sweep_single_cell_matches_adapt(workdir):
     sweep_csv = tmp_path / "one.csv"
     assert main(
         ["sweep", str(art), str(out / "target_combined.latf"),
-         "--k-grid", "4", "--n-grid", "4", "--fmt-grid", "float",
+         "--k-grid", "4", "--n-grid", "4", "--fmt-grid", "ted",
          "--seed", "5", "--out", str(sweep_csv)]
     ) == 0
     rep = tmp_path / "direct.csv"
@@ -303,3 +341,45 @@ def test_report_command_recomputes_summary(workdir, capsys):
     text = capsys.readouterr().out
     summary = report.summarize(report.read_csv(rep))
     assert f"accuracy adapted:  {summary.accuracy_adapted:.2f}%" in text
+
+
+def _report_digest(path):
+    """sha256 of a report CSV with the wall-clock column left out."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in report.NONDETERMINISTIC_COLUMNS]
+    text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the deterministic part of each mode's report on the workdir task,
+# recorded at commit 9afcb67, before the float, 1-bit and fixed-point searches
+# shared one driver and the CLI shared the batch runner
+_REPORT_DIGESTS = [
+    (["--mode", "none"],
+     "33661636f24bd602d9b6016ca222a983b9a6e269de50f35b9e2c779e78b939a4"),
+    (["--mode", "ted"],
+     "75a446cfb6524a49fda48dbd94246a3ca619e9b1bcd4742979f6147f55e36d34"),
+    (["--mode", "qted-v1"],
+     "bf20f193082872498013f140b9a16bedf2ad74e1f4702d991ed1a3914af1639e"),
+    (["--mode", "qted-v1", "--binary-feedback", "--alpha", "0.5"],
+     "eb36a47120561ad4e324cf91a019b70e520073c1d210fc09170a64fd4f47340c"),
+    (["--mode", "fixed", "--fmt", "8b4"],
+     "3762132531fb5f43e3a1f369851d6c2a273daaa5d3da5078aee50c9b7b7405d4"),
+    (["--mode", "fixed", "--fmt", "4b2"],
+     "d3b9ba2498fca625c7fa00b0d1dde96fd47133d106a701eceb30c547fe27ee2f"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode_args, digest", _REPORT_DIGESTS,
+    ids=["none", "ted", "qted-v1", "qted-v1-feedback", "fixed-8b4", "fixed-4b2"],
+)
+def test_adapt_report_matches_recorded_digest(workdir, mode_args, digest):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "digest.csv"
+    assert main(
+        ["adapt", str(art), str(out / "target_combined.latf"), *mode_args,
+         "--n", "3", "--seed", "5", "--out", str(rep)]
+    ) == 0
+    assert _report_digest(rep) == digest

@@ -213,11 +213,23 @@ def test_minimize_counts_nonfinite_objective_values():
     assert math.isfinite(res.best_fitness)
 
 
-def test_minimize_with_transform_reports_transformed_point():
+def test_search_reports_the_point_the_machine_evaluated():
+    class Rounding(cmaes.CmaEs):
+        def ask(self):
+            return [np.round(c) for c in super().ask()]
+
     params = cmaes.CmaEsParams.defaults(2, population=6, seed=10)
-
-    def snap(p, state):
-        return np.round(p)
-
-    res = cmaes.minimize(sphere, params, 5, transform=snap)
+    res = cmaes.search(Rounding(params), sphere, 5)
     np.testing.assert_array_equal(res.best_p, np.round(res.best_p))
+
+
+def test_search_with_zero_iterations_evaluates_the_baseline_alone():
+    params = cmaes.CmaEsParams.defaults(3, seed=11)
+    res = cmaes.minimize(sphere, params, 0, baseline=np.ones(3))
+    assert res.evaluations == 1
+    assert res.best_fitness == 3.0
+    assert res.trace == []
+    with pytest.raises(ContractViolation):
+        cmaes.minimize(sphere, params, 0)
+    with pytest.raises(ContractViolation):
+        cmaes.minimize(sphere, params, -1, baseline=np.ones(3))

@@ -156,6 +156,29 @@ def test_artifact_section_shorter_than_its_header_is_a_format_error(tmp_path, in
         fileio.read_artifact(bad)
 
 
+def _set_subspace_value(blob, index, value):
+    """Overwrite float ``index`` of the subspace section (mean, basis, then
+    singular values, after the 13-byte section header)."""
+    (offset,) = struct.unpack_from("<Q", blob, _TABLE + _ENTRY + 16)
+    struct.pack_into("<d", blob, offset + 13 + 8 * index, value)
+
+
+# the fixture subspace has dim 6 and k 2: mean 0-5, basis 6-17, singular 18-19
+@pytest.mark.parametrize(
+    "index, value",
+    [(6, 2.0), (6, 1e300), (7, 0.5), (0, float("nan")), (10, float("inf")), (19, float("nan"))],
+    ids=["basis-scaled", "basis-overflows", "basis-skewed", "mean-nan", "basis-inf",
+         "singular-nan"],
+)
+def test_artifact_with_a_corrupt_subspace_is_a_format_error(tmp_path, index, value):
+    blob = _written_artifact(tmp_path)
+    _set_subspace_value(blob, index, value)
+    bad = tmp_path / "corrupt.lama"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="subspace"):
+        fileio.read_artifact(bad)
+
+
 def test_meta_json_is_canonical(tmp_path):
     task = datagen.make_task(class_count=3, dim=6, seed=5)
     source, _ = datagen.gen_source(task, 20)

@@ -6,50 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from latentadapt import linalg
 from latentadapt.errors import ContractViolation, ConvergenceFailure
-from latentadapt.linalg import matmul, sym_eig
-
-
-def test_matmul_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-
-def test_matmul_zero():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-
-
-def test_matmul_hand_expanded_2x2():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_rejects_non_finite():
-    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ContractViolation):
-        matmul(bad, np.eye(2))
-
-
-def test_matmul_associativity_on_random_triples():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-10
-
-
-def test_matmul_bit_identical_across_calls():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((30, 40))
-    b = rng.standard_normal((40, 20))
-    assert matmul(a, b).tobytes() == matmul(a, b).tobytes()
+from latentadapt.linalg import sym_eig
 
 
 def test_sym_eig_diagonal():

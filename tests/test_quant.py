@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from latentadapt import cmaes, linalg
 from latentadapt.errors import ContractViolation
 from latentadapt.quant import (
+    BinaryCmaes,
+    FixedCmaes,
     FixedPointFormat,
     FixedPointValue,
-    _FixedCmaes,
     _FixedOps,
     _rhe_div,
     fixed_add,
@@ -162,6 +163,35 @@ def test_quantize_binary_two_values_property(values, alpha):
 
 def sphere(p):
     return float(np.sum(p * p))
+
+
+def test_binary_machine_snaps_with_the_step_size_at_ask_time():
+    params = cmaes.CmaEsParams.defaults(3, seed=13)
+    machine = BinaryCmaes(params)
+    sigmas = set()
+    for _ in range(4):
+        sigma = machine.state.sigma
+        sigmas.add(sigma)
+        points = machine.ask()
+        assert all(set(np.abs(p)) == {sigma} for p in points)
+        machine.tell([sphere(p) for p in points])
+    assert len(sigmas) == 4
+    pinned = BinaryCmaes(params, alpha=0.5)
+    assert all(set(np.abs(p)) == {0.5} for p in pinned.ask())
+
+
+def test_binary_machine_feedback_tells_the_snapped_points():
+    params = cmaes.CmaEsParams.defaults(3, seed=14)
+    for feedback in (False, True):
+        machine = BinaryCmaes(params, alpha=0.5, feedback=feedback)
+        points = machine.ask()
+        raw = machine._candidates
+        # every snapped point has the same sphere value: parents are the first mu
+        machine.tell([sphere(p) for p in points])
+        told = points if feedback else raw
+        w = params.recombination_weights
+        expected = w @ np.asarray(told[: params.parent_count])
+        np.testing.assert_allclose(machine.state.mean, expected, rtol=0, atol=1e-12)
 
 
 def test_fixed_cmaes_wide_format_tracks_float():
@@ -367,12 +397,11 @@ def _run_generations(monkeypatch, fmt, generations):
         return real_sym_eig(*args)
 
     monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
-    machine = _FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=3), fmt)
+    machine = FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=3), fmt)
     machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
     start = machine.cov.copy()
     for _ in range(generations):
-        raw = machine.ask()
-        machine.tell(raw, [sphere(p) for p in machine.ops.to_float(raw)])
+        machine.tell([sphere(p) for p in machine.ask()])
     return machine, start, len(calls)
 
 
