@@ -293,7 +293,8 @@ def _cmd_adapt(args) -> int:
         )
         params = CmaEsParams.defaults(cfg.k, population=cfg.effective_population)
         text += quantization_health(params, cfg.fixed_format) + "\n"
-    out.with_suffix(".txt").write_text(text)
+    with fileio.atomic_open(out.with_suffix(".txt"), "w") as fh:
+        fh.write(text)
     print(text, end="")
     return 0
 
@@ -305,6 +306,7 @@ _SWEEP_COLUMNS = [
     "n",
     "fmt",
     "seed",
+    "sigma0",
     "samples",
     "failed",
     "accuracy_noadapt",
@@ -335,13 +337,36 @@ def _grid_mode(token: str) -> tuple[str, Optional[FixedPointFormat]]:
         ) from exc
 
 
-def _sweep_cell(artifact, features, labels, k, n, mode, fmt, sigma0, seed):
-    if not (1 <= k <= artifact.subspace.k):
-        raise UsageError(f"k={k} not in [1, {artifact.subspace.k}] of the artifact")
-    subspace = artifact.subspace.truncated(k)
-    cfg = AdaptationConfig(k=k, n=n, sigma0=sigma0, seed=seed, mode=mode, fixed_format=fmt)
-    batch = adapt_batch(features, artifact.decoder, subspace, cfg)
-    return report.summarize(_records(batch, labels))
+def _sweep_configs(k_grid, n_grid, fmt_grid, sigma0, seed, artifact_k):
+    """The configuration of every grid cell, keyed by ``(k, n, fmt token)``.
+
+    Every cell is checked here, before any runs: a bad grid value is a usage
+    error, never an error row that a resumed sweep would then skip.
+    """
+    configs = {}
+    for k in k_grid:
+        if not (1 <= k <= artifact_k):
+            raise UsageError(f"--k-grid entry {k} not in [1, {artifact_k}] of the artifact")
+        for n in n_grid:
+            for token in fmt_grid:
+                mode, fmt = _grid_mode(token)
+                try:
+                    configs[k, n, token] = AdaptationConfig(
+                        k=k, n=n, sigma0=sigma0, seed=seed, mode=mode, fixed_format=fmt
+                    )
+                except ContractViolation as exc:
+                    raise UsageError(f"sweep cell k={k} n={n} {token}: {exc}") from exc
+    return configs
+
+
+def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
+    """Cells already in an existing sweep file, keyed like the rows to write."""
+    _drop_torn_line(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows and rows[0] != _SWEEP_COLUMNS:
+        raise DataFormatError(f"{path}: not a sweep file, header is {rows[0]}")
+    return {tuple(row[:5]) for row in rows[1:]}
 
 
 def _drop_torn_line(path: Path) -> None:
@@ -357,7 +382,6 @@ def _cmd_sweep(args) -> int:
     k_grid = _parse_grid(_resolve(args, config, "k-grid", "16", str), int)
     n_grid = _parse_grid(_resolve(args, config, "n-grid", "8", str), int)
     fmt_grid = _parse_grid(_resolve(args, config, "fmt-grid", "ted", str), str)
-    cells = {token: _grid_mode(token) for token in fmt_grid}
     sigma0 = _resolve(args, config, "sigma0", 1.0, float)
     seed = _resolve(args, config, "seed", 0, int)
 
@@ -365,50 +389,34 @@ def _cmd_sweep(args) -> int:
     features, labels = fileio.read_features(args.target)
     if features.shape[1] != artifact.subspace.dim:
         raise UsageError("target dimension does not match artifact dimension")
+    configs = _sweep_configs(k_grid, n_grid, fmt_grid, sigma0, seed, artifact.subspace.k)
 
     out = Path(args.out)
-    done: set[tuple[str, str, str, str]] = set()
-    if out.exists():
-        _drop_torn_line(out)
-        with open(out, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["k"], row["n"], row["fmt"], row["seed"]))
+    done = _read_done_cells(out) if out.exists() else set()
     write_header = not out.exists() or out.stat().st_size == 0
     with open(out, "a", newline="") as fh:
         writer = csv.writer(fh)
         if write_header:
             writer.writerow(_SWEEP_COLUMNS)
-        for k in k_grid:
-            for n in n_grid:
-                for fmt_token in fmt_grid:
-                    if (str(k), str(n), fmt_token, str(seed)) in done:
-                        continue
-                    try:
-                        s = _sweep_cell(
-                            artifact, features, labels, k, n, *cells[fmt_token], sigma0, seed
-                        )
-                        writer.writerow(
-                            [
-                                k,
-                                n,
-                                fmt_token,
-                                seed,
-                                s.samples,
-                                s.failed,
-                                "" if s.accuracy_noadapt is None else f"{s.accuracy_noadapt:.17g}",
-                                "" if s.accuracy_adapted is None else f"{s.accuracy_adapted:.17g}",
-                                f"{s.mean_entropy_noadapt:.17g}",
-                                f"{s.mean_entropy_adapted:.17g}",
-                                "ok",
-                            ]
-                        )
-                    except (UsageError, ContractViolation, DataFormatError,
-                            ConvergenceFailure) as exc:
-                        writer.writerow(
-                            [k, n, fmt_token, seed, 0, 0, "", "", "", "",
-                             f"error:{type(exc).__name__}"]
-                        )
-                    fh.flush()
+        for (k, n, fmt_token), cfg in configs.items():
+            key = [k, n, fmt_token, seed, repr(sigma0)]
+            if tuple(map(str, key)) in done:
+                continue
+            batch = adapt_batch(features, artifact.decoder, artifact.subspace.truncated(k), cfg)
+            s = report.summarize(_records(batch, labels))
+            writer.writerow(
+                key
+                + [
+                    s.samples,
+                    s.failed,
+                    "" if s.accuracy_noadapt is None else f"{s.accuracy_noadapt:.17g}",
+                    "" if s.accuracy_adapted is None else f"{s.accuracy_adapted:.17g}",
+                    f"{s.mean_entropy_noadapt:.17g}",
+                    f"{s.mean_entropy_adapted:.17g}",
+                    "ok",
+                ]
+            )
+            fh.flush()
     print(f"sweep results in {out}")
     return 0
 
@@ -424,7 +432,8 @@ def _cmd_report(args) -> int:
     summary = report.summarize(records)
     text = report.summary_text(summary, header=f"report: {args.report}")
     if args.out:
-        Path(args.out).write_text(text)
+        with fileio.atomic_open(args.out, "w") as fh:
+            fh.write(text)
     print(text, end="")
     return 0
 

@@ -5,7 +5,11 @@ fitnesses drive weighted recombination of the mean, cumulative step-size
 adaptation of sigma, and a rank-1 plus rank-mu update of the covariance.
 Strategy constants follow the standard tutorial defaults; the covariance is
 decomposed with the package's own deterministic eigensolver and all noise
-comes from the package PRNG, so runs replay bit for bit from the seed.
+comes from the package PRNG, so runs replay bit for bit from the seed. A
+generation's noise is drawn in one call, and its candidates are computed as
+stacked matrix-vector products (``np.matmul(B, x[:, :, None])``): each row
+still goes through gemv, bit for bit like ``B @ x``, whereas one
+matrix-matrix product may round differently.
 
 :func:`search` is the one ask/evaluate/tell loop. It drives any search
 machine: the float :class:`CmaEs` here, and the 1-bit and fixed-point
@@ -163,12 +167,10 @@ def ask(state: CmaEsState) -> list[np.ndarray]:
     params = state.params
     values, vectors = _decompose(state)
     scale = np.sqrt(values)
-    candidates = []
-    for _ in range(params.population):
-        n = state.rng.normals(params.dim)
-        y = vectors @ (scale * n)
-        candidates.append(state.mean + state.sigma * y)
-    return candidates
+    noise = state.rng.normals(params.population * params.dim).reshape(params.population, -1)
+    # stacked matvecs: each row still goes through gemv, like ``vectors @ row``
+    y = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
+    return list(state.mean + state.sigma * y)
 
 
 def tell(state: CmaEsState, candidates: list[np.ndarray], fitnesses: list[float]) -> CmaEsState:

@@ -1,4 +1,10 @@
-"""Frozen linear-softmax classification head and the entropy objective."""
+"""Frozen linear-softmax classification head and the entropy objective.
+
+:func:`fitness` runs once per evaluated candidate, so it checks its inputs
+once and computes the corrected latent and the logits inline, with the same
+arithmetic as ``decode(apply_correction(...))``. The entropy skips the
+``0 * log 0`` masking when every probability is positive.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .subspace import PrincipalSubspace, apply_correction
+from .subspace import PrincipalSubspace, _check_coords, _check_latent
 
 
 @dataclass(frozen=True)
@@ -54,16 +60,29 @@ class Prediction:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max logit subtracted before exp)."""
-    shifted = logits - np.max(logits)
-    e = np.exp(shifted)
+    logits = np.asarray(logits, dtype=np.float64)
+    e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Entropy in nats, with the 0 * log 0 = 0 convention."""
     p = np.asarray(probabilities, dtype=np.float64)
+    if p.min(initial=1.0) > 0.0:
+        # no zero terms: the same products and sum as the masked form below
+        return float(-(p * np.log(p)).sum())
     terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     return float(-terms.sum())
+
+
+def _predict(logits: np.ndarray) -> Prediction:
+    probabilities = softmax(logits)
+    return Prediction(
+        logits=logits,
+        probabilities=probabilities,
+        predicted_class=int(probabilities.argmax()),
+        entropy=shannon_entropy(probabilities),
+    )
 
 
 def decode(d: LinearDecoder, z: np.ndarray) -> Prediction:
@@ -71,14 +90,7 @@ def decode(d: LinearDecoder, z: np.ndarray) -> Prediction:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (d.dim,):
         raise ContractViolation(f"latent must have shape ({d.dim},), got {z.shape}")
-    logits = d.weights @ z + d.bias
-    probabilities = softmax(logits)
-    return Prediction(
-        logits=logits,
-        probabilities=probabilities,
-        predicted_class=int(np.argmax(probabilities)),
-        entropy=shannon_entropy(probabilities),
-    )
+    return _predict(d.weights @ z + d.bias)
 
 
 def fitness(
@@ -87,6 +99,14 @@ def fitness(
     z_t: np.ndarray,
     p: np.ndarray,
 ) -> tuple[float, Prediction]:
-    """Entropy of the prediction after correcting ``z_t`` by ``p``."""
-    prediction = decode(d, apply_correction(s, z_t, p))
+    """Entropy of the prediction after correcting ``z_t`` by ``p``.
+
+    Equal to ``decode(d, apply_correction(s, z_t, p))``, with the same checks
+    and the same arithmetic, computed inline: this runs once per evaluation.
+    """
+    z_t = _check_latent(s, z_t)
+    p = _check_coords(s, p)
+    if d.dim != s.dim:
+        raise ContractViolation(f"latent must have shape ({d.dim},), got {z_t.shape}")
+    prediction = _predict(d.weights @ (z_t + s.basis @ p) + d.bias)
     return prediction.entropy, prediction

@@ -8,8 +8,10 @@ bit. Both formats are little-endian and versioned.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +30,31 @@ FORMAT_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sIIIB")
 _SECTION_ENTRY = struct.Struct("<16sQQ")
 _ORTHONORMAL_ATOL = 1e-6  # on max |B^T B - I|; a fit reaches about 1e-14
+
+
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing; on a clean exit it
+    replaces ``path`` in one step, on an exception it is removed. Readers see
+    the old file or the new one, never a part-written one.
+
+    A symbolic link is followed, so its target is replaced and the link kept.
+    A target that exists but is not a regular file, such as a pipe or a
+    terminal, cannot be replaced and is written directly.
+    """
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_features(
@@ -50,7 +77,7 @@ def write_features(
     header = _FEATURE_HEADER.pack(
         FEATURE_MAGIC, FORMAT_VERSION, n, d, 1 if labels is not None else 0
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header)
         fh.write(payload)
         if labels is not None:
@@ -73,10 +100,11 @@ def read_features(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
     need = n * d * 4 + (n * 4 if label_flag else 0)
     if len(blob) != offset + need:
         raise DataFormatError(f"{path}: payload length mismatch")
-    features = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
-    features = features.reshape(n, d).astype(np.float64)
-    if not np.all(np.isfinite(features)):
+    stored = np.frombuffer(blob, dtype="<f4", count=n * d, offset=offset)
+    # checked before widening: casting a signalling NaN raises a warning
+    if not np.all(np.isfinite(stored)):
         raise DataFormatError(f"{path}: non-finite feature values")
+    features = stored.reshape(n, d).astype(np.float64)
     labels = None
     if label_flag:
         labels = np.frombuffer(
@@ -133,7 +161,8 @@ def write_artifact(path: str | Path, artifact: ModelArtifact) -> None:
             ("decoder", dec_head + dec_body),
         ]
     )
-    Path(path).write_bytes(blob)
+    with atomic_open(path) as fh:
+        fh.write(blob)
 
 
 def read_artifact(path: str | Path) -> ModelArtifact:
@@ -208,7 +237,10 @@ def read_artifact(path: str | Path) -> ModelArtifact:
     weights = np.frombuffer(dec, dtype="<f8", count=c * d_dim, offset=off).reshape(c, d_dim).copy()
     off += 8 * c * d_dim
     bias = np.frombuffer(dec, dtype="<f8", count=c, offset=off).copy()
-    decoder = LinearDecoder(weights=weights, bias=bias)
+    try:
+        decoder = LinearDecoder(weights=weights, bias=bias)
+    except ContractViolation as exc:
+        raise DataFormatError(f"{path}: bad decoder section: {exc}") from exc
     if decoder.dim != subspace.dim:
         raise DataFormatError(f"{path}: decoder and subspace dimensions differ")
     return ModelArtifact(subspace=subspace, decoder=decoder, meta=meta)

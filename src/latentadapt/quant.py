@@ -18,8 +18,15 @@ term fits in 32 bits, and the adds are replayed one at a time only where a
 prefix leaves the range, since saturating addition is not associative. The
 covariance decomposition is kept while the covariance register is unchanged
 bit for bit (the eigensolver is deterministic), as it is in every generation
-when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps still
-count once per generation.
+when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps, and
+the saturations of the C^(-1/2) table tabulated from it once, still count once
+per generation.
+
+The common cases take short paths that give the same bits and counts: a
+result already in range is returned without clipping, a division by one
+positive register skips the sign flip and zero guard, and a product with a
+register that is exactly 0 is zeros. Each generation's candidates are sampled
+as stacked matrix-vector products, one gemv per row, as in the float machine.
 """
 
 from __future__ import annotations
@@ -200,14 +207,23 @@ class _FixedOps:
         self._hi = np.int64(fmt.raw_max)
         self._round = (1 << (self.f - 1)) - 1 if self.f > 0 else 0
 
+    def _in_range(self, raw) -> bool:
+        if raw.ndim == 0:
+            return bool(self._lo <= raw <= self._hi)
+        return bool(np.minimum.reduce(raw, axis=None, initial=self._hi) >= self._lo
+                    and np.maximum.reduce(raw, axis=None, initial=self._lo) <= self._hi)
+
     def _sat(self, raw):
+        # every caller passes a fresh array, so an in-range one is returned as is
+        if self._in_range(raw):
+            return raw
         clipped = np.minimum(np.maximum(raw, self._lo), self._hi)
         self.saturations += int(np.count_nonzero(clipped != raw))
         return clipped
 
     def quantize(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if np.any(np.isnan(x)):
+        if np.isnan(x).any():
             raise ContractViolation("cannot quantize NaN")
         return self._sat(np.rint(x * (1 << self.f))).astype(np.int64)
 
@@ -226,9 +242,9 @@ class _FixedOps:
         replayed one at a time, since saturating addition is not associative.
         """
         terms = np.asarray(terms, dtype=np.int64)
-        prefix = np.cumsum(terms, axis=axis)
-        if prefix.min() >= self._lo and prefix.max() <= self._hi:
-            return np.take(prefix, -1, axis=axis)
+        prefix = terms.cumsum(axis=axis)
+        if self._in_range(prefix):
+            return prefix.take(-1, axis=axis)
         total = np.int64(0)
         for term in np.moveaxis(terms, axis, 0):
             total = self.add(total, term)
@@ -246,6 +262,9 @@ class _FixedOps:
         return (p + self._round + ((p >> self.f) & 1)) >> self.f
 
     def mul(self, a, b):
+        # a register that is exactly 0 rounds every product to 0, unsaturated
+        if (a.ndim == 0 and a == 0) or (b.ndim == 0 and b == 0):
+            return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
         product = np.multiply(a, b, dtype=np.int64)
         return self._sat(self._rhe_shift(product))
 
@@ -253,6 +272,12 @@ class _FixedOps:
         """a / b in the format; division by zero saturates by numerator sign."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if b.ndim == 0 and b > 0:
+            # one positive denominator: no sign flips, no zero guard
+            num = np.left_shift(a, self.f)
+            q = num // b
+            twice = 2 * (num - q * b)
+            return self._sat(q + ((twice > b) | ((twice == b) & ((q & 1) == 1))))
         num, den = np.broadcast_arrays(np.left_shift(a, self.f), b)
         flip = den < 0
         num = np.where(flip, -num, num)
@@ -320,6 +345,7 @@ class FixedCmaes:
         self.sigma_clamps = 0
         self.eig_clamps = 0
         self._eig_cache = None
+        self._invsqrt = None  # (quantized C^(-1/2), its saturations) of _eig_cache
 
         ops = self.ops
         k = params.dim
@@ -369,10 +395,8 @@ class FixedCmaes:
         sigma_f = self.sigma * self.ops.fmt.resolution
         lam, k = self.params.population, self.params.dim
         noise = self.rng.normals(lam * k).reshape(lam, k)
-        steps = np.empty((lam, k))
-        for i in range(lam):
-            # one matvec per row: a single matmul may round differently
-            steps[i] = vectors @ (scale * noise[i])
+        # stacked matvecs (gemv per row); one (lam, k) x (k, k) gemm may round differently
+        steps = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
         self._raw = self.ops.quantize(mean_f + sigma_f * steps)
         return self.ops.to_float(self._raw)
 
@@ -389,8 +413,15 @@ class FixedCmaes:
         y_w = ops.sum(ops.mul(self.w[:, None], y))
         self.mean = ops.add(self.mean, ops.mul(np.int64(self.sigma), y_w))
 
-        # C^(-1/2), tabulated from the float decomposition then fixed matvec
-        invsqrt = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
+        # C^(-1/2), tabulated once per decomposition from the float one, then a
+        # fixed matvec; its quantization saturations count in every generation
+        if self._invsqrt is None:
+            start = ops.saturations
+            table = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
+            self._invsqrt = (table, ops.saturations - start)
+        else:
+            ops.saturations += self._invsqrt[1]
+        invsqrt = self._invsqrt[0]
         invsqrt_yw = ops.sum(ops.mul(invsqrt, y_w[None, :]), axis=1)
         self.path_sigma = ops.add(
             ops.mul(np.int64(self.one_minus_cs), self.path_sigma),
@@ -438,7 +469,7 @@ class FixedCmaes:
         cov = ops.halve(ops.add(cov, cov.T))
         if not np.array_equal(cov, self.cov):
             # sym_eig is deterministic: an unchanged covariance keeps its decomposition
-            self._eig_cache = None
+            self._eig_cache = self._invsqrt = None
         self.cov = cov
         self.generation = gen1
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .fileio import atomic_open
+
 CSV_COLUMNS = [
     "index",
     "true_label",
@@ -89,7 +91,7 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: str | Path, records: list[SampleRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:

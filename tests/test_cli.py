@@ -1,5 +1,6 @@
-import hashlib
 import csv
+import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -307,6 +308,46 @@ def test_sweep_unknown_grid_token_is_a_usage_error(workdir, grid):
     assert not sweep_csv.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--k-grid", "0"), ("--k-grid", "2,5"), ("--n-grid", "0"), ("--n-grid", "2,-1"),
+    ("--sigma0", "0"),
+])
+def test_sweep_bad_grid_value_is_a_usage_error_before_any_cell(workdir, flag, value):
+    # the artifact has k=4; a bad value used to give an error row that resume never retried
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    args = _sweep_args(art, out, sweep_csv)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    assert main(args) == 1
+    assert not sweep_csv.exists()
+
+
+def test_sweep_resume_with_another_sigma0_runs_every_cell(workdir):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(_sweep_args(art, out, sweep_csv) + ["--sigma0", "1.0"]) == 0
+    assert main(_sweep_args(art, out, sweep_csv) + ["--sigma0", "0.5"]) == 0
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["sigma0"] for r in rows] == ["1.0"] * 4 + ["0.5"] * 4
+    before = sweep_csv.read_bytes()
+    assert main(_sweep_args(art, out, sweep_csv) + ["--sigma0", "0.5"]) == 0
+    assert sweep_csv.read_bytes() == before
+
+
+def test_sweep_resume_into_a_file_with_another_header_is_a_data_error(workdir):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    # a sweep file written before sigma0 became part of the key
+    old = b"k,n,fmt,seed,samples,failed\n2,2,ted,5,40,0\n"
+    sweep_csv.write_bytes(old)
+    assert main(_sweep_args(art, out, sweep_csv)) == 2
+    assert sweep_csv.read_bytes() == old
+
+
 def test_sweep_single_cell_matches_adapt(workdir):
     tmp_path, out, art = workdir
     sweep_csv = tmp_path / "one.csv"
@@ -327,6 +368,31 @@ def test_sweep_single_cell_matches_adapt(workdir):
     assert float(row["mean_entropy_adapted"]) == pytest.approx(
         summary.mean_entropy_adapted, abs=1e-12
     )
+
+
+def test_a_failed_summary_write_keeps_the_previous_summary(workdir, monkeypatch):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.csv"
+    args = ["adapt", str(art), str(out / "target_combined.latf"),
+            "--mode", "ted", "--n", "2", "--seed", "3", "--out", str(rep)]
+    assert main(args) == 0
+    summary = (tmp_path / "r.txt").read_bytes()
+    listing = sorted(os.listdir(tmp_path))
+    real_open = open
+
+    def torn_open(path, *a, **kw):
+        fh = real_open(path, *a, **kw)
+        if os.path.basename(path).startswith(".r.txt"):
+            fh.write("mode=")
+            fh.close()
+            raise OSError("disk full")
+        return fh
+
+    monkeypatch.setattr(fileio, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        main(args)
+    assert (tmp_path / "r.txt").read_bytes() == summary
+    assert sorted(os.listdir(tmp_path)) == listing
 
 
 def test_report_command_recomputes_summary(workdir, capsys):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latentadapt import cmaes
+from latentadapt import cmaes, linalg
 from latentadapt.errors import ContractViolation
 
 # frozen regression fixture: first population for dimension 2, seed 42
@@ -233,3 +235,48 @@ def test_search_with_zero_iterations_evaluates_the_baseline_alone():
         cmaes.minimize(sphere, params, 0)
     with pytest.raises(ContractViolation):
         cmaes.minimize(sphere, params, -1, baseline=np.ones(3))
+
+
+# ---------------------------------------------------------------- stacked gemv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 32), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_stacked_matmul_equals_one_matvec_per_row(k, lam, seed, eigenvectors):
+    # ask relies on this: each stacked product goes through gemv, like
+    # ``V @ x``, while ``X @ V.T`` (gemm) may round differently
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((k, k))
+    if eigenvectors:
+        v = linalg.sym_eig(v @ v.T + np.eye(k), k)[1]
+    x = rng.standard_normal((lam, k)) * rng.uniform(0.1, 10.0, k)
+    stacked = np.matmul(v, x[:, :, None])[:, :, 0]
+    rows = np.array([v @ row for row in x])
+    assert stacked.tobytes() == rows.tobytes()
+
+
+def _ask_one_row_at_a_time(state):
+    """The float ask as one normals draw and one matvec per candidate."""
+    values, vectors = cmaes._decompose(state)
+    scale = np.sqrt(values)
+    rng = state.rng.clone()
+    candidates = []
+    for _ in range(state.params.population):
+        n = rng.normals(state.params.dim)
+        candidates.append(state.mean + state.sigma * (vectors @ (scale * n)))
+    return candidates, rng.state()
+
+
+@pytest.mark.parametrize("dim, population, seed", [(1, None, 0), (2, None, 42), (5, 9, 7),
+                                                   (16, None, 14), (40, 24, 3)])
+def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
+    state = cmaes.init(cmaes.CmaEsParams.defaults(dim, population=population, seed=seed))
+    for _ in range(4):
+        want, rng_state = _ask_one_row_at_a_time(state)
+        got = cmaes.ask(state)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert state.rng.state() == rng_state
+        cmaes.tell(state, got, [rosenbrock(c) for c in got])

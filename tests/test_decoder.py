@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from latentadapt.decoder import LinearDecoder, decode, fitness, shannon_entropy, softmax
 from latentadapt.errors import ContractViolation
-from latentadapt.subspace import PrincipalSubspace
+from latentadapt.subspace import PrincipalSubspace, apply_correction
 
 
 def test_zero_decoder_is_maximum_entropy():
@@ -129,3 +129,42 @@ def test_decoder_validation():
         LinearDecoder(weights=np.zeros((3, 2)), bias=np.zeros(2))
     with pytest.raises(ContractViolation):
         LinearDecoder(weights=np.full((2, 2), np.nan), bias=np.zeros(2))
+
+
+def test_fitness_equals_decode_of_the_corrected_latent():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        dim, k, classes = rng.integers(2, 20), rng.integers(1, 8), rng.integers(2, 12)
+        k = min(k, dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        s = _subspace_from_basis(q[:, :k].copy(), mean=rng.standard_normal(dim))
+        d = LinearDecoder(weights=rng.standard_normal((classes, dim)) * 3,
+                          bias=rng.standard_normal(classes))
+        z, p = rng.standard_normal(dim), rng.standard_normal(k) * 2
+        entropy, pred = fitness(d, s, z, p)
+        want = decode(d, apply_correction(s, z, p))
+        assert entropy == want.entropy == pred.entropy
+        assert pred.predicted_class == want.predicted_class
+        assert pred.logits.tobytes() == want.logits.tobytes()
+        assert pred.probabilities.tobytes() == want.probabilities.tobytes()
+
+
+@pytest.mark.parametrize("z_dim, p_dim, decoder_dim", [(5, 2, 6), (6, 3, 6), (6, 2, 5)],
+                         ids=["latent", "coordinates", "decoder"])
+def test_fitness_raises_what_decode_of_the_corrected_latent_raises(z_dim, p_dim, decoder_dim):
+    s = _subspace_from_basis(np.eye(6)[:, :2].copy())
+    d = LinearDecoder(weights=np.ones((3, decoder_dim)), bias=np.zeros(3))
+    z, p = np.zeros(z_dim), np.zeros(p_dim)
+    with pytest.raises(ContractViolation) as composed:
+        decode(d, apply_correction(s, z, p))
+    with pytest.raises(ContractViolation) as inline:
+        fitness(d, s, z, p)
+    assert str(inline.value) == str(composed.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=12))
+def test_entropy_of_positive_probabilities_equals_the_masked_sum(values):
+    p = np.array(values)
+    masked = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    assert shannon_entropy(p) == float(-masked.sum())

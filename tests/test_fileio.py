@@ -1,10 +1,18 @@
 import json
+import os
+import stat
 import struct
+import tempfile
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from latentadapt import datagen, fileio
+from latentadapt import datagen, fileio, report
 from latentadapt.decoder import LinearDecoder
 from latentadapt.errors import ContractViolation, DataFormatError
 from latentadapt.subspace import fit
@@ -121,14 +129,17 @@ def test_artifact_rejects_corruption(tmp_path):
         fileio.read_artifact(short)
 
 
-def _written_artifact(tmp_path):
+def _artifact():
     task = datagen.make_task(class_count=3, dim=6, seed=4)
     source, _ = datagen.gen_source(task, 20)
-    artifact = fileio.ModelArtifact(
+    return fileio.ModelArtifact(
         subspace=fit(source, 2), decoder=datagen.make_decoder(task), meta={}
     )
+
+
+def _written_artifact(tmp_path):
     path = tmp_path / "model.lama"
-    fileio.write_artifact(path, artifact)
+    fileio.write_artifact(path, _artifact())
     return bytearray(path.read_bytes())
 
 
@@ -221,3 +232,170 @@ seed = 42   # trailing comment
     bad.write_text("this is not a pair\n")
     with pytest.raises(DataFormatError):
         fileio.parse_config(bad)
+
+
+# ---------------------------------------------------------------- atomic writes
+
+
+class _TornFile:
+    """A file whose writes stop halfway and fail, like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _tear_writes(monkeypatch):
+    """Make every file that ``fileio`` opens fail halfway through a write."""
+    real_open = open
+    monkeypatch.setattr(fileio, "open", lambda *a, **kw: _TornFile(real_open(*a, **kw)),
+                        raising=False)
+
+
+_RECORD = report.SampleRecord(
+    index=0, true_label=1, noadapt_class=1, noadapt_entropy=0.5, adapted_class=1,
+    adapted_entropy=0.25, evaluations=97, status="ok", wall_ms=1.0,
+)
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: fileio.write_features(path, np.ones((3, 2)), np.arange(3)),
+    lambda path: fileio.write_artifact(path, _artifact()),
+    lambda path: report.write_csv(path, [_RECORD, _RECORD]),
+], ids=["features", "artifact", "report"])
+def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous contents")
+    _tear_writes(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path)
+    assert path.read_bytes() == b"previous contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    monkeypatch.undo()
+    writer(path)
+    assert path.read_bytes() != b"previous contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_a_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    report.write_csv(link, [_RECORD])
+    assert link.is_symlink()
+    assert report.read_csv(target) == [_RECORD]
+
+
+def test_a_write_to_a_pipe_goes_straight_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    fileio.write_features(fifo, np.ones((3, 2)))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received[0][:4] == fileio.FEATURE_MAGIC
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe"]
+
+
+# ---------------------------------------------------------------- hostile bytes
+
+
+def _valid_files():
+    """Bytes of a small valid feature file and a small valid artifact."""
+    with tempfile.TemporaryDirectory() as d:
+        features = Path(d) / "f.latf"
+        fileio.write_features(features, np.linspace(-2, 2, 12).reshape(4, 3), np.arange(4))
+        return features.read_bytes(), bytes(_written_artifact(Path(d)))
+
+
+_LATF, _LAMA = _valid_files()
+
+
+def _hostile(valid: bytes):
+    """Arbitrary bytes, or a truncation, bit flips or an insertion of ``valid``."""
+    n = len(valid)
+
+    def flip(bits):
+        out = bytearray(valid)
+        for pos, bit in bits:
+            out[pos] ^= 1 << bit
+        return bytes(out)
+
+    return st.one_of(
+        st.binary(max_size=2 * n),
+        st.integers(0, n - 1).map(lambda i: valid[:i]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 7)), min_size=1,
+                 max_size=3).map(flip),
+        st.tuples(st.integers(0, n), st.binary(min_size=1, max_size=16)).map(
+            lambda t: valid[: t[0]] + t[1] + valid[t[0]:]
+        ),
+    )
+
+
+def _loads_or_format_error(read, path, data):
+    """``read`` either loads ``data`` or raises DataFormatError, silently."""
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            read(path)
+        except DataFormatError:
+            pass
+
+
+_HOSTILE = settings(max_examples=400, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_HOSTILE
+@given(data=_hostile(_LATF))
+def test_any_feature_file_bytes_load_or_raise_a_format_error(tmp_path, data):
+    _loads_or_format_error(fileio.read_features, tmp_path / "h.latf", data)
+
+
+@_HOSTILE
+@given(data=_hostile(_LAMA))
+def test_any_artifact_bytes_load_or_raise_a_format_error(tmp_path, data):
+    _loads_or_format_error(fileio.read_artifact, tmp_path / "h.lama", data)
+
+
+# examples the two properties above found, each failing before its fix
+
+
+def test_feature_file_with_a_signalling_nan_is_a_silent_format_error(tmp_path):
+    # a flipped payload bit made the float32 pattern 0x7f800001; widening it
+    # to float64 warned "invalid value encountered in cast"
+    blob = bytearray(_LATF)
+    struct.pack_into("<I", blob, 17, 0x7F800001)  # first value, after the 17-byte header
+    path = tmp_path / "snan.latf"
+    path.write_bytes(bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="non-finite"):
+            fileio.read_features(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_artifact_with_a_non_finite_decoder_weight_is_a_format_error(tmp_path, value):
+    # a flipped exponent bit turned a weight non-finite; LinearDecoder then
+    # raised ContractViolation out of read_artifact
+    blob = bytearray(_LAMA)
+    (offset,) = struct.unpack_from("<Q", blob, _TABLE + 2 * _ENTRY + 16)
+    struct.pack_into("<d", blob, offset + 8, value)  # first weight, after the 8-byte header
+    path = tmp_path / "bad.lama"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="decoder"):
+        fileio.read_artifact(path)

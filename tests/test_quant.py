@@ -428,3 +428,36 @@ def test_quantization_health_at_harness_settings():
     assert quantization_health(params, FixedPointFormat(32, 8)).startswith(
         "strategy constants at 0 or 1: none"
     )
+
+
+@st.composite
+def _format_numerators_denominator(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0, 1, -1]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    numerators = draw(st.lists(raw, min_size=1, max_size=6))
+    denominator = draw(st.one_of(st.sampled_from([1, 2, 3, fmt.raw_max]),
+                                 st.integers(1, fmt.raw_max)))
+    return fmt, np.array(numerators, dtype=np.int64), np.int64(denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_format_numerators_denominator())
+def test_div_by_a_positive_scalar_equals_the_general_path(case):
+    fmt, a, b = case
+    short, general = _FixedOps(fmt), _FixedOps(fmt)
+    np.testing.assert_array_equal(short.div(a, b), general.div(a, np.full(a.shape, b)))
+    assert short.saturations == general.saturations
+    assert short.div(a[0], b) == general.div(a[:1], b[None])[0]
+    assert short.saturations == general.saturations
+
+
+def test_mul_by_a_zero_register_is_zero_without_saturation():
+    ops = _FixedOps(F8B4)
+    x = np.array([[F8B4.raw_max, F8B4.raw_min], [3, -7]], dtype=np.int64)
+    for got in (ops.mul(np.int64(0), x), ops.mul(x, np.int64(0))):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.zeros((2, 2)))
+    assert ops.mul(np.int64(0), np.int64(F8B4.raw_max)) == 0
+    assert ops.saturations == 0
