@@ -313,7 +313,6 @@ _SWEEP_COLUMNS = [
     "accuracy_adapted",
     "mean_entropy_noadapt",
     "mean_entropy_adapted",
-    "status",
 ]
 
 
@@ -413,7 +412,6 @@ def _cmd_sweep(args) -> int:
                     "" if s.accuracy_adapted is None else f"{s.accuracy_adapted:.17g}",
                     f"{s.mean_entropy_noadapt:.17g}",
                     f"{s.mean_entropy_adapted:.17g}",
-                    "ok",
                 ]
             )
             fh.flush()

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,9 +36,12 @@ _ORTHONORMAL_ATOL = 1e-6  # on max |B^T B - I|; a fit reaches about 1e-14
 @contextlib.contextmanager
 def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
     """Open a temporary file beside ``path`` for writing; on a clean exit it
-    replaces ``path`` in one step, on an exception it is removed. Readers see
-    the old file or the new one, never a part-written one.
+    is flushed to disk and then replaces ``path`` in one step, on an exception
+    it is removed. Readers see the old file or the new one, never a
+    part-written one, also after a crash of the machine.
 
+    The new file keeps the permission bits of the one it replaces, but it is
+    a new inode: hard links to the old file keep the old contents.
     A symbolic link is followed, so its target is replaced and the link kept.
     A target that exists but is not a regular file, such as a pipe or a
     terminal, cannot be replaced and is written directly.
@@ -51,6 +55,10 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -18,15 +18,14 @@ term fits in 32 bits, and the adds are replayed one at a time only where a
 prefix leaves the range, since saturating addition is not associative. The
 covariance decomposition is kept while the covariance register is unchanged
 bit for bit (the eigensolver is deterministic), as it is in every generation
-when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps, and
-the saturations of the C^(-1/2) table tabulated from it once, still count once
-per generation.
+when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps still
+count once per generation.
 
-The common cases take short paths that give the same bits and counts: a
-result already in range is returned without clipping, a division by one
-positive register skips the sign flip and zero guard, and a product with a
-register that is exactly 0 is zeros. Each generation's candidates are sampled
-as stacked matrix-vector products, one gemv per row, as in the float machine.
+A result already in range is returned without clipping, which gives the same
+bits and counts. Division is only ever by one positive register (sigma,
+clamped to at least 1, and chi), so it has no sign flip or zero guard and
+refuses any other denominator. Each generation's candidates are sampled as
+stacked matrix-vector products, one gemv per row, as in the float machine.
 """
 
 from __future__ import annotations
@@ -262,35 +261,20 @@ class _FixedOps:
         return (p + self._round + ((p >> self.f) & 1)) >> self.f
 
     def mul(self, a, b):
-        # a register that is exactly 0 rounds every product to 0, unsaturated
-        if (a.ndim == 0 and a == 0) or (b.ndim == 0 and b == 0):
-            return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
         product = np.multiply(a, b, dtype=np.int64)
         return self._sat(self._rhe_shift(product))
 
     def div(self, a, b):
-        """a / b in the format; division by zero saturates by numerator sign."""
+        """a / b in the format, for one positive register b (the machine
+        divides only by sigma, clamped to at least 1, and by chi)."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if b.ndim == 0 and b > 0:
-            # one positive denominator: no sign flips, no zero guard
-            num = np.left_shift(a, self.f)
-            q = num // b
-            twice = 2 * (num - q * b)
-            return self._sat(q + ((twice > b) | ((twice == b) & ((q & 1) == 1))))
-        num, den = np.broadcast_arrays(np.left_shift(a, self.f), b)
-        flip = den < 0
-        num = np.where(flip, -num, num)
-        den = np.where(flip, -den, den)
-        zero = den == 0
-        self.saturations += int(np.count_nonzero(zero))
-        safe = np.where(zero, np.int64(1), den)
-        q = num // safe
-        r = num - q * safe
-        twice = 2 * r
-        q = q + ((twice > safe) | ((twice == safe) & ((q & 1) == 1)))
-        q = np.where(zero, np.where(num >= 0, self.fmt.raw_max, self.fmt.raw_min), q)
-        return self._sat(q)
+        if not (b.ndim == 0 and b > 0):
+            raise ContractViolation("fixed-point division needs one positive register")
+        num = np.left_shift(a, self.f)
+        q = num // b
+        twice = 2 * (num - q * b)
+        return self._sat(q + ((twice > b) | ((twice == b) & ((q & 1) == 1))))
 
     def halve(self, raw):
         """Divide by two with round-to-nearest-even (cannot saturate)."""
@@ -345,7 +329,6 @@ class FixedCmaes:
         self.sigma_clamps = 0
         self.eig_clamps = 0
         self._eig_cache = None
-        self._invsqrt = None  # (quantized C^(-1/2), its saturations) of _eig_cache
 
         ops = self.ops
         k = params.dim
@@ -413,15 +396,8 @@ class FixedCmaes:
         y_w = ops.sum(ops.mul(self.w[:, None], y))
         self.mean = ops.add(self.mean, ops.mul(np.int64(self.sigma), y_w))
 
-        # C^(-1/2), tabulated once per decomposition from the float one, then a
-        # fixed matvec; its quantization saturations count in every generation
-        if self._invsqrt is None:
-            start = ops.saturations
-            table = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
-            self._invsqrt = (table, ops.saturations - start)
-        else:
-            ops.saturations += self._invsqrt[1]
-        invsqrt = self._invsqrt[0]
+        # C^(-1/2), tabulated from the float decomposition then fixed matvec
+        invsqrt = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
         invsqrt_yw = ops.sum(ops.mul(invsqrt, y_w[None, :]), axis=1)
         self.path_sigma = ops.add(
             ops.mul(np.int64(self.one_minus_cs), self.path_sigma),
@@ -469,7 +445,7 @@ class FixedCmaes:
         cov = ops.halve(ops.add(cov, cov.T))
         if not np.array_equal(cov, self.cov):
             # sym_eig is deterministic: an unchanged covariance keeps its decomposition
-            self._eig_cache = self._invsqrt = None
+            self._eig_cache = None
         self.cov = cov
         self.generation = gen1
 

@@ -286,6 +286,21 @@ def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path, monk
     assert os.listdir(tmp_path) == ["out.bin"]
 
 
+def test_a_write_is_on_disk_before_it_replaces_the_target(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("previous contents")
+    os.chmod(path, 0o640)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync") or real_fsync(fd))
+    monkeypatch.setattr(os, "replace",
+                        lambda *a: events.append("replace") or real_replace(*a))
+    report.write_csv(path, [_RECORD])
+    assert events == ["fsync", "replace"]
+    assert report.read_csv(path) == [_RECORD]
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+
 def test_a_write_through_a_symlink_replaces_its_target(tmp_path):
     target = tmp_path / "real.csv"
     target.write_text("old")
