@@ -7,7 +7,7 @@ end-to-end verification.
 """
 
 from .adapt import AdaptationConfig, AdaptationResult, BatchResult, adapt, adapt_batch
-from .cmaes import CmaEsParams, CmaEsState, ask, default_lambda, init, minimize, tell
+from .cmaes import CmaEsParams, CmaEsState, ask, default_lambda, init, tell
 from .datagen import (
     ShiftSpec,
     SyntheticTask,
@@ -20,16 +20,7 @@ from .datagen import (
 from .decoder import LinearDecoder, Prediction, decode, fitness
 from .errors import ContractViolation, ConvergenceFailure, DataFormatError
 from .fileio import ModelArtifact, read_artifact, read_features, write_artifact, write_features
-from .quant import (
-    FixedPointFormat,
-    FixedPointValue,
-    fixed_add,
-    fixed_cmaes_minimize,
-    fixed_mul,
-    from_fixed,
-    quantize_binary,
-    to_fixed,
-)
+from .quant import FixedPointFormat, quantize_binary
 from .subspace import PrincipalSubspace, apply_correction, fit, project, reconstruct
 
 __version__ = "0.1.0"
@@ -44,7 +35,6 @@ __all__ = [
     "ConvergenceFailure",
     "DataFormatError",
     "FixedPointFormat",
-    "FixedPointValue",
     "LinearDecoder",
     "ModelArtifact",
     "Prediction",
@@ -60,15 +50,10 @@ __all__ = [
     "default_lambda",
     "fit",
     "fitness",
-    "fixed_add",
-    "fixed_cmaes_minimize",
-    "fixed_mul",
-    "from_fixed",
     "gen_source",
     "init",
     "make_decoder",
     "make_task",
-    "minimize",
     "preset_shifts",
     "project",
     "quantize_binary",
@@ -76,7 +61,6 @@ __all__ = [
     "read_features",
     "reconstruct",
     "tell",
-    "to_fixed",
     "write_artifact",
     "write_features",
 ]

@@ -146,7 +146,7 @@ def adapt(
         entropy_trace=result.trace,
         evaluations=result.evaluations,
         nonfinite_count=result.nonfinite_count,
-        quant_warnings=machine.quant_warnings,
+        quant_warnings=result.quant_warnings,
     )
 
 

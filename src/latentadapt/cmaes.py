@@ -11,9 +11,10 @@ stacked matrix-vector products (``np.matmul(B, x[:, :, None])``): each row
 still goes through gemv, bit for bit like ``B @ x``, whereas one
 matrix-matrix product may round differently.
 
-:func:`search` is the one ask/evaluate/tell loop. It drives any search
-machine: the float :class:`CmaEs` here, and the 1-bit and fixed-point
-machines in :mod:`latentadapt.quant`.
+:func:`search` is the one ask/evaluate/tell loop and :class:`MinimizeResult`
+its one result type. It drives any search machine: the float :class:`CmaEs`
+here, and the 1-bit and fixed-point machines in :mod:`latentadapt.quant`,
+whose saturation and clamp counts it returns as ``quant_warnings``.
 """
 
 from __future__ import annotations
@@ -277,6 +278,7 @@ class MinimizeResult:
     trace: list[float]          # running best after each generation
     evaluations: int
     nonfinite_count: int        # objective values replaced by +inf
+    quant_warnings: Optional[dict] = None  # the machine's saturation/clamp counts
 
 
 def search(
@@ -340,14 +342,5 @@ def search(
         trace=trace,
         evaluations=evaluations,
         nonfinite_count=nonfinite,
+        quant_warnings=machine.quant_warnings,
     )
-
-
-def minimize(
-    objective: Callable[[np.ndarray], float],
-    params: CmaEsParams,
-    iterations: int,
-    baseline: Optional[np.ndarray] = None,
-) -> MinimizeResult:
-    """:func:`search` with a float :class:`CmaEs` machine."""
-    return search(CmaEs(params), objective, iterations, baseline)

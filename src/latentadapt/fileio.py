@@ -205,12 +205,16 @@ def read_artifact(path: str | Path) -> ModelArtifact:
         meta = json.loads(sections["meta"].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: bad meta section") from exc
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: meta section is not a JSON object")
 
     sub = sections["subspace"]
     sub_head = struct.Struct("<IIIB")
     if len(sub) < sub_head.size:
         raise DataFormatError(f"{path}: truncated subspace section")
     dim, k, source_count, rank_flag = sub_head.unpack_from(sub, 0)
+    if dim == 0 or k == 0:
+        raise DataFormatError(f"{path}: empty subspace (dim={dim}, k={k})")
     expect = sub_head.size + 8 * (dim + dim * k + k)
     if len(sub) != expect:
         raise DataFormatError(f"{path}: subspace section length mismatch")

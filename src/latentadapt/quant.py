@@ -1,11 +1,14 @@
-"""Quantized adaptation support: the 1-bit and fixed-point search machines.
+"""Quantized adaptation support: the fixed-point register kernel and the 1-bit
+and fixed-point search machines.
 
 Both machines run under :func:`latentadapt.cmaes.search`. The 1-bit machine
 collapses each float candidate to a single magnitude with per-element signs,
 so the search reduces to flipping k switches. The fixed-point machine re-runs
 the CMA-ES update equations with every state component held in signed
 two's-complement fixed-point arithmetic: round-to-nearest-even everywhere,
-saturating (never wrapping) on overflow. Sampling noise stays in floating
+saturating (never wrapping) on overflow. :class:`_FixedOps` is the one
+implementation of that arithmetic; it works on raw int64 registers, scalars
+or arrays, of one :class:`FixedPointFormat`. Sampling noise stays in floating
 point and is quantized on arrival; scalar transcendentals (sqrt, exp) are
 evaluated in float on the fixed-point operand and requantized, standing in
 for the lookup tables real hardware would use.
@@ -38,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .cmaes import CmaEs, CmaEsParams, MinimizeResult, search
+from .cmaes import CmaEs, CmaEsParams
 from .errors import ContractViolation
 from .rng import Xoshiro256pp
 
@@ -97,64 +100,6 @@ class FixedPointFormat:
     @property
     def max_value(self) -> float:
         return self.raw_max * self.resolution
-
-
-@dataclass(frozen=True)
-class FixedPointValue:
-    raw: int
-    fmt: FixedPointFormat
-
-    def __post_init__(self):
-        if not (self.fmt.raw_min <= self.raw <= self.fmt.raw_max):
-            raise ContractViolation("raw value outside representable range")
-
-    def to_float(self) -> float:
-        return self.raw * self.fmt.resolution
-
-
-def _rhe_div(num: int, den: int) -> int:
-    """Round num/den to the nearest integer, ties to even. den > 0."""
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q & 1):
-        q += 1
-    return q
-
-
-def to_fixed(v: float, fmt: FixedPointFormat) -> FixedPointValue:
-    """Quantize a finite real: round to nearest (ties to even), then saturate."""
-    if not math.isfinite(v):
-        raise ContractViolation("value must be finite")
-    scaled = float(np.rint(v * (1 << fmt.frac_bits)))
-    raw = int(min(max(scaled, fmt.raw_min), fmt.raw_max))
-    return FixedPointValue(raw=raw, fmt=fmt)
-
-
-def from_fixed(v: FixedPointValue) -> float:
-    return v.to_float()
-
-
-def _check_formats(a: FixedPointValue, b: FixedPointValue) -> FixedPointFormat:
-    if a.fmt != b.fmt:
-        raise ContractViolation(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return a.fmt
-
-
-def fixed_add(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Exact integer add, saturated to the format range."""
-    fmt = _check_formats(a, b)
-    raw = min(max(a.raw + b.raw, fmt.raw_min), fmt.raw_max)
-    return FixedPointValue(raw=raw, fmt=fmt)
-
-
-def fixed_mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Exact integer multiply, rescaled with round-to-nearest-even, saturated."""
-    fmt = _check_formats(a, b)
-    product = a.raw * b.raw
-    f = fmt.frac_bits
-    raw = _rhe_div(product, 1 << f) if f > 0 else product
-    raw = min(max(raw, fmt.raw_min), fmt.raw_max)
-    return FixedPointValue(raw=raw, fmt=fmt)
 
 
 def quantize_binary(p: np.ndarray, magnitude: float) -> np.ndarray:
@@ -221,6 +166,7 @@ class _FixedOps:
         return clipped
 
     def quantize(self, x):
+        """Round onto the grid, ties to even, then saturate (+-inf too); NaN is refused."""
         x = np.asarray(x, dtype=np.float64)
         if np.isnan(x).any():
             raise ContractViolation("cannot quantize NaN")
@@ -287,14 +233,6 @@ class _FixedOps:
     def apply_float(self, raw, fn: Callable[[np.ndarray], np.ndarray]):
         """Evaluate ``fn`` in float on the operand's value, requantize."""
         return self.quantize(fn(self.to_float(raw)))
-
-
-@dataclass(frozen=True)
-class FixedMinimizeResult(MinimizeResult):
-    fmt: FixedPointFormat = FixedPointFormat(32, 8)
-    saturation_count: int = 0
-    sigma_clamp_count: int = 0
-    eig_clamp_count: int = 0
 
 
 # strategy constants held in registers: (attribute, label, value from params)
@@ -469,24 +407,4 @@ def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
     return (
         f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} "
         f"(recombination weight sum: {weight_sum:g})"
-    )
-
-
-def fixed_cmaes_minimize(
-    objective: Callable[[np.ndarray], float],
-    params: CmaEsParams,
-    iterations: int,
-    fmt: FixedPointFormat,
-    baseline: Optional[np.ndarray] = None,
-) -> FixedMinimizeResult:
-    """:func:`latentadapt.cmaes.search` with a :class:`FixedCmaes` machine,
-    plus its saturation and clamp counts."""
-    machine = FixedCmaes(params, fmt)
-    result = search(machine, objective, iterations, baseline)
-    return FixedMinimizeResult(
-        **vars(result),
-        fmt=fmt,
-        saturation_count=machine.ops.saturations,
-        sigma_clamp_count=machine.sigma_clamps,
-        eig_clamp_count=machine.eig_clamps,
     )

@@ -26,10 +26,6 @@ CSV_COLUMNS = [
     "wall_ms",
 ]
 
-# columns excluded when comparing two reports for determinism
-NONDETERMINISTIC_COLUMNS = ("wall_ms",)
-
-
 @dataclass(frozen=True)
 class SampleRecord:
     index: int
@@ -149,15 +145,3 @@ def summary_text(summary: Summary, header: str = "") -> str:
     lines.append(f"mean entropy adapted:  {summary.mean_entropy_adapted:.6f}")
     lines.append(f"mean wall-clock per sample: {summary.mean_wall_ms:.3f} ms")
     return "\n".join(lines) + "\n"
-
-
-def strip_nondeterministic(path: str | Path) -> list[list[str]]:
-    """Rows of a report CSV with the wall-clock columns removed."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            rows.append(
-                [v for i, v in enumerate(row) if i < len(CSV_COLUMNS)
-                 and CSV_COLUMNS[i] not in NONDETERMINISTIC_COLUMNS]
-            )
-    return rows

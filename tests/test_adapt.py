@@ -301,3 +301,21 @@ def test_batch_propagates_unexpected_errors(monkeypatch):
     rows, _ = datagen.gen_source(task, 1, stream=8)
     with pytest.raises(RuntimeError, match="decoder fault"):
         adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3))
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package surface must be added or
+    # dropped here too
+    import latentadapt
+
+    assert latentadapt.__all__ == [
+        "AdaptationConfig", "AdaptationResult", "BatchResult", "CmaEsParams", "CmaEsState",
+        "ContractViolation", "ConvergenceFailure", "DataFormatError", "FixedPointFormat",
+        "LinearDecoder", "ModelArtifact", "Prediction", "PrincipalSubspace", "ShiftSpec",
+        "SyntheticTask", "adapt", "adapt_batch", "apply_correction", "apply_shift", "ask",
+        "decode", "default_lambda", "fit", "fitness", "gen_source", "init", "make_decoder",
+        "make_task", "preset_shifts", "project", "quantize_binary", "read_artifact",
+        "read_features", "reconstruct", "tell", "write_artifact", "write_features",
+    ]
+    for name in latentadapt.__all__:
+        assert getattr(latentadapt, name).__module__.startswith("latentadapt.")

@@ -416,7 +416,7 @@ def _report_digest(path):
     """sha256 of a report CSV with the wall-clock column left out."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name not in report.NONDETERMINISTIC_COLUMNS]
+    keep = [i for i, name in enumerate(rows[0]) if name != "wall_ms"]
     text = "\n".join(",".join(row[i] for i in keep) for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()
 

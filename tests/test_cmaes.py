@@ -138,14 +138,14 @@ def test_covariance_stays_symmetric_pd_across_generations():
 
 
 def test_minimize_sphere_benchmark_single_seed():
-    res = cmaes.minimize(sphere, cmaes.CmaEsParams.defaults(8, seed=1), 200)
+    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(8, seed=1)), sphere, 200)
     assert res.best_fitness < 1e-8
     assert res.evaluations == 200 * cmaes.default_lambda(8)
 
 
 def test_minimize_rosenbrock_single_seed():
     params = cmaes.CmaEsParams.defaults(4, seed=3)
-    res = cmaes.minimize(rosenbrock, params, 20_000 // params.population)
+    res = cmaes.search(cmaes.CmaEs(params), rosenbrock, 20_000 // params.population)
     assert res.best_fitness < 1e-6
 
 
@@ -155,7 +155,7 @@ def test_minimize_quadratic_bowl_hits_center():
     def bowl(p):
         return float(np.sum((p - center) ** 2))
 
-    res = cmaes.minimize(bowl, cmaes.CmaEsParams.defaults(2, seed=4), 50)
+    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=4)), bowl, 50)
     assert np.max(np.abs(res.best_p - center)) < 1e-3
 
 
@@ -165,7 +165,8 @@ def test_minimize_baseline_at_optimum_cannot_be_beaten():
     def bowl(p):
         return float(np.sum((p - center) ** 2))
 
-    res = cmaes.minimize(bowl, cmaes.CmaEsParams.defaults(3, seed=5), 20, baseline=center)
+    params = cmaes.CmaEsParams.defaults(3, seed=5)
+    res = cmaes.search(cmaes.CmaEs(params), bowl, 20, baseline=center)
     assert res.best_fitness == bowl(center)
     np.testing.assert_array_equal(res.best_p, center)
 
@@ -178,14 +179,15 @@ def test_minimize_budget_accounting():
         calls["n"] += 1
         return sphere(p)
 
-    res = cmaes.minimize(counted, params, 1, baseline=np.zeros(2))
+    res = cmaes.search(cmaes.CmaEs(params), counted, 1, baseline=np.zeros(2))
     assert calls["n"] == 7
     assert res.evaluations == 7
+    assert res.quant_warnings is None
 
 
 def test_minimize_trace_is_running_best():
     params = cmaes.CmaEsParams.defaults(3, seed=7)
-    res = cmaes.minimize(sphere, params, 40, baseline=np.ones(3))
+    res = cmaes.search(cmaes.CmaEs(params), sphere, 40, baseline=np.ones(3))
     assert len(res.trace) == 40
     assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
     assert res.trace[0] <= sphere(np.ones(3))
@@ -194,8 +196,8 @@ def test_minimize_trace_is_running_best():
 
 def test_minimize_bit_identical_across_runs():
     params = cmaes.CmaEsParams.defaults(4, seed=8)
-    r1 = cmaes.minimize(sphere, params, 30)
-    r2 = cmaes.minimize(sphere, params, 30)
+    r1 = cmaes.search(cmaes.CmaEs(params), sphere, 30)
+    r2 = cmaes.search(cmaes.CmaEs(params), sphere, 30)
     assert r1.best_p.tobytes() == r2.best_p.tobytes()
     assert r1.trace == r2.trace
 
@@ -210,7 +212,7 @@ def test_minimize_counts_nonfinite_objective_values():
             return math.nan
         return sphere(p)
 
-    res = cmaes.minimize(sometimes_nan, params, 10)
+    res = cmaes.search(cmaes.CmaEs(params), sometimes_nan, 10)
     assert res.nonfinite_count == 60 // 5
     assert math.isfinite(res.best_fitness)
 
@@ -227,14 +229,14 @@ def test_search_reports_the_point_the_machine_evaluated():
 
 def test_search_with_zero_iterations_evaluates_the_baseline_alone():
     params = cmaes.CmaEsParams.defaults(3, seed=11)
-    res = cmaes.minimize(sphere, params, 0, baseline=np.ones(3))
+    res = cmaes.search(cmaes.CmaEs(params), sphere, 0, baseline=np.ones(3))
     assert res.evaluations == 1
     assert res.best_fitness == 3.0
     assert res.trace == []
     with pytest.raises(ContractViolation):
-        cmaes.minimize(sphere, params, 0)
+        cmaes.search(cmaes.CmaEs(params), sphere, 0)
     with pytest.raises(ContractViolation):
-        cmaes.minimize(sphere, params, -1, baseline=np.ones(3))
+        cmaes.search(cmaes.CmaEs(params), sphere, -1, baseline=np.ones(3))
 
 
 # ---------------------------------------------------------------- stacked gemv

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latentadapt import datagen, fileio, report
+from latentadapt.cli import main
 from latentadapt.decoder import LinearDecoder
 from latentadapt.errors import ContractViolation, DataFormatError
-from latentadapt.subspace import fit
+from latentadapt.subspace import PrincipalSubspace, fit
 
 
 def test_feature_roundtrip_bit_exact(tmp_path):
@@ -188,6 +189,50 @@ def test_artifact_with_a_corrupt_subspace_is_a_format_error(tmp_path, index, val
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="subspace"):
         fileio.read_artifact(bad)
+
+
+def _degenerate_artifact(case):
+    """The fixture artifact with an empty subspace or a meta section that is
+    not a JSON object; write_artifact stores each as given."""
+    good = _artifact()
+    if case == "k0":
+        empty = np.zeros((good.subspace.dim, 0))
+        return fileio.ModelArtifact(
+            PrincipalSubspace(good.subspace.mean, empty, np.zeros(0), 60), good.decoder, {}
+        )
+    if case == "dim0":
+        return fileio.ModelArtifact(
+            PrincipalSubspace(np.zeros(0), np.zeros((0, 0)), np.zeros(0), 60),
+            LinearDecoder(np.zeros((3, 0)), np.zeros(3)),
+            {},
+        )
+    return fileio.ModelArtifact(good.subspace, good.decoder, [1, 2])
+
+
+_DEGENERATE = pytest.mark.parametrize(
+    "case, message", [("k0", "empty subspace"), ("dim0", "empty subspace"),
+                      ("meta-list", "not a JSON object")]
+)
+
+
+@_DEGENERATE
+def test_artifact_with_an_empty_subspace_or_non_object_meta_is_a_format_error(
+        tmp_path, case, message):
+    path = tmp_path / "degenerate.lama"
+    fileio.write_artifact(path, _degenerate_artifact(case))
+    with pytest.raises(DataFormatError, match=message):
+        fileio.read_artifact(path)
+
+
+@_DEGENERATE
+def test_adapt_on_an_empty_subspace_or_non_object_meta_exits_2(tmp_path, capsys, case, message):
+    # a data problem: exit 2, not a usage error (1) nor a run on an unread meta (0)
+    path = tmp_path / "degenerate.lama"
+    fileio.write_artifact(path, _degenerate_artifact(case))
+    target = tmp_path / "target.latf"
+    fileio.write_features(target, np.ones((3, 6)), np.arange(3))
+    assert main(["adapt", str(path), str(target), "--out", str(tmp_path / "r.csv")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_meta_json_is_canonical(tmp_path):

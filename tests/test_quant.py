@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,16 +13,9 @@ from latentadapt.quant import (
     BinaryCmaes,
     FixedCmaes,
     FixedPointFormat,
-    FixedPointValue,
     _FixedOps,
-    _rhe_div,
-    fixed_add,
-    fixed_cmaes_minimize,
-    fixed_mul,
-    from_fixed,
     quantization_health,
     quantize_binary,
-    to_fixed,
 )
 
 F8B4 = FixedPointFormat(8, 4)
@@ -43,64 +37,110 @@ def test_format_parse():
             FixedPointFormat.parse(bad)
 
 
+def _saturate(raw, fmt):
+    return min(max(raw, fmt.raw_min), fmt.raw_max)
+
+
+def exact_quantize(v, fmt):
+    """The exact oracle: v * 2^f rounded half to even on rationals, saturated."""
+    return _saturate(round(Fraction(v) * (1 << fmt.frac_bits)), fmt)
+
+
+def exact_mul(a, b, fmt):
+    """The exact oracle: a * b / 2^f rounded half to even, saturated."""
+    return _saturate(round(Fraction(a * b, 1 << fmt.frac_bits)), fmt)
+
+
 def test_to_fixed_zero():
     for fmt in (F8B4, FixedPointFormat(4, 2), FixedPointFormat(16, 0)):
-        assert to_fixed(0.0, fmt).raw == 0
+        assert int(_FixedOps(fmt).quantize(0.0)) == exact_quantize(0.0, fmt) == 0
 
 
 def test_to_fixed_rounding_example():
-    v = to_fixed(1.3, F8B4)
-    assert v.raw == 10
-    assert from_fixed(v) == 1.25
+    ops = _FixedOps(F8B4)
+    raw = ops.quantize(1.3)
+    assert int(raw) == exact_quantize(1.3, F8B4) == 10
+    assert ops.to_float(raw) == 1.25
+    ties = [1.3125, 1.4375, -1.3125, 0.0625]  # raw 10.5, 11.5, -10.5, 0.5: to even
+    assert ops.quantize(ties).tolist() == [exact_quantize(v, F8B4) for v in ties] == [
+        10, 12, -10, 0]
 
 
 def test_to_fixed_saturates():
-    v = to_fixed(100.0, F8B4)
-    assert from_fixed(v) == 15.875
-    v = to_fixed(-100.0, F8B4)
-    assert from_fixed(v) == -16.0
+    ops = _FixedOps(F8B4)
+    assert ops.to_float(ops.quantize(100.0)) == 15.875
+    assert ops.to_float(ops.quantize(-100.0)) == -16.0
+    assert ops.saturations == 2
 
 
-def test_to_fixed_rejects_non_finite():
+def test_quantize_nan_raises_and_inf_saturates():
+    # the kernel saturates an infinite input and counts it; only NaN is refused
+    ops = _FixedOps(F8B4)
     with pytest.raises(ContractViolation):
-        to_fixed(float("inf"), F8B4)
+        ops.quantize(float("nan"))
+    with pytest.raises(ContractViolation):
+        ops.quantize(np.array([1.0, float("nan")]))
+    assert ops.saturations == 0
+    raw = ops.quantize(np.array([float("inf"), -float("inf"), 1.0]))
+    assert raw.tolist() == [F8B4.raw_max, F8B4.raw_min, 8]
+    assert ops.saturations == 2
 
 
 def test_fixed_add_identity_and_saturation():
-    a = to_fixed(1.375, F8B4)
-    zero = to_fixed(0.0, F8B4)
-    assert fixed_add(a, zero) == a
-    mx = FixedPointValue(F8B4.raw_max, F8B4)
-    assert fixed_add(mx, mx).raw == F8B4.raw_max
+    ops = _FixedOps(F8B4)
+    a = ops.quantize(1.375)
+    assert ops.add(a, ops.quantize(0.0)) == a
+    mx = np.int64(F8B4.raw_max)
+    assert ops.add(mx, mx) == F8B4.raw_max
+    assert ops.saturations == 1
 
 
 def test_fixed_mul_one_within_step():
-    one = to_fixed(1.0, F8B4)
+    ops = _FixedOps(F8B4)
+    one = ops.quantize(1.0)
     for value in (0.5, -3.25, 7.125):
-        a = to_fixed(value, F8B4)
-        prod = fixed_mul(a, one)
-        assert abs(from_fixed(prod) - from_fixed(a)) <= F8B4.resolution
+        a = ops.quantize(value)
+        prod = ops.mul(a, one)
+        assert int(prod) == exact_mul(int(a), int(one), F8B4)
+        assert abs(ops.to_float(prod) - ops.to_float(a)) <= F8B4.resolution
 
 
 def test_fixed_mul_ties_to_even_example():
-    a = to_fixed(1.25, F8B4)
-    assert from_fixed(fixed_mul(a, a)) == 1.5  # exact 1.5625 rounds to even raw 12
+    ops = _FixedOps(F8B4)
+    a = ops.quantize(1.25)
+    product = ops.mul(a, a)  # exact 1.5625 is raw 12.5, which rounds to even 12
+    assert int(product) == exact_mul(10, 10, F8B4) == 12
+    assert ops.to_float(product) == 1.5
 
 
 def test_fixed_mul_saturates_no_wrap():
-    mx = FixedPointValue(F8B4.raw_max, F8B4)
-    assert fixed_mul(mx, mx).raw == F8B4.raw_max
-    mn = FixedPointValue(F8B4.raw_min, F8B4)
-    assert fixed_mul(mn, mx).raw == F8B4.raw_min
+    ops = _FixedOps(F8B4)
+    mx, mn = np.int64(F8B4.raw_max), np.int64(F8B4.raw_min)
+    assert ops.mul(mx, mx) == exact_mul(F8B4.raw_max, F8B4.raw_max, F8B4) == F8B4.raw_max
+    assert ops.mul(mn, mx) == exact_mul(F8B4.raw_min, F8B4.raw_max, F8B4) == F8B4.raw_min
+    assert ops.saturations == 2
 
 
-def test_fixed_ops_reject_format_mismatch():
-    a = to_fixed(1.0, F8B4)
-    b = to_fixed(1.0, FixedPointFormat(8, 2))
-    with pytest.raises(ContractViolation):
-        fixed_add(a, b)
-    with pytest.raises(ContractViolation):
-        fixed_mul(a, b)
+@st.composite
+def _format_and_operands(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0, 1, -1]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    pairs = draw(st.lists(st.tuples(raw, raw), min_size=1, max_size=6))
+    return fmt, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_format_and_operands())
+def test_mul_equals_exact_rounding_then_saturation(case):
+    fmt, pairs = case
+    ops = _FixedOps(fmt)
+    a, b = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    want = [exact_mul(x, y, fmt) for x, y in pairs]
+    assert ops.mul(a, b).tolist() == want
+    assert ops.saturations == sum(w != round(Fraction(x * y, 1 << fmt.frac_bits))
+                                  for (x, y), w in zip(pairs, want))
 
 
 def _all_formats_up_to(total_bits):
@@ -110,20 +150,27 @@ def _all_formats_up_to(total_bits):
 
 
 def test_roundtrip_exhaustive_small_formats():
-    # every representable value must convert back to itself exactly
+    # every representable value must convert back to itself exactly, as an
+    # array and one scalar at a time
     for fmt in _all_formats_up_to(12):
+        ops = _FixedOps(fmt)
         raws = np.arange(fmt.raw_min, fmt.raw_max + 1)
         values = raws * fmt.resolution
-        for raw, value in zip(raws, values):
-            assert to_fixed(float(value), fmt).raw == raw
+        np.testing.assert_array_equal(ops.quantize(values), raws)
+        for raw, value in zip(raws.tolist(), values.tolist()):
+            assert int(ops.quantize(value)) == raw
+        assert ops.saturations == 0
 
 
 def test_monotonicity_and_error_bound_random():
     rng = np.random.default_rng(0)
     for fmt in (FixedPointFormat(4, 2), F8B4, FixedPointFormat(12, 5)):
+        ops = _FixedOps(fmt)
         span = 4.0 * fmt.max_value
         xs = np.sort(rng.uniform(-span, span, size=2000))
-        quantized = np.array([from_fixed(to_fixed(float(v), fmt)) for v in xs])
+        raws = ops.quantize(xs)
+        assert raws.tolist() == [exact_quantize(v, fmt) for v in xs.tolist()]
+        quantized = ops.to_float(raws)
         assert np.all(np.diff(quantized) >= 0.0)
         in_range = (xs >= fmt.min_value) & (xs <= fmt.max_value)
         errors = np.abs(quantized[in_range] - xs[in_range])
@@ -137,7 +184,10 @@ def test_monotonicity_and_error_bound_random():
 )
 def test_roundtrip_error_bound_property(value, total_bits):
     fmt = FixedPointFormat(total_bits, total_bits // 2 if total_bits // 2 < total_bits else 0)
-    back = from_fixed(to_fixed(value, fmt))
+    ops = _FixedOps(fmt)
+    raw = ops.quantize(value)
+    assert int(raw) == exact_quantize(value, fmt)
+    back = float(ops.to_float(raw))
     if fmt.min_value <= value <= fmt.max_value:
         assert abs(back - value) <= fmt.resolution / 2.0
     else:
@@ -196,14 +246,14 @@ def test_binary_machine_feedback_tells_the_snapped_points():
 
 def test_fixed_cmaes_wide_format_tracks_float():
     params = cmaes.CmaEsParams.defaults(2, seed=7)
-    float_res = cmaes.minimize(sphere, params, 50)
-    fixed_res = fixed_cmaes_minimize(sphere, params, 50, FixedPointFormat(32, 8))
+    float_res = cmaes.search(cmaes.CmaEs(params), sphere, 50)
+    fixed_res = cmaes.search(FixedCmaes(params, FixedPointFormat(32, 8)), sphere, 50)
     assert abs(float_res.best_fitness - fixed_res.best_fitness) < 1e-4
 
 
 def test_fixed_cmaes_coarse_format_still_converges():
     params = cmaes.CmaEsParams.defaults(2, seed=7)
-    res = fixed_cmaes_minimize(sphere, params, 50, F8B4)
+    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 50)
     assert np.linalg.norm(res.best_p) <= 0.25
 
 
@@ -215,7 +265,7 @@ def test_fixed_cmaes_candidates_live_on_the_grid():
         seen.append(p.copy())
         return sphere(p)
 
-    fixed_cmaes_minimize(probe, params, 4, F8B4)
+    cmaes.search(FixedCmaes(params, F8B4), probe, 4)
     for p in seen:
         scaled = p / F8B4.resolution
         np.testing.assert_array_equal(scaled, np.round(scaled))
@@ -225,7 +275,7 @@ def test_fixed_cmaes_candidates_live_on_the_grid():
 def test_fixed_cmaes_baseline_guarantee_and_budget():
     params = cmaes.CmaEsParams.defaults(2, population=6, seed=9)
     center = np.zeros(2)
-    res = fixed_cmaes_minimize(sphere, params, 3, F8B4, baseline=center)
+    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 3, baseline=center)
     assert res.best_fitness == 0.0
     assert res.evaluations == 3 * 6 + 1
     assert len(res.trace) == 3
@@ -234,27 +284,28 @@ def test_fixed_cmaes_baseline_guarantee_and_budget():
 
 def test_fixed_cmaes_deterministic():
     params = cmaes.CmaEsParams.defaults(2, seed=11)
-    r1 = fixed_cmaes_minimize(sphere, params, 20, F8B4)
-    r2 = fixed_cmaes_minimize(sphere, params, 20, F8B4)
+    r1 = cmaes.search(FixedCmaes(params, F8B4), sphere, 20)
+    r2 = cmaes.search(FixedCmaes(params, F8B4), sphere, 20)
     assert r1.best_p.tobytes() == r2.best_p.tobytes()
     assert r1.trace == r2.trace
-    assert r1.saturation_count == r2.saturation_count
+    assert r1.quant_warnings == r2.quant_warnings
 
 
 def test_fixed_cmaes_sigma_clamp_is_counted():
     # a tiny initial step size quantizes to zero and must clamp, not die
     params = cmaes.CmaEsParams.defaults(2, initial_sigma=1e-6, seed=12)
-    res = fixed_cmaes_minimize(sphere, params, 3, F8B4)
-    assert res.sigma_clamp_count >= 1
+    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 3)
+    assert res.quant_warnings["sigma_clamps"] >= 1
     assert np.all(np.isfinite(res.best_p))
 
 
 # ---------------------------------------------------------------- bit identity
 #
-# Digests of every FixedMinimizeResult field, recorded from the scalar-loop
-# implementation at commit ee2df22 (before the vectorised tell, the batched
-# ask, the decomposition reuse and the inlined normal generator). Any change
-# to a candidate, a count or the trace changes a digest.
+# Digests of every field of a fixed-point search result, its three
+# quant_warnings counts included, recorded from the scalar-loop implementation
+# at commit ee2df22 (before the vectorised tell, the batched ask, the
+# decomposition reuse and the inlined normal generator). Any change to a
+# candidate, a count or the trace changes a digest.
 
 
 def _objective(name, k):
@@ -284,8 +335,9 @@ def _result_digest(res):
     h.update(np.ascontiguousarray(res.best_p, dtype=np.float64).tobytes())
     h.update(struct.pack("<d", res.best_fitness))
     h.update(struct.pack(f"<{len(res.trace)}d", *res.trace))
-    h.update(struct.pack("<5q", res.evaluations, res.nonfinite_count, res.saturation_count,
-                         res.sigma_clamp_count, res.eig_clamp_count))
+    counts = res.quant_warnings
+    h.update(struct.pack("<5q", res.evaluations, res.nonfinite_count, counts["saturations"],
+                         counts["sigma_clamps"], counts["eig_clamps"]))
     return h.hexdigest()
 
 
@@ -330,8 +382,8 @@ def test_fixed_cmaes_matches_recorded_digests(fmt, k, sigma0, seed, objective, b
                                               digest):
     params = cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0, seed=seed)
     baseline = None if base is None else np.full(k, base)
-    res = fixed_cmaes_minimize(_objective(objective, k), params, iterations,
-                               FixedPointFormat.parse(fmt), baseline=baseline)
+    machine = FixedCmaes(params, FixedPointFormat.parse(fmt))
+    res = cmaes.search(machine, _objective(objective, k), iterations, baseline=baseline)
     assert _result_digest(res) == digest
 
 
@@ -384,7 +436,7 @@ def test_rhe_shift_equals_exact_division(f, products):
     ops = _FixedOps(FixedPointFormat(32, 31 - f))
     assert ops.f == f
     got = ops._rhe_shift(np.array(products, dtype=np.int64))
-    assert got.tolist() == [_rhe_div(p, 1 << f) for p in products]
+    assert got.tolist() == [round(Fraction(p, 1 << f)) for p in products]
 
 
 def _run_generations(monkeypatch, fmt, generations):

@@ -49,7 +49,7 @@ def test_summary_skips_failed_rows():
     assert s.accuracy_noadapt == 100.0
 
 
-def test_csv_roundtrip_and_stripping(tmp_path):
+def test_csv_roundtrip(tmp_path):
     records = [_record(i, i % 3, i % 3, 0.6, (i + 1) % 3, 0.3) for i in range(5)]
     path = tmp_path / "run.csv"
     report.write_csv(path, records)
@@ -68,9 +68,6 @@ def test_csv_roundtrip_and_stripping(tmp_path):
         )
         for r in records
     ]
-    stripped = report.strip_nondeterministic(path)
-    assert stripped[0] == report.CSV_COLUMNS[:-1]
-    assert all(len(row) == len(report.CSV_COLUMNS) - 1 for row in stripped)
 
 
 def test_summary_text_mentions_gain():

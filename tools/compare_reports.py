@@ -14,7 +14,7 @@ import csv
 import sys
 from itertools import zip_longest
 
-IGNORED = ("wall_ms",)  # latentadapt.report.NONDETERMINISTIC_COLUMNS
+IGNORED = ("wall_ms",)  # the wall-clock column of latentadapt.report.CSV_COLUMNS
 
 
 def _read(path: str) -> tuple[list[str], list[list[str]]]:
