@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 from typing import Optional
@@ -359,21 +360,23 @@ def _sweep_configs(k_grid, n_grid, fmt_grid, sigma0, seed, artifact_k):
 
 
 def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
-    """Cells already in an existing sweep file, keyed like the rows to write."""
-    _drop_torn_line(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Cells already in an existing sweep file, keyed like the rows to write.
+
+    A final line left without its newline by an interrupted write is cut,
+    but only once the whole lines are known to be a sweep file.
+    """
+    data = path.read_bytes()
+    cut = data.rfind(b"\n") + 1
+    try:
+        rows = list(csv.reader(io.StringIO(data[:cut].decode("utf-8"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: not a sweep file: {exc}") from exc
     if rows and rows[0] != _SWEEP_COLUMNS:
         raise DataFormatError(f"{path}: not a sweep file, header is {rows[0]}")
-    return {tuple(row[:5]) for row in rows[1:]}
-
-
-def _drop_torn_line(path: Path) -> None:
-    """Cut a final line left without its newline by an interrupted write."""
-    data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
+    if cut < len(data):
         with open(path, "r+b") as fh:
-            fh.truncate(data.rfind(b"\n") + 1)
+            fh.truncate(cut)
+    return {tuple(row[:5]) for row in rows[1:]}
 
 
 def _cmd_sweep(args) -> int:
@@ -425,7 +428,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     try:
         records = report.read_csv(args.report)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         raise DataFormatError(str(exc)) from exc
     summary = report.summarize(records)
     text = report.summary_text(summary, header=f"report: {args.report}")

@@ -5,14 +5,13 @@ that eigenvector signs and tie handling are fully specified: downstream file
 artifacts must be byte-stable across reruns, and eigenvectors are otherwise
 only defined up to sign.
 
-Each rotation runs as a fused kernel over one flat buffer holding the
-iterate and the accumulated eigenvectors: the two affected lanes are
-gathered, rotated with vectorised arithmetic and scattered back, and the
-2x2 pivot block is redone in scalar arithmetic. The arithmetic matches the
+Each rotation runs as four array steps over one flat buffer holding the
+iterate and the accumulated eigenvectors: gather lanes ``p, p, q, q``, scale
+them by ``c, sn, -sn, c``, add the halves and scatter into lanes ``p, q``;
+the 2x2 pivot block is then redone in scalar arithmetic. Negation is exact,
+so ``c*f + (-sn)*g`` equals ``c*f - sn*g`` and every element follows the
 textbook cyclic Jacobi order (full column update, then full row update, then
-the eigenvector update) element by element, so results are bit-identical to
-that order; only the number of interpreter and array dispatches per rotation
-is smaller.
+the eigenvector update) bit for bit; only the dispatch count is smaller.
 """
 
 from __future__ import annotations
@@ -54,19 +53,19 @@ def _rotation_plan(n: int) -> tuple:
     The buffer holds ``a`` then ``v``, both row-major. Lane ``p`` is column
     ``p`` of ``a``, row ``p`` of ``a`` and column ``p`` of ``v``; rotating
     lanes ``p`` and ``q`` updates every entry outside the 2x2 block exactly
-    as a full column update followed by a full row update would.
+    as a full column update followed by a full row update would. A pair's
+    gather index covers lanes ``[p, p, q, q]`` and its scatter ``[p, q]``.
     """
     i = np.arange(n, dtype=np.intp)
-    lanes = []
-    for p in range(n):
-        lane = np.concatenate([i * n + p, p * n + i, n * n + i * n + p])
-        lane.flags.writeable = False
-        lanes.append(lane)
-    return tuple(
-        (p * n + p, q * n + q, p * n + q, q * n + p, lanes[p], lanes[q])
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    )
+    lanes = [np.concatenate([i * n + p, p * n + i, n * n + i * n + p]) for p in range(n)]
+    plan = []
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            gather = np.stack([lanes[p], lanes[p], lanes[q], lanes[q]])
+            scatter = np.stack([lanes[p], lanes[q]])
+            gather.flags.writeable = scatter.flags.writeable = False
+            plan.append((p * n + p, q * n + q, p * n + q, q * n + p, gather, scatter))
+    return tuple(plan)
 
 
 def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,15 +96,16 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     tol = _OFFDIAG_RTOL * fro
 
     converged = False
-    residual = 0.0
     rotations = _rotation_plan(n)
+    coef = np.empty((4, 1), dtype=np.float64)
+    coef_flat = coef[:, 0]
     for _ in range(_MAX_SWEEPS):
         off = np.abs(a - np.diag(np.diag(a)))
         residual = float(off.max())
         if residual <= tol:
             converged = True
             break
-        for pp, qq, pq, qp, lanes_p, lanes_q in rotations:
+        for pp, qq, pq, qp, gather, scatter in rotations:
             apq = buf.item(pq)
             if abs(apq) <= tol:
                 continue
@@ -120,13 +120,15 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             sn = t * c
 
             aqp = buf.item(qp)
-            f = buf[lanes_p]
-            g = buf[lanes_q]
-            buf[lanes_p] = c * f - sn * g
-            buf[lanes_q] = sn * f + c * g
+            coef_flat[0] = c
+            coef_flat[1] = sn
+            coef_flat[2] = -sn
+            coef_flat[3] = c
+            prod = buf[gather]
+            prod *= coef
+            buf[scatter] = prod[:2] + prod[2:]
 
-            # the lanes also write the 2x2 block, with values the row update
-            # would not give; redo it as column update then row update
+            # the lanes leave the 2x2 block half-rotated; redo it column then row
             app_c = c * app - sn * apq
             aqp_c = c * aqp - sn * aqq
             apq_c = sn * app + c * apq

@@ -113,6 +113,11 @@ def read_csv(path: str | Path) -> list[SampleRecord]:
         if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
+            # DictReader files extra fields under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(CSV_COLUMNS)} fields"
+                )
             records.append(
                 SampleRecord(
                     index=int(row["index"]),

@@ -412,6 +412,33 @@ def test_report_command_recomputes_summary(workdir, capsys):
     assert f"accuracy adapted:  {summary.accuracy_adapted:.2f}%" in text
 
 
+_REPORT_ROW = "0,1,1,0.5,1,0.25,9,ok,1.5"
+
+
+@pytest.mark.parametrize("row, code", [
+    (_REPORT_ROW, 0),
+    (_REPORT_ROW.rsplit(",", 1)[0], 2),   # a field too few
+    (_REPORT_ROW + ",7", 2),              # a field too many
+    (_REPORT_ROW[:-3] + "x" * 200_000, 2),  # beyond the csv module's field limit
+], ids=["whole", "short", "extra", "oversized-field"])
+def test_report_command_checks_the_field_count_of_every_row(tmp_path, capsys, row, code):
+    rep = tmp_path / "r.csv"
+    rep.write_text(",".join(report.CSV_COLUMNS) + "\n" + _REPORT_ROW + "\n" + row + "\n")
+    assert main(["report", str(rep)]) == code
+    if code:
+        assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("junk", [b"\xff\xfe\x00binary\n", b"\xff\xfe\x00binary\nno final newline"],
+                         ids=["whole-lines", "torn-last-line"])
+def test_sweep_into_a_file_that_is_not_utf8_is_a_data_error(workdir, junk):
+    tmp_path, out, art = workdir
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_bytes(junk)
+    assert main(_sweep_args(art, out, sweep_csv)) == 2
+    assert sweep_csv.read_bytes() == junk
+
+
 def _report_digest(path):
     """sha256 of a report CSV with the wall-clock column left out."""
     with open(path, newline="") as fh:

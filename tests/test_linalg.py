@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentadapt import linalg
+from latentadapt import cmaes, linalg
 from latentadapt.errors import ContractViolation, ConvergenceFailure
 from latentadapt.linalg import sym_eig
 
@@ -217,12 +217,31 @@ def test_sym_eig_bit_identical_when_mirrored_entries_differ_in_last_bit():
 @given(
     hnp.arrays(
         np.float64,
-        st.integers(1, 6).map(lambda n: (n, n)),
+        # past the 16-wide covariances of the harness search
+        st.integers(1, 20).map(lambda n: (n, n)),
         elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
     )
 )
 def test_sym_eig_bit_identical_property(m):
     _assert_matches_reference((m + m.T) / 2.0)
+
+
+def test_sym_eig_bit_identical_on_a_float_cmaes_run(monkeypatch):
+    # the covariances a k=16 float search on the sphere decomposes in
+    # generations 1-7, as in an n=8 harness adaptation
+    seen = []
+
+    def recording(s, k):
+        seen.append(np.array(s, copy=True))
+        return sym_eig(s, k)
+
+    monkeypatch.setattr(linalg, "sym_eig", recording)
+    params = cmaes.CmaEsParams.defaults(16, seed=14)
+    cmaes.search(cmaes.CmaEs(params), lambda p: float(p @ p), 8)
+    assert len(seen) == 8 and np.array_equal(seen[0], np.eye(16))
+    for generation in seen[1:]:
+        assert not np.array_equal(generation, np.eye(16))
+        _assert_matches_reference(generation)
 
 
 def test_sym_eig_sweep_cap_raises(monkeypatch):
