@@ -363,10 +363,13 @@ def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
     """Cells already in an existing sweep file, keyed like the rows to write.
 
     A final line left without its newline by an interrupted write is cut,
-    but only once the whole lines are known to be a sweep file.
+    but only once the whole lines are known to be a sweep file; a file with
+    no whole line at all has no header to check and is left as it is.
     """
     data = path.read_bytes()
     cut = data.rfind(b"\n") + 1
+    if data and not cut:
+        raise DataFormatError(f"{path}: not a sweep file: no complete header line")
     try:
         rows = list(csv.reader(io.StringIO(data[:cut].decode("utf-8"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:

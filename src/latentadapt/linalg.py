@@ -5,13 +5,20 @@ that eigenvector signs and tie handling are fully specified: downstream file
 artifacts must be byte-stable across reruns, and eigenvectors are otherwise
 only defined up to sign.
 
-Each rotation runs as four array steps over one flat buffer holding the
-iterate and the accumulated eigenvectors: gather lanes ``p, p, q, q``, scale
-them by ``c, sn, -sn, c``, add the halves and scatter into lanes ``p, q``;
-the 2x2 pivot block is then redone in scalar arithmetic. Negation is exact,
-so ``c*f + (-sn)*g`` equals ``c*f - sn*g`` and every element follows the
-textbook cyclic Jacobi order (full column update, then full row update, then
-the eigenvector update) bit for bit; only the dispatch count is smaller.
+The solver works on one ``(n, 2n)`` lane matrix: row ``p`` holds row ``p``
+of the iterate ``a`` and then column ``p`` of the eigenvectors ``v``. ``a``
+starts as ``(s + s.T) / 2``, which is exactly symmetric, and the textbook
+column and row updates give mirrored entries the same expression on the same
+operands, so ``a`` stays exactly symmetric and a rotation's column update is
+the transpose of its row update. A rotation takes lane rows ``p, q, q, p``
+into a preallocated ``(4, 2n)`` product, scales it by ``c, c, -sn, sn``, adds
+the bottom half into the top, and writes the two new lanes back as rows
+``p, q`` and their ``a`` part as columns ``p, q``; the 2x2 pivot block is then
+redone in scalar arithmetic. Negation is exact and addition commutes, so
+``c*f + (-sn)*g`` and ``c*g + sn*f`` equal ``c*f - sn*g`` and ``sn*f + c*g``:
+every element follows the textbook cyclic Jacobi order (full column update,
+then full row update, then the eigenvector update) bit for bit, with five
+array steps per rotation and ``O(n^2)`` memory.
 """
 
 from __future__ import annotations
@@ -48,23 +55,19 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _rotation_plan(n: int) -> tuple:
-    """Flat-buffer indices for every rotation ``(p, q)`` in cyclic order.
+    """Indices for every rotation ``(p, q)`` in cyclic order.
 
-    The buffer holds ``a`` then ``v``, both row-major. Lane ``p`` is column
-    ``p`` of ``a``, row ``p`` of ``a`` and column ``p`` of ``v``; rotating
-    lanes ``p`` and ``q`` updates every entry outside the 2x2 block exactly
-    as a full column update followed by a full row update would. A pair's
-    gather index covers lanes ``[p, p, q, q]`` and its scatter ``[p, q]``.
+    Per pair: where ``a[p, p]``, ``a[q, q]``, ``a[p, q]`` and ``a[q, p]``
+    sit in the flattened lane matrix, the four lane rows ``[p, q, q, p]`` to
+    take and the slice of rows ``p, q`` to write; a fixed size per pair.
     """
-    i = np.arange(n, dtype=np.intp)
-    lanes = [np.concatenate([i * n + p, p * n + i, n * n + i * n + p]) for p in range(n)]
+    w = 2 * n
     plan = []
     for p in range(n - 1):
         for q in range(p + 1, n):
-            gather = np.stack([lanes[p], lanes[p], lanes[q], lanes[q]])
-            scatter = np.stack([lanes[p], lanes[q]])
-            gather.flags.writeable = scatter.flags.writeable = False
-            plan.append((p * n + p, q * n + q, p * n + q, q * n + p, gather, scatter))
+            rows = np.array([p, q, q, p], dtype=np.intp)
+            rows.flags.writeable = False
+            plan.append((p * w + p, q * w + q, p * w + q, q * w + p, rows, slice(p, q + 1, q - p)))
     return tuple(plan)
 
 
@@ -87,25 +90,32 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if np.max(np.abs(s - s.T)) > _SYMMETRY_RTOL * max(fro, 1.0):
         raise ContractViolation("matrix is not symmetric within tolerance")
 
-    nn = n * n
-    buf = np.empty(2 * nn, dtype=np.float64)
-    a = buf[:nn].reshape(n, n)
-    v = buf[nn:].reshape(n, n)
+    lanes = np.empty((n, 2 * n), dtype=np.float64)
+    buf = lanes.reshape(-1)
+    a = lanes[:, :n]
+    vt = lanes[:, n:]
     a[:] = (s + s.T) / 2.0
-    v[:] = np.eye(n, dtype=np.float64)
+    vt[:] = np.eye(n, dtype=np.float64)
+    a_cols = a.T
     tol = _OFFDIAG_RTOL * fro
 
     converged = False
+    residual = 0.0
     rotations = _rotation_plan(n)
     coef = np.empty((4, 1), dtype=np.float64)
     coef_flat = coef[:, 0]
+    take = lanes.take
+    prod = np.empty((4, 2 * n), dtype=np.float64)
+    top = prod[:2]
+    bottom = prod[2:]
+    top_a = prod[:2, :n]
     for _ in range(_MAX_SWEEPS):
         off = np.abs(a - np.diag(np.diag(a)))
         residual = float(off.max())
         if residual <= tol:
             converged = True
             break
-        for pp, qq, pq, qp, gather, scatter in rotations:
+        for pp, qq, pq, qp, rows, pair in rotations:
             apq = buf.item(pq)
             if abs(apq) <= tol:
                 continue
@@ -120,15 +130,21 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             sn = t * c
 
             aqp = buf.item(qp)
-            coef_flat[0] = c
-            coef_flat[1] = sn
+            coef_flat[0] = coef_flat[1] = c
             coef_flat[2] = -sn
-            coef_flat[3] = c
-            prod = buf[gather]
+            coef_flat[3] = sn
+            # rows f, g, g, f scaled and summed in halves: c*f + (-sn)*g
+            # into lane p and c*g + sn*f into lane q; the rows are always in
+            # range, and mode "raise" would copy the output through a buffer
+            take(rows, 0, prod, "clip")
             prod *= coef
-            buf[scatter] = prod[:2] + prod[2:]
+            top += bottom
+            lanes[pair] = top
+            # a stays exactly symmetric, so its columns p, q take the new rows
+            a_cols[pair] = top_a
 
-            # the lanes leave the 2x2 block half-rotated; redo it column then row
+            # the lanes also write the 2x2 block, with values the row update
+            # would not give; redo it as column update then row update
             app_c = c * app - sn * apq
             aqp_c = c * aqp - sn * aqq
             apq_c = sn * app + c * apq
@@ -151,5 +167,5 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     top_values = values[order]
     top_vectors = np.empty((n, k), dtype=np.float64)
     for j, col in enumerate(order):
-        top_vectors[:, j] = _fix_sign(v[:, col])
+        top_vectors[:, j] = _fix_sign(vt[col])
     return top_values, top_vectors

@@ -429,14 +429,23 @@ def test_report_command_checks_the_field_count_of_every_row(tmp_path, capsys, ro
         assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("junk", [b"\xff\xfe\x00binary\n", b"\xff\xfe\x00binary\nno final newline"],
-                         ids=["whole-lines", "torn-last-line"])
+@pytest.mark.parametrize("junk", [b"\xff\xfe\x00binary\n", b"\xff\xfe\x00binary\nno final newline",
+                                  b"\xff\xfe\x00binary"],
+                         ids=["whole-lines", "torn-last-line", "no-newline"])
 def test_sweep_into_a_file_that_is_not_utf8_is_a_data_error(workdir, junk):
     tmp_path, out, art = workdir
     sweep_csv = tmp_path / "sweep.csv"
     sweep_csv.write_bytes(junk)
     assert main(_sweep_args(art, out, sweep_csv)) == 2
     assert sweep_csv.read_bytes() == junk
+
+
+def test_sweep_into_a_text_file_without_a_newline_leaves_it_alone(workdir):
+    tmp_path, out, art = workdir
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"one line of notes")
+    assert main(_sweep_args(art, out, notes)) == 2
+    assert notes.read_bytes() == b"one line of notes"
 
 
 def _report_digest(path):

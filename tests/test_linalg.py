@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,25 @@ def test_sym_eig_bit_identical_on_a_float_cmaes_run(monkeypatch):
     for generation in seen[1:]:
         assert not np.array_equal(generation, np.eye(16))
         _assert_matches_reference(generation)
+
+
+def _plan_bytes(n):
+    linalg._rotation_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = linalg._rotation_plan(n)
+        return tracemalloc.get_traced_memory()[0], len(plan)
+    finally:
+        tracemalloc.stop()
+        linalg._rotation_plan.cache_clear()
+
+
+def test_rotation_plan_memory_grows_with_the_pair_count_only():
+    # a per-pair index over whole lanes would grow as n^3: 8x from n=32 to 64
+    small, small_pairs = _plan_bytes(32)
+    large, large_pairs = _plan_bytes(64)
+    assert large < 1_500_000
+    assert large / large_pairs < 1.2 * small / small_pairs
 
 
 def test_sym_eig_sweep_cap_raises(monkeypatch):
