@@ -2,8 +2,11 @@
 
 :func:`fitness` runs once per evaluated candidate, so it checks its inputs
 once and computes the corrected latent and the logits inline, with the same
-arithmetic as ``decode(apply_correction(...))``. The entropy skips the
-``0 * log 0`` masking when every probability is positive.
+arithmetic as ``decode(apply_correction(...))``. Past those checks the
+softmax and the entropy take the float64 arrays as they are, with no
+re-wrapping, and reduce them by direct ufunc calls over every axis
+(``np.add.reduce(x, None)`` is what ``x.sum()`` runs, bit for bit). The entropy skips the ``0 * log 0``
+masking when every probability is positive.
 """
 
 from __future__ import annotations
@@ -60,28 +63,35 @@ class Prediction:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max logit subtracted before exp)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    return _softmax(np.asarray(logits, dtype=np.float64))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - np.maximum.reduce(logits, None))
+    return e / np.add.reduce(e, None)
 
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Entropy in nats, with the 0 * log 0 = 0 convention."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.min(initial=1.0) > 0.0:
+    return _entropy(np.asarray(probabilities, dtype=np.float64))
+
+
+def _entropy(p: np.ndarray) -> float:
+    if p.size == 0 or np.minimum.reduce(p, None) > 0.0:
         # no zero terms: the same products and sum as the masked form below
-        return float(-(p * np.log(p)).sum())
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
+        return float(-np.add.reduce(p * np.log(p), None))
+    positive = p > 0.0
+    terms = np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
+    return float(-np.add.reduce(terms, None))
 
 
 def _predict(logits: np.ndarray) -> Prediction:
-    probabilities = softmax(logits)
+    probabilities = _softmax(logits)
     return Prediction(
         logits=logits,
         probabilities=probabilities,
         predicted_class=int(probabilities.argmax()),
-        entropy=shannon_entropy(probabilities),
+        entropy=_entropy(probabilities),
     )
 
 

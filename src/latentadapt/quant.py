@@ -18,11 +18,23 @@ many terms (the weighted mean step, the C^(-1/2) matvec, the squared path
 length, the rank-mu update) is defined as saturating adds from zero in index
 order; it is computed as int64 prefix sums, which are exact because every
 term fits in 32 bits, and the adds are replayed one at a time only where a
-prefix leaves the range, since saturating addition is not associative. The
-covariance decomposition is kept while the covariance register is unchanged
-bit for bit (the eigensolver is deterministic), as it is in every generation
-when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its eigenvalue clamps still
-count once per generation.
+prefix leaves the range, since saturating addition is not associative.
+Element-wise products with the same rounding and saturation run as one
+stacked product: the mean step with both path decays, the outer products of
+p_c and of each parent step, and the three covariance terms. The scalar registers of a generation (the path length, sigma and
+the h_sigma test) run as Python ints with the same rounding and counting,
+which agree with int64 because no product or shifted numerator of a format
+of at most 32 bits exceeds 2^62 in magnitude.
+
+The covariance decomposition is kept, with the square roots of its clamped
+eigenvalues and the quantized C^(-1/2) table, while the covariance register
+is unchanged bit for bit (the eigensolver is deterministic), as it is in
+every generation when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its
+eigenvalue clamps count once per generation and the table's saturations
+once per ``tell``, as when recomputed. The starting registers, their
+quantization counts and the decomposition of the starting covariance depend
+on the format and the strategy constants only, not on the seed: they are
+built once per configuration and every machine starts from copies.
 
 A result already in range is returned without clipping, which gives the same
 bits and counts. Division is only ever by one positive register (sigma,
@@ -36,7 +48,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,25 +149,31 @@ class BinaryCmaes(CmaEs):
 
 
 class _FixedOps:
-    """Vectorized raw-integer fixed-point arithmetic with saturation counting.
+    """Raw-integer fixed-point arithmetic with saturation counting.
 
     Raw values are int64 scalars or arrays; every result is saturated back to
     the format range, and each clipped element increments ``saturations``.
+    The ``int_*`` methods are the same ops on Python ints, for the machine's
+    scalar registers: in a format of at most 32 bits no product or shifted
+    numerator exceeds 2^62 in magnitude, so Python ints give exactly what
+    int64 gives, without array dispatches.
     """
 
     def __init__(self, fmt: FixedPointFormat):
         self.fmt = fmt
         self.f = fmt.frac_bits
         self.saturations = 0
-        self._lo = np.int64(fmt.raw_min)
-        self._hi = np.int64(fmt.raw_max)
+        self._lo = fmt.raw_min
+        self._hi = fmt.raw_max
+        self._scale = float(1 << self.f)
         self._round = (1 << (self.f - 1)) - 1 if self.f > 0 else 0
 
     def _in_range(self, raw) -> bool:
         if raw.ndim == 0:
             return bool(self._lo <= raw <= self._hi)
-        return bool(np.minimum.reduce(raw, axis=None, initial=self._hi) >= self._lo
-                    and np.maximum.reduce(raw, axis=None, initial=self._lo) <= self._hi)
+        # positional axis and no ``initial``: the reductions' fastest call
+        return raw.size == 0 or bool(np.minimum.reduce(raw, None) >= self._lo
+                                     and np.maximum.reduce(raw, None) <= self._hi)
 
     def _sat(self, raw):
         # every caller passes a fresh array, so an in-range one is returned as is
@@ -165,15 +183,34 @@ class _FixedOps:
         self.saturations += int(np.count_nonzero(clipped != raw))
         return clipped
 
+    def _sat_int(self, raw: int) -> int:
+        if raw < self._lo:
+            self.saturations += 1
+            return self._lo
+        if raw > self._hi:
+            self.saturations += 1
+            return self._hi
+        return raw
+
     def quantize(self, x):
         """Round onto the grid, ties to even, then saturate (+-inf too); NaN is refused."""
-        x = np.asarray(x, dtype=np.float64)
-        if np.isnan(x).any():
+        scaled = np.rint(np.multiply(x, self._scale, dtype=np.float64))
+        # NaN fails the range test too, so the common case pays no separate scan
+        if self._in_range(scaled):
+            return scaled.astype(np.int64)
+        if np.isnan(scaled).any():
             raise ContractViolation("cannot quantize NaN")
-        return self._sat(np.rint(x * (1 << self.f))).astype(np.int64)
+        return self._sat(scaled).astype(np.int64)
+
+    def int_quantize(self, x: float) -> int:
+        """:meth:`quantize` of one float."""
+        if math.isnan(x):
+            raise ContractViolation("cannot quantize NaN")
+        # clipped to just past the range first, so +-inf saturate like any other value
+        return self._sat_int(round(min(max(x * self._scale, self._lo - 1.0), self._hi + 1.0)))
 
     def to_float(self, raw):
-        return np.asarray(raw, dtype=np.float64) * self.fmt.resolution
+        return np.multiply(raw, self.fmt.resolution, dtype=np.float64)
 
     def add(self, a, b):
         return self._sat(np.add(a, b, dtype=np.int64))
@@ -184,12 +221,19 @@ class _FixedOps:
         Every term is in range, so the int64 prefix sums cannot overflow. When
         no prefix leaves the range, the last one is exactly what the
         sequential adds give, with no saturation. Otherwise the adds are
-        replayed one at a time, since saturating addition is not associative.
+        replayed one at a time, since saturating addition is not associative:
+        as Python ints when they sum to one register, else one :meth:`add`
+        of all the lanes per term.
         """
         terms = np.asarray(terms, dtype=np.int64)
         prefix = terms.cumsum(axis=axis)
         if self._in_range(prefix):
-            return prefix.take(-1, axis=axis)
+            return prefix[(slice(None),) * axis + (-1,)]  # a view of the fresh prefix
+        if terms.ndim == 1:
+            total = 0
+            for term in terms.tolist():
+                total = self._sat_int(total + term)
+            return np.int64(total)
         total = np.int64(0)
         for term in np.moveaxis(terms, axis, 0):
             total = self.add(total, term)
@@ -198,41 +242,64 @@ class _FixedOps:
     def sub(self, a, b):
         return self._sat(np.subtract(a, b, dtype=np.int64))
 
+    def int_sub(self, a: int, b: int) -> int:
+        return self._sat_int(a - b)
+
     def _rhe_shift(self, p):
         """p / 2^f rounded to nearest, ties to even: adding 2^(f-1) - 1 plus
         the quotient's low bit carries into the quotient exactly when the
-        remainder is above half, or is half and the quotient is odd."""
+        remainder is above half, or is half and the quotient is odd. Takes an
+        int or an int64 array, and leaves ``p`` as it is."""
         if self.f == 0:
             return p
-        return (p + self._round + ((p >> self.f) & 1)) >> self.f
+        q = p >> self.f
+        q &= 1
+        q += p
+        q += self._round
+        q >>= self.f
+        return q
 
     def mul(self, a, b):
-        product = np.multiply(a, b, dtype=np.int64)
-        return self._sat(self._rhe_shift(product))
+        return self._sat(self._rhe_shift(np.multiply(a, b, dtype=np.int64)))
+
+    def int_mul(self, a: int, b: int) -> int:
+        return self._sat_int(self._rhe_shift(a * b))
+
+    @staticmethod
+    def _rhe_div(num, b):
+        """num / b for b > 0 rounded to nearest, ties to even: the quotient
+        goes up when twice the remainder plus the quotient's low bit exceeds
+        b. Takes an int or an int64 array."""
+        q, r = divmod(num, b)
+        r <<= 1
+        r += q & 1
+        q += r > b
+        return q
 
     def div(self, a, b):
         """a / b in the format, for one positive register b (the machine
         divides only by sigma, clamped to at least 1, and by chi)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if not (b.ndim == 0 and b > 0):
+        if not (np.ndim(b) == 0 and b > 0):
             raise ContractViolation("fixed-point division needs one positive register")
-        num = np.left_shift(a, self.f)
-        q = num // b
-        twice = 2 * (num - q * b)
-        return self._sat(q + ((twice > b) | ((twice == b) & ((q & 1) == 1))))
+        return self._sat(self._rhe_div(np.left_shift(a, self.f, dtype=np.int64), b))
+
+    def int_div(self, a: int, b: int) -> int:
+        if not b > 0:
+            raise ContractViolation("fixed-point division needs one positive register")
+        return self._sat_int(self._rhe_div(a << self.f, b))
 
     def halve(self, raw):
-        """Divide by two with round-to-nearest-even (cannot saturate)."""
-        raw = np.asarray(raw, dtype=np.int64)
-        q = raw >> 1
-        r = raw - (q << 1)
-        inc = (r == 1) & ((q & 1) == 1)
-        return q + inc
+        """Divide by two with round-to-nearest-even (cannot saturate): the
+        :meth:`_rhe_shift` rule with f = 1."""
+        q = np.right_shift(raw, 1, dtype=np.int64)
+        q &= 1
+        q += raw
+        q >>= 1
+        return q
 
-    def apply_float(self, raw, fn: Callable[[np.ndarray], np.ndarray]):
-        """Evaluate ``fn`` in float on the operand's value, requantize."""
-        return self.quantize(fn(self.to_float(raw)))
+    def int_apply_float(self, raw: int, fn: Callable[[float], float]) -> int:
+        """Evaluate ``fn`` in float on the register's value, requantize."""
+        return self.int_quantize(float(fn(raw * self.fmt.resolution)))
 
 
 # strategy constants held in registers: (attribute, label, value from params)
@@ -251,6 +318,74 @@ _CONSTANTS = (
 )
 
 
+class _Decomposition(NamedTuple):
+    """What the machine takes from the eigen-decomposition of one covariance
+    register; read-only, since machines of one configuration share the one
+    of the starting covariance."""
+
+    vectors: np.ndarray
+    scale: np.ndarray          # square roots of the eigenvalues, clamped up to the resolution
+    clamps: int                # eigenvalues clamped
+    invsqrt: np.ndarray        # C^(-1/2), tabulated in float and quantized
+    invsqrt_saturations: int   # the table's, counted again by every tell that uses it
+
+
+def _decompose(cov: np.ndarray, fmt: FixedPointFormat, k: int) -> _Decomposition:
+    ops = _FixedOps(fmt)
+    values, vectors = linalg.sym_eig(ops.to_float(cov), k)
+    floor = fmt.resolution
+    scale = np.sqrt(np.maximum(values, floor))
+    invsqrt = ops.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
+    for table in (vectors, scale, invsqrt):
+        table.flags.writeable = False
+    return _Decomposition(vectors, scale, int(np.count_nonzero(values < floor)), invsqrt,
+                          ops.saturations)
+
+
+class _Start:
+    """The registers a fresh machine starts from, with the saturations and
+    sigma clamps of quantizing them: a pure function of the format and the
+    strategy constants, not of the seed. Machines copy the arrays, which stay
+    read-only here. ``decomposition`` of the starting covariance is made by
+    the first machine that needs it."""
+
+    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
+        ops = _FixedOps(fmt)
+        self.sigma = int(ops.quantize(params.initial_sigma))
+        self.sigma_clamps = 0
+        if self.sigma <= 0:
+            self.sigma = 1
+            self.sigma_clamps = 1
+        self.cov = ops.quantize(np.eye(params.dim))
+        self.w = ops.quantize(params.recombination_weights)
+        self.cov.flags.writeable = self.w.flags.writeable = False
+        self.constants = {"one": int(ops.quantize(1.0)), "chi": int(ops.quantize(params.chi_n))}
+        for attr, _, value in _CONSTANTS:
+            self.constants[attr] = int(ops.quantize(value(params)))
+        self.cov_coefs = np.array([self.constants[attr] for attr in ("base_coef", "c1", "cmu")],
+                                  dtype=np.int64).reshape(3, 1, 1)
+        self.cov_coefs.flags.writeable = False
+        self.saturations = ops.saturations
+        self.decomposition: Optional[_Decomposition] = None
+
+
+_STARTS: dict = {}  # (format, strategy constants) -> _Start
+_MAX_STARTS = 64    # a sweep runs a handful of configurations; past this, start over
+
+
+def _start(params: CmaEsParams, fmt: FixedPointFormat) -> _Start:
+    """The shared :class:`_Start` of every field of ``params`` but the seed."""
+    key = (fmt, params.dim, params.population, params.initial_sigma, params.mu_eff,
+           params.c_sigma, params.d_sigma, params.c_c, params.c_1, params.c_mu,
+           params.recombination_weights.tobytes())
+    start = _STARTS.get(key)
+    if start is None:
+        if len(_STARTS) >= _MAX_STARTS:
+            _STARTS.clear()
+        start = _STARTS[key] = _Start(params, fmt)
+    return start
+
+
 class FixedCmaes:
     """CMA-ES state machine carried entirely in fixed-point registers.
 
@@ -261,40 +396,40 @@ class FixedCmaes:
 
     def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
         self.params = params
+        start = _start(params, fmt)
+        self._start = start
         self.ops = _FixedOps(fmt)
+        self.ops.saturations = start.saturations
         self.rng = Xoshiro256pp(params.seed)
         self.generation = 0
-        self.sigma_clamps = 0
+        self.sigma = start.sigma
+        self.sigma_clamps = start.sigma_clamps
         self.eig_clamps = 0
-        self._eig_cache = None
+        self._dec: Optional[_Decomposition] = None  # of cov, while it is unchanged
 
-        ops = self.ops
         k = params.dim
         self.mean = np.zeros(k, dtype=np.int64)
-        self.sigma = int(ops.quantize(params.initial_sigma))
-        if self.sigma <= 0:
-            self.sigma = 1
-            self.sigma_clamps += 1
-        self.cov = ops.quantize(np.eye(k))
+        self.cov = start.cov.copy()
         self.path_sigma = np.zeros(k, dtype=np.int64)
         self.path_c = np.zeros(k, dtype=np.int64)
+        # strategy constants, quantized once per configuration
+        self.w = start.w.copy()
+        for attr, raw in start.constants.items():
+            setattr(self, attr, raw)
 
-        # strategy constants, quantized once
-        self.w = ops.quantize(params.recombination_weights)
-        self.one = int(ops.quantize(1.0))
-        self.chi = int(ops.quantize(params.chi_n))
-        for attr, _, value in _CONSTANTS:
-            setattr(self, attr, int(ops.quantize(value(params))))
-
-    def _decompose(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Clamped eigenvalues, eigenvectors and the clamp count of ``cov``."""
-        if self._eig_cache is None:
-            cov_float = self.ops.to_float(self.cov)
-            values, vectors = linalg.sym_eig(cov_float, self.params.dim)
-            floor = self.ops.fmt.resolution
-            clamped = np.maximum(values, floor)
-            self._eig_cache = (clamped, vectors, int(np.count_nonzero(values < floor)))
-        return self._eig_cache
+    def _decomposition(self) -> _Decomposition:
+        """The decomposition of ``cov``; sym_eig is deterministic, so it is
+        kept while the register is unchanged bit for bit, as it is in every
+        generation when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1."""
+        if self._dec is None:
+            start = self._start
+            if np.array_equal(self.cov, start.cov):
+                if start.decomposition is None:
+                    start.decomposition = _decompose(start.cov, self.ops.fmt, self.params.dim)
+                self._dec = start.decomposition
+            else:
+                self._dec = _decompose(self.cov, self.ops.fmt, self.params.dim)
+        return self._dec
 
     @property
     def quant_warnings(self) -> dict:
@@ -309,46 +444,46 @@ class FixedCmaes:
 
     def ask(self) -> np.ndarray:
         """Sample lambda candidates; keep the raw registers, return floats."""
-        values, vectors, clamps = self._decompose()
-        self.eig_clamps += clamps  # once per generation, reused or not
-        scale = np.sqrt(values)
-        mean_f = self.ops.to_float(self.mean)
-        sigma_f = self.sigma * self.ops.fmt.resolution
+        dec = self._decomposition()
+        self.eig_clamps += dec.clamps  # once per generation, reused or not
+        ops = self.ops
         lam, k = self.params.population, self.params.dim
         noise = self.rng.normals(lam * k).reshape(lam, k)
         # stacked matvecs (gemv per row); one (lam, k) x (k, k) gemm may round differently
-        steps = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
-        self._raw = self.ops.quantize(mean_f + sigma_f * steps)
-        return self.ops.to_float(self._raw)
+        steps = np.matmul(dec.vectors, (dec.scale * noise)[:, :, None])[:, :, 0]
+        sigma_f = self.sigma * ops.fmt.resolution
+        self._raw = ops.quantize(ops.to_float(self.mean) + sigma_f * steps)
+        return ops.to_float(self._raw)
 
     def tell(self, fitnesses: list[float]) -> None:
         params = self.params
         ops = self.ops
         order = np.argsort(np.asarray(fitnesses, dtype=np.float64), kind="stable")
         parents = self._raw[order[: params.parent_count]]
-
-        values, vectors, _ = self._decompose()
+        dec = self._decomposition()
 
         # normalized parent steps y_i = (x_i - m) / sigma
-        y = ops.div(ops.sub(parents, self.mean[None, :]), np.int64(self.sigma))
+        y = ops.div(ops.sub(parents, self.mean), self.sigma)
         y_w = ops.sum(ops.mul(self.w[:, None], y))
-        self.mean = ops.add(self.mean, ops.mul(np.int64(self.sigma), y_w))
-
-        # C^(-1/2), tabulated from the float decomposition then fixed matvec
-        invsqrt = ops.quantize(vectors @ ((1.0 / np.sqrt(values))[:, None] * vectors.T))
-        invsqrt_yw = ops.sum(ops.mul(invsqrt, y_w[None, :]), axis=1)
-        self.path_sigma = ops.add(
-            ops.mul(np.int64(self.one_minus_cs), self.path_sigma),
-            ops.mul(np.int64(self.coef_sigma), invsqrt_yw),
+        # the mean step and both path decays: one product of stacked rows
+        step, ps_decayed, pc_decayed = ops.mul(
+            np.array([[self.sigma], [self.one_minus_cs], [self.one_minus_cc]]),
+            np.array([y_w, self.path_sigma, self.path_c]),
         )
+        self.mean = ops.add(self.mean, step)
 
-        total = ops.sum(ops.mul(self.path_sigma, self.path_sigma))
-        ps_norm = int(ops.apply_float(total, np.sqrt))
+        # C^(-1/2) y_w: the table kept with the decomposition, then a fixed matvec
+        ops.saturations += dec.invsqrt_saturations
+        invsqrt_yw = ops.sum(ops.mul(dec.invsqrt, y_w), axis=1)
+        self.path_sigma = ops.add(ps_decayed, ops.mul(self.coef_sigma, invsqrt_yw))
 
-        ratio = ops.div(np.int64(ps_norm), np.int64(self.chi))
-        arg = ops.mul(np.int64(self.cs_over_ds), ops.sub(ratio, np.int64(self.one)))
-        factor = ops.apply_float(arg, np.exp)
-        new_sigma = int(ops.mul(np.int64(self.sigma), factor))
+        # sigma and the h_sigma test on scalar registers, as Python ints
+        total = int(ops.sum(ops.mul(self.path_sigma, self.path_sigma)))
+        ps_norm = ops.int_apply_float(total, np.sqrt)
+        ratio = ops.int_div(ps_norm, self.chi)
+        factor = ops.int_apply_float(ops.int_mul(self.cs_over_ds, ops.int_sub(ratio, self.one)),
+                                     np.exp)
+        new_sigma = ops.int_mul(self.sigma, factor)
         if new_sigma <= 0:
             new_sigma = 1
             self.sigma_clamps += 1
@@ -357,33 +492,26 @@ class FixedCmaes:
         gen1 = self.generation + 1
         c_s = params.c_sigma
         denom = math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
-        h_sig = 1 if (
-            float(ops.to_float(np.int64(ps_norm))) / denom
-            < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
-        ) else 0
+        h_sig = (ps_norm * ops.fmt.resolution / denom
+                 < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n)
 
-        pc_update = ops.mul(np.int64(self.coef_c), y_w) if h_sig else np.zeros(
-            params.dim, dtype=np.int64
-        )
-        self.path_c = ops.add(ops.mul(np.int64(self.one_minus_cc), self.path_c), pc_update)
+        self.path_c = ops.add(pc_decayed, ops.mul(self.coef_c, y_w)) if h_sig else pc_decayed
 
-        rank1 = ops.mul(self.path_c[:, None], self.path_c[None, :])
+        # the outer products of p_c and of each y_i: one stacked product
+        rows = np.concatenate([self.path_c[None, :], y])
+        outers = ops.mul(rows[:, :, None], rows[:, None, :])
+        rank1 = outers[0]
         if not h_sig:
-            rank1 = ops.add(rank1, ops.mul(np.int64(self.hsig_coef), self.cov))
-        outers = ops.mul(y[:, :, None], y[:, None, :])
-        rank_mu = ops.sum(ops.mul(self.w[:, None, None], outers))
+            rank1 = ops.add(rank1, ops.mul(self.hsig_coef, self.cov))
+        rank_mu = ops.sum(ops.mul(self.w[:, None, None], outers[1:]))
 
-        cov = ops.add(
-            ops.add(
-                ops.mul(np.int64(self.base_coef), self.cov),
-                ops.mul(np.int64(self.c1), rank1),
-            ),
-            ops.mul(np.int64(self.cmu), rank_mu),
-        )
+        # (1-c_1-c_mu) C, c_1 rank1 and c_mu rank_mu as one stacked product
+        kept, rank1, rank_mu = ops.mul(self._start.cov_coefs,
+                                       np.array([self.cov, rank1, rank_mu]))
+        cov = ops.add(ops.add(kept, rank1), rank_mu)
         cov = ops.halve(ops.add(cov, cov.T))
-        if not np.array_equal(cov, self.cov):
-            # sym_eig is deterministic: an unchanged covariance keeps its decomposition
-            self._eig_cache = None
+        if (cov != self.cov).any():
+            self._dec = None
         self.cov = cov
         self.generation = gen1
 

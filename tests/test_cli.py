@@ -473,18 +473,42 @@ _REPORT_DIGESTS = [
      "3762132531fb5f43e3a1f369851d6c2a273daaa5d3da5078aee50c9b7b7405d4"),
     (["--mode", "fixed", "--fmt", "4b2"],
      "d3b9ba2498fca625c7fa00b0d1dde96fd47133d106a701eceb30c547fe27ee2f"),
+    # recorded at commit f71bbc7, before the fixed-point step moved its scalar
+    # registers to Python ints; c_1 and c_mu are not 0 here, so the
+    # covariance adapts and its decomposition changes every generation
+    (["--mode", "fixed", "--fmt", "16b8"],
+     "263288620480f04c8c6905741448361ac39a8c3e0ecb9c14170454fbc6a00de1"),
 ]
 
 
-@pytest.mark.parametrize(
-    "mode_args, digest", _REPORT_DIGESTS,
-    ids=["none", "ted", "qted-v1", "qted-v1-feedback", "fixed-8b4", "fixed-4b2"],
-)
-def test_adapt_report_matches_recorded_digest(workdir, mode_args, digest):
+def _adapt_workdir_task(workdir, mode_args):
     tmp_path, out, art = workdir
     rep = tmp_path / "digest.csv"
     assert main(
         ["adapt", str(art), str(out / "target_combined.latf"), *mode_args,
          "--n", "3", "--seed", "5", "--out", str(rep)]
     ) == 0
-    assert _report_digest(rep) == digest
+    return rep
+
+
+@pytest.mark.parametrize(
+    "mode_args, digest", _REPORT_DIGESTS,
+    ids=["none", "ted", "qted-v1", "qted-v1-feedback", "fixed-8b4", "fixed-4b2", "fixed-16b8"],
+)
+def test_adapt_report_matches_recorded_digest(workdir, mode_args, digest):
+    assert _report_digest(_adapt_workdir_task(workdir, mode_args)) == digest
+
+
+# the fixed-mode summary's counts on the same task, recorded at commit f71bbc7
+_SATURATION_LINES = [
+    ("4b2", "saturation events: 728 (sigma clamps: 0, eigenvalue clamps: 0)"),
+    ("8b4", "saturation events: 3 (sigma clamps: 0, eigenvalue clamps: 0)"),
+    ("16b8", "saturation events: 0 (sigma clamps: 0, eigenvalue clamps: 0)"),
+]
+
+
+@pytest.mark.parametrize("fmt, line", _SATURATION_LINES, ids=[f for f, _ in _SATURATION_LINES])
+def test_fixed_summary_counts_match_recorded(workdir, fmt, line):
+    rep = _adapt_workdir_task(workdir, ["--mode", "fixed", "--fmt", fmt])
+    lines = rep.with_suffix(".txt").read_text().splitlines()
+    assert [x for x in lines if x.startswith("saturation events:")] == [line]

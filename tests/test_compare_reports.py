@@ -60,3 +60,54 @@ def test_row_count_and_header_differences(tmp_path):
     other = tmp_path / "c.csv"
     other.write_text("index,status\n0,ok\n")
     assert "headers differ" in compare_reports.first_difference(a, str(other))
+
+
+def _write_summary(csv_path, records, extra=""):
+    """The summary the CLI writes beside a report, with ``extra`` lines after it."""
+    path = Path(csv_path).with_suffix(".txt")
+    path.write_text(report.summary_text(report.summarize(records), header="mode=fixed") + extra)
+    return path
+
+
+def test_ignored_summary_line_matches_the_report_module():
+    text = report.summary_text(report.summarize(_records()))
+    wall = [line for line in text.splitlines() if line.startswith(compare_reports.IGNORED_LINE)]
+    assert len(wall) == 1
+
+
+def test_summaries_differing_only_in_wall_clock_are_identical(tmp_path, capsys):
+    records = _records()
+    slower = [dataclasses.replace(r, wall_ms=r.wall_ms * 3) for r in records]
+    a = _write(tmp_path, "a.csv", records)
+    b = _write(tmp_path, "b.csv", slower)
+    counts = "saturation events: 7317 (sigma clamps: 0, eigenvalue clamps: 0)\n"
+    _write_summary(a, records, counts)
+    _write_summary(b, slower, counts)
+    assert compare_reports.main([a, b]) == 0
+    assert "summaries'" in capsys.readouterr().out
+
+
+def test_a_summary_line_that_differs_is_reported(tmp_path, capsys):
+    # equal CSVs, but a saturation count that moved: only the summary shows it
+    records = _records()
+    a = _write(tmp_path, "a.csv", records)
+    b = _write(tmp_path, "b.csv", records)
+    _write_summary(a, records, "saturation events: 7317 (sigma clamps: 0, eigenvalue clamps: 0)\n")
+    b_txt = _write_summary(b, records,
+                           "saturation events: 7318 (sigma clamps: 0, eigenvalue clamps: 0)\n")
+    assert compare_reports.main([a, b]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("summaries differ")
+    assert "line 9: saturation events: 7318" in out
+    b_txt.write_text(b_txt.read_text().replace("saturation events: 7318", "saturation events: 7317")
+                     + "one more line\n")
+    assert "(no more lines)" in compare_reports.first_difference(a, b)
+
+
+def test_summaries_are_compared_only_when_both_exist(tmp_path, capsys):
+    records = _records()
+    a = _write(tmp_path, "a.csv", records)
+    b = _write(tmp_path, "b.csv", records)
+    _write_summary(a, records, "saturation events: 1 (sigma clamps: 0, eigenvalue clamps: 0)\n")
+    assert compare_reports.main([a, b]) == 0
+    assert "summaries'" not in capsys.readouterr().out

@@ -131,14 +131,19 @@ def test_decoder_validation():
         LinearDecoder(weights=np.full((2, 2), np.nan), bias=np.zeros(2))
 
 
-def test_fitness_equals_decode_of_the_corrected_latent():
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(1.0), st.floats(1.0, 1e4)))
+def test_fitness_equals_decode_of_the_corrected_latent(scale):
+    # scaled weights spread the logits until probabilities underflow to 0,
+    # so the masked entropy branch is compared bit for bit too
     rng = np.random.default_rng(11)
+    underflows = 0
     for _ in range(50):
         dim, k, classes = rng.integers(2, 20), rng.integers(1, 8), rng.integers(2, 12)
         k = min(k, dim)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         s = _subspace_from_basis(q[:, :k].copy(), mean=rng.standard_normal(dim))
-        d = LinearDecoder(weights=rng.standard_normal((classes, dim)) * 3,
+        d = LinearDecoder(weights=rng.standard_normal((classes, dim)) * 3 * scale,
                           bias=rng.standard_normal(classes))
         z, p = rng.standard_normal(dim), rng.standard_normal(k) * 2
         entropy, pred = fitness(d, s, z, p)
@@ -147,6 +152,12 @@ def test_fitness_equals_decode_of_the_corrected_latent():
         assert pred.predicted_class == want.predicted_class
         assert pred.logits.tobytes() == want.logits.tobytes()
         assert pred.probabilities.tobytes() == want.probabilities.tobytes()
+        masked = np.where(pred.probabilities > 0.0, pred.probabilities * np.log(
+            np.where(pred.probabilities > 0.0, pred.probabilities, 1.0)), 0.0)
+        assert entropy == float(-masked.sum())
+        underflows += pred.probabilities.min() == 0.0
+    if scale >= 1e3:
+        assert underflows > 0
 
 
 @pytest.mark.parametrize("z_dim, p_dim, decoder_dim", [(5, 2, 6), (6, 3, 6), (6, 2, 5)],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt import cmaes, linalg
+from latentadapt import cmaes, linalg, quant
 from latentadapt.errors import ContractViolation
 from latentadapt.quant import (
     BinaryCmaes,
@@ -526,3 +526,112 @@ def test_div_by_a_positive_scalar_equals_the_general_path(case):
 def test_div_refuses_all_but_one_positive_register(den):
     with pytest.raises(ContractViolation):
         _FixedOps(F8B4).div(np.array([1, 2], dtype=np.int64), den)
+
+
+# ---------------------------------------------------------------- scalar path
+
+
+@st.composite
+def _format_and_scalars(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    # extremes over-weighted: raw_min * raw_min is the largest product, and
+    # division by 1 and by raw_max the widest quotients
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0, 1, -1]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    den = st.one_of(st.sampled_from([1, fmt.raw_max]), st.integers(1, fmt.raw_max))
+    # half steps hit the rounding ties; +-inf and huge values saturate
+    value = st.one_of(
+        st.integers(2 * fmt.raw_min - 4, 2 * fmt.raw_max + 4).map(
+            lambda h: h * fmt.resolution / 2),
+        st.floats(allow_nan=False),
+    )
+    return fmt, draw(raw), draw(raw), draw(den), draw(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_format_and_scalars())
+def test_int_ops_equal_the_kernel_on_0d_registers(case):
+    fmt, a, b, den, x = case
+    ints, arrays = _FixedOps(fmt), _FixedOps(fmt)
+    a0, b0, den0 = (np.array(v, dtype=np.int64) for v in (a, b, den))
+    root = a if a >= 0 else -(a + 1)  # a non-negative register for sqrt
+    with np.errstate(over="ignore"):  # exp of a large register is +inf, then saturates
+        pairs = [
+            (lambda: ints.int_mul(a, b), lambda: arrays.mul(a0, b0)),
+            (lambda: ints.int_mul(fmt.raw_min, fmt.raw_min),
+             lambda: arrays.mul(np.array(fmt.raw_min), np.array(fmt.raw_min))),
+            (lambda: ints.int_sub(a, b), lambda: arrays.sub(a0, b0)),
+            (lambda: ints.int_div(a, den), lambda: arrays.div(a0, den0)),
+            (lambda: ints.int_quantize(x), lambda: arrays.quantize(x)),
+            (lambda: ints.int_apply_float(root, np.sqrt),
+             lambda: arrays.quantize(np.sqrt(arrays.to_float(np.array(root))))),
+            (lambda: ints.int_apply_float(a, np.exp),
+             lambda: arrays.quantize(np.exp(arrays.to_float(a0)))),
+        ]
+        for int_op, array_op in pairs:
+            got, want = int_op(), array_op()
+            assert type(got) is int
+            assert got == int(want)
+            assert ints.saturations == arrays.saturations
+
+
+def test_int_ops_refuse_what_the_kernel_refuses():
+    ops = _FixedOps(F8B4)
+    with pytest.raises(ContractViolation):
+        ops.int_quantize(float("nan"))
+    for den in (0, -3):
+        with pytest.raises(ContractViolation):
+            ops.int_div(8, den)
+    assert ops.saturations == 0
+
+
+# ---------------------------------------------------------------- starting registers
+
+
+def _registers(machine):
+    constants = {attr: getattr(machine, attr) for attr, _, _ in quant._CONSTANTS}
+    return (machine.sigma, machine.one, machine.chi, constants, machine.cov.tolist(),
+            machine.w.tolist(), machine.ops.saturations, machine.sigma_clamps)
+
+
+def _registers_from_scratch(params, fmt):
+    """What a machine starts from, quantized here without the shared template."""
+    ops = _FixedOps(fmt)
+    sigma = int(ops.quantize(params.initial_sigma))
+    constants = {attr: int(ops.quantize(value(params))) for attr, _, value in quant._CONSTANTS}
+    one, chi = int(ops.quantize(1.0)), int(ops.quantize(params.chi_n))
+    cov, w = ops.quantize(np.eye(params.dim)).tolist(), ops.quantize(
+        params.recombination_weights).tolist()
+    return (max(sigma, 1), one, chi, constants, cov, w, ops.saturations, int(sigma <= 0))
+
+
+def test_a_machine_starts_from_registers_no_earlier_machine_changed():
+    params = cmaes.CmaEsParams.defaults(16, seed=4)
+    first = FixedCmaes(params, F8B4)
+    first.cov[0, 0] = 0  # as _run_generations does: an eigenvalue of 0, clamped
+    first.w[0] = 0
+    for _ in range(3):
+        first.tell([sphere(p) for p in first.ask()])
+    assert first.eig_clamps == 3
+    second = FixedCmaes(params, F8B4)
+    assert _registers(second) == _registers_from_scratch(params, F8B4)
+    assert not np.shares_memory(second.cov, first.cov)
+    assert not np.shares_memory(second.w, first.w)
+    # the 8b4, k=16, sigma0=1 golden search still gives its recorded digest
+    fmt, k, sigma0, seed, objective, base, iterations, digest = _GOLDEN[3]
+    assert (fmt, k, sigma0) == ("8b4", 16, 1.0)
+    machine = FixedCmaes(cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0, seed=seed), F8B4)
+    res = cmaes.search(machine, _objective(objective, k), iterations, baseline=np.full(k, base))
+    assert _result_digest(res) == digest
+
+
+@pytest.mark.parametrize("fmt, sigma0", [
+    (F8B4, 1.0), (FixedPointFormat(4, 2), 1.0), (FixedPointFormat(4, 0), 1.0),
+    (F8B4, 0.3), (F8B4, 1e-6), (FixedPointFormat(16, 8), 1.0),
+])
+def test_each_format_and_sigma0_gets_its_own_registers(fmt, sigma0):
+    # 4b0 cannot hold 1.0: its identity covariance saturates at the start
+    params = cmaes.CmaEsParams.defaults(16, initial_sigma=sigma0, seed=5)
+    FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=5), F8B4)  # another config first
+    assert _registers(FixedCmaes(params, fmt)) == _registers_from_scratch(params, fmt)
