@@ -7,7 +7,7 @@ end-to-end verification.
 """
 
 from .adapt import AdaptationConfig, AdaptationResult, BatchResult, adapt, adapt_batch
-from .cmaes import CmaEsParams, CmaEsState, ask, default_lambda, init, tell
+from .cmaes import CmaEsParams, default_lambda
 from .datagen import (
     ShiftSpec,
     SyntheticTask,
@@ -30,7 +30,6 @@ __all__ = [
     "AdaptationResult",
     "BatchResult",
     "CmaEsParams",
-    "CmaEsState",
     "ContractViolation",
     "ConvergenceFailure",
     "DataFormatError",
@@ -45,13 +44,11 @@ __all__ = [
     "adapt_batch",
     "apply_correction",
     "apply_shift",
-    "ask",
     "decode",
     "default_lambda",
     "fit",
     "fitness",
     "gen_source",
-    "init",
     "make_decoder",
     "make_task",
     "preset_shifts",
@@ -60,7 +57,6 @@ __all__ = [
     "read_artifact",
     "read_features",
     "reconstruct",
-    "tell",
     "write_artifact",
     "write_features",
 ]

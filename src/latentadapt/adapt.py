@@ -63,10 +63,6 @@ class AdaptationConfig:
         if self.binary_alpha is not None and self.binary_alpha <= 0.0:
             raise ContractViolation("binary_alpha must be > 0")
 
-    @property
-    def effective_population(self) -> int:
-        return self.population if self.population is not None else cmaes.default_lambda(self.k)
-
     def with_seed(self, seed: int) -> "AdaptationConfig":
         return replace(self, seed=seed)
 
@@ -108,7 +104,7 @@ def adapt(
 
     params = cmaes.CmaEsParams.defaults(
         dim=cfg.k,
-        population=cfg.effective_population,
+        population=cfg.population,
         initial_sigma=cfg.sigma0,
         seed=cfg.seed,
     )

@@ -292,7 +292,7 @@ def _cmd_adapt(args) -> int:
             f"(sigma clamps: {totals['sigma_clamps']}, "
             f"eigenvalue clamps: {totals['eig_clamps']})\n"
         )
-        params = CmaEsParams.defaults(cfg.k, population=cfg.effective_population)
+        params = CmaEsParams.defaults(cfg.k, population=cfg.population)
         text += quantization_health(params, cfg.fixed_format) + "\n"
     with fileio.atomic_open(out.with_suffix(".txt"), "w") as fh:
         fh.write(text)

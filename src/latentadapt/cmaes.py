@@ -1,26 +1,30 @@
-"""Forward-only CMA-ES with an ask/tell interface.
+"""Forward-only CMA-ES: the float search machine and the one search driver.
 
-The sampling rule draws candidates from N(mean, sigma^2 * C). Ranked
-fitnesses drive weighted recombination of the mean, cumulative step-size
-adaptation of sigma, and a rank-1 plus rank-mu update of the covariance.
-Strategy constants follow the standard tutorial defaults; the covariance is
-decomposed with the package's own deterministic eigensolver and all noise
-comes from the package PRNG, so runs replay bit for bit from the seed. A
-generation's noise is drawn in one call, and its candidates are computed as
-stacked matrix-vector products (``np.matmul(B, x[:, :, None])``): each row
-still goes through gemv, bit for bit like ``B @ x``, whereas one
-matrix-matrix product may round differently.
+:class:`CmaEs` draws candidates from N(mean, sigma^2 * C). Ranked fitnesses
+drive weighted recombination of the mean, cumulative step-size adaptation of
+sigma, and a rank-1 plus rank-mu update of the covariance. Strategy constants
+follow the standard tutorial defaults; the covariance is decomposed with the
+package's own deterministic eigensolver and all noise comes from the package
+PRNG, so runs replay bit for bit from the seed. A generation's noise is drawn
+in one call, and its candidates are computed as stacked matrix-vector
+products (``np.matmul(B, x[:, :, None])``): each row still goes through gemv,
+bit for bit like ``B @ x``, whereas one matrix-matrix product may round
+differently.
 
-:func:`search` is the one ask/evaluate/tell loop and :class:`MinimizeResult`
-its one result type. It drives any search machine: the float :class:`CmaEs`
-here, and the 1-bit and fixed-point machines in :mod:`latentadapt.quant`,
-whose saturation and clamp counts it returns as ``quant_warnings``.
+Every search machine, this one and the 1-bit and fixed-point machines in
+:mod:`latentadapt.quant`, has the same interface: ``ask()`` returns the
+generation's candidates as a (population, dim) array, and ``tell(fitnesses)``
+ranks the machine's own last candidates after :func:`fitness_order` has
+checked the one fitness contract. :func:`search` is the one
+ask/evaluate/tell loop and :class:`MinimizeResult` its one result type; it
+returns the quantized machines' saturation and clamp counts as
+``quant_warnings``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,155 +124,124 @@ class CmaEsParams:
         return math.sqrt(k) * (1.0 - 1.0 / (4.0 * k) + 1.0 / (21.0 * k * k))
 
 
-@dataclass
-class CmaEsState:
-    """Mutable search state. Single-owner: drive from one thread only."""
-
-    params: CmaEsParams
-    mean: np.ndarray
-    sigma: float
-    covariance: np.ndarray
-    path_sigma: np.ndarray
-    path_c: np.ndarray
-    generation: int
-    rng: Xoshiro256pp
-    _eig_cache: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
-
-
-def init(params: CmaEsParams) -> CmaEsState:
-    """Fresh state: zero mean, identity covariance, zeroed paths."""
-    k = params.dim
-    return CmaEsState(
-        params=params,
-        mean=np.zeros(k),
-        sigma=params.initial_sigma,
-        covariance=np.eye(k),
-        path_sigma=np.zeros(k),
-        path_c=np.zeros(k),
-        generation=0,
-        rng=Xoshiro256pp(params.seed),
-    )
-
-
-def _decompose(state: CmaEsState) -> tuple[np.ndarray, np.ndarray]:
-    if state._eig_cache is None:
-        values, vectors = linalg.sym_eig(state.covariance, state.params.dim)
-        if values[-1] <= 0.0:
-            raise ConvergenceFailure(
-                f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
-            )
-        state._eig_cache = (values, vectors)
-    return state._eig_cache
-
-
-def ask(state: CmaEsState) -> list[np.ndarray]:
-    """Sample one population of candidates; advances only the RNG state."""
-    params = state.params
-    values, vectors = _decompose(state)
-    scale = np.sqrt(values)
-    noise = state.rng.normals(params.population * params.dim).reshape(params.population, -1)
-    # stacked matvecs: each row still goes through gemv, like ``vectors @ row``
-    y = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
-    return list(state.mean + state.sigma * y)
-
-
-def tell(state: CmaEsState, candidates: list[np.ndarray], fitnesses: list[float]) -> CmaEsState:
-    """Rank candidates ascending by fitness and update the search distribution.
-
-    Ties rank by candidate index. The mean moves to the weighted recombination
-    of the top parents, sigma follows cumulative step-size adaptation, and the
-    covariance gets the rank-1 plus rank-mu update followed by explicit
-    re-symmetrization.
-    """
-    params = state.params
-    if len(candidates) != params.population or len(fitnesses) != params.population:
-        raise ContractViolation(
-            f"expected {params.population} candidates and fitnesses"
-        )
-    fit_arr = np.asarray(fitnesses, dtype=np.float64)
-    if not np.all(np.isfinite(fit_arr)):
-        raise ContractViolation("fitnesses must be finite")
+def fitness_order(fitnesses, population: int) -> np.ndarray:
+    """The fitness contract of every machine's ``tell``: exactly one finite
+    float per candidate, else :class:`ContractViolation`. Returns the
+    candidate indices ranked ascending by fitness, ties in candidate order."""
     try:
-        xs = np.asarray(candidates, dtype=np.float64)
-    except ValueError as exc:
-        raise ContractViolation("candidates must be rectangular") from exc
-    if xs.shape != (params.population, params.dim):
-        raise ContractViolation("candidates must each have the search dimension")
-
-    values, vectors = _decompose(state)
-    order = np.argsort(fit_arr, kind="stable")
-    parents = xs[order[: params.parent_count]]
-    w = params.recombination_weights
-
-    old_mean = state.mean
-    y_parents = (parents - old_mean) / state.sigma
-    y_w = w @ y_parents
-    state.mean = old_mean + state.sigma * y_w
-
-    # C^(-1/2) action via the cached eigendecomposition
-    invsqrt_yw = vectors @ ((vectors.T @ y_w) / np.sqrt(values))
-    c_s = params.c_sigma
-    state.path_sigma = (1.0 - c_s) * state.path_sigma + math.sqrt(
-        c_s * (2.0 - c_s) * params.mu_eff
-    ) * invsqrt_yw
-
-    gen1 = state.generation + 1
-    ps_norm = float(np.linalg.norm(state.path_sigma))
-    state.sigma = state.sigma * math.exp(
-        (c_s / params.d_sigma) * (ps_norm / params.chi_n - 1.0)
-    )
-
-    h_sig = 1.0 if (
-        ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
-        < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
-    ) else 0.0
-    c_c = params.c_c
-    state.path_c = (1.0 - c_c) * state.path_c + h_sig * math.sqrt(
-        c_c * (2.0 - c_c) * params.mu_eff
-    ) * y_w
-
-    rank_mu = (y_parents * w[:, None]).T @ y_parents
-    cov = (
-        (1.0 - params.c_1 - params.c_mu) * state.covariance
-        + params.c_1
-        * (
-            np.outer(state.path_c, state.path_c)
-            + (1.0 - h_sig) * c_c * (2.0 - c_c) * state.covariance
-        )
-        + params.c_mu * rank_mu
-    )
-    state.covariance = (cov + cov.T) / 2.0
-    state.generation = gen1
-    state._eig_cache = None
-    return state
+        fit = np.asarray(fitnesses, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation("fitnesses must be floats") from exc
+    if fit.shape != (population,):
+        raise ContractViolation(f"expected {population} fitnesses, got shape {fit.shape}")
+    if not np.isfinite(fit).all():
+        raise ContractViolation("fitnesses must be finite")
+    return np.argsort(fit, kind="stable")
 
 
 class CmaEs:
     """Float CMA-ES as a search machine for :func:`search`.
 
     A machine holds its ``params``, proposes the points to evaluate
-    (``ask``), takes back their fitnesses in the same order (``tell``) and
-    maps the baseline onto the point it stands for in its number system
-    (``start``).
+    (``ask``, a (population, dim) array), takes back their fitnesses in the
+    same order (``tell``) and maps the baseline onto the point it stands for
+    in its number system (``start``). It starts at zero mean, identity
+    covariance and zeroed paths. Single-owner: drive from one thread only.
     """
 
     quant_warnings: Optional[dict] = None  # counts kept by quantized machines
 
     def __init__(self, params: CmaEsParams):
         self.params = params
-        self.state = init(params)
+        k = params.dim
+        self.mean = np.zeros(k)
+        self.sigma = params.initial_sigma
+        self.cov = np.eye(k)
+        self.path_sigma = np.zeros(k)
+        self.path_c = np.zeros(k)
+        self.generation = 0
+        self.rng = Xoshiro256pp(params.seed)
+        self._dec: Optional[tuple[np.ndarray, np.ndarray]] = None  # of cov, until tell
+
+    def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._dec is None:
+            values, vectors = linalg.sym_eig(self.cov, self.params.dim)
+            if values[-1] <= 0.0:
+                raise ConvergenceFailure(
+                    f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
+                )
+            self._dec = (values, vectors)
+        return self._dec
 
     def start(self, baseline: np.ndarray) -> np.ndarray:
         return baseline
 
-    def ask(self) -> list[np.ndarray]:
-        self._candidates = ask(self.state)
+    def ask(self) -> np.ndarray:
+        """Sample one population of candidates; advances only the RNG state."""
+        params = self.params
+        values, vectors = self._decomposition()
+        scale = np.sqrt(values)
+        noise = self.rng.normals(params.population * params.dim).reshape(params.population, -1)
+        # stacked matvecs: each row still goes through gemv, like ``vectors @ row``
+        y = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
+        self._candidates = self.mean + self.sigma * y
         return self._candidates
 
     def tell(self, fitnesses: list[float]) -> None:
-        tell(self.state, self._candidates, fitnesses)
+        """Rank the last candidates ascending by fitness and update the search
+        distribution.
+
+        Ties rank by candidate index. The mean moves to the weighted
+        recombination of the top parents, sigma follows cumulative step-size
+        adaptation, and the covariance gets the rank-1 plus rank-mu update
+        followed by explicit re-symmetrization.
+        """
+        params = self.params
+        order = fitness_order(fitnesses, params.population)
+        values, vectors = self._decomposition()
+        parents = self._candidates[order[: params.parent_count]]
+        w = params.recombination_weights
+
+        old_mean = self.mean
+        y_parents = (parents - old_mean) / self.sigma
+        y_w = w @ y_parents
+        self.mean = old_mean + self.sigma * y_w
+
+        # C^(-1/2) action via the cached eigendecomposition
+        invsqrt_yw = vectors @ ((vectors.T @ y_w) / np.sqrt(values))
+        c_s = params.c_sigma
+        self.path_sigma = (1.0 - c_s) * self.path_sigma + math.sqrt(
+            c_s * (2.0 - c_s) * params.mu_eff
+        ) * invsqrt_yw
+
+        gen1 = self.generation + 1
+        ps_norm = float(np.linalg.norm(self.path_sigma))
+        self.sigma = self.sigma * math.exp(
+            (c_s / params.d_sigma) * (ps_norm / params.chi_n - 1.0)
+        )
+
+        h_sig = 1.0 if (
+            ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
+            < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
+        ) else 0.0
+        c_c = params.c_c
+        self.path_c = (1.0 - c_c) * self.path_c + h_sig * math.sqrt(
+            c_c * (2.0 - c_c) * params.mu_eff
+        ) * y_w
+
+        rank_mu = (y_parents * w[:, None]).T @ y_parents
+        cov = (
+            (1.0 - params.c_1 - params.c_mu) * self.cov
+            + params.c_1
+            * (
+                np.outer(self.path_c, self.path_c)
+                + (1.0 - h_sig) * c_c * (2.0 - c_c) * self.cov
+            )
+            + params.c_mu * rank_mu
+        )
+        self.cov = (cov + cov.T) / 2.0
+        self.generation = gen1
+        self._dec = None
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .cmaes import CmaEs, CmaEsParams
+from .cmaes import CmaEs, CmaEsParams, fitness_order
 from .errors import ContractViolation
 from .rng import Xoshiro256pp
 
@@ -126,7 +126,7 @@ class BinaryCmaes(CmaEs):
     """Float CMA-ES whose candidates are snapped to 1-bit corrections.
 
     Each candidate collapses to ``alpha`` times its signs, with ``alpha``
-    the step size at ask time unless pinned. The optimizer is told the raw
+    the step size at ask time unless pinned. The optimizer ranks the raw
     candidates, or the snapped ones with ``feedback``.
     """
 
@@ -136,16 +136,12 @@ class BinaryCmaes(CmaEs):
         self.alpha = alpha
         self.feedback = feedback
 
-    def ask(self) -> list[np.ndarray]:
+    def ask(self) -> np.ndarray:
         raw = super().ask()
-        alpha = self.alpha if self.alpha is not None else self.state.sigma
-        self._points = [quantize_binary(c, alpha) for c in raw]
-        return self._points
-
-    def tell(self, fitnesses: list[float]) -> None:
+        points = quantize_binary(raw, self.alpha if self.alpha is not None else self.sigma)
         if self.feedback:
-            self._candidates = self._points
-        super().tell(fitnesses)
+            self._candidates = points
+        return points
 
 
 class _FixedOps:
@@ -458,7 +454,7 @@ class FixedCmaes:
     def tell(self, fitnesses: list[float]) -> None:
         params = self.params
         ops = self.ops
-        order = np.argsort(np.asarray(fitnesses, dtype=np.float64), kind="stable")
+        order = fitness_order(fitnesses, params.population)
         parents = self._raw[order[: params.parent_count]]
         dec = self._decomposition()
 

@@ -309,13 +309,13 @@ def test_public_surface_is_pinned():
     import latentadapt
 
     assert latentadapt.__all__ == [
-        "AdaptationConfig", "AdaptationResult", "BatchResult", "CmaEsParams", "CmaEsState",
+        "AdaptationConfig", "AdaptationResult", "BatchResult", "CmaEsParams",
         "ContractViolation", "ConvergenceFailure", "DataFormatError", "FixedPointFormat",
         "LinearDecoder", "ModelArtifact", "Prediction", "PrincipalSubspace", "ShiftSpec",
-        "SyntheticTask", "adapt", "adapt_batch", "apply_correction", "apply_shift", "ask",
-        "decode", "default_lambda", "fit", "fitness", "gen_source", "init", "make_decoder",
+        "SyntheticTask", "adapt", "adapt_batch", "apply_correction", "apply_shift",
+        "decode", "default_lambda", "fit", "fitness", "gen_source", "make_decoder",
         "make_task", "preset_shifts", "project", "quantize_binary", "read_artifact",
-        "read_features", "reconstruct", "tell", "write_artifact", "write_features",
+        "read_features", "reconstruct", "write_artifact", "write_features",
     ]
     for name in latentadapt.__all__:
         assert getattr(latentadapt, name).__module__.startswith("latentadapt.")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt import cmaes, linalg
+from latentadapt import cmaes, linalg, quant
 from latentadapt.errors import ContractViolation
 
 # frozen regression fixture: first population for dimension 2, seed 42
@@ -50,42 +50,42 @@ def test_params_defaults_are_valid():
 
 
 def test_init_contract():
-    state = cmaes.init(cmaes.CmaEsParams.defaults(2, seed=0))
-    np.testing.assert_array_equal(state.mean, [0.0, 0.0])
-    assert state.sigma == 1.0
-    np.testing.assert_array_equal(state.covariance, np.eye(2))
-    np.testing.assert_array_equal(state.path_sigma, [0.0, 0.0])
-    np.testing.assert_array_equal(state.path_c, [0.0, 0.0])
-    assert state.generation == 0
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=0))
+    np.testing.assert_array_equal(machine.mean, [0.0, 0.0])
+    assert machine.sigma == 1.0
+    np.testing.assert_array_equal(machine.cov, np.eye(2))
+    np.testing.assert_array_equal(machine.path_sigma, [0.0, 0.0])
+    np.testing.assert_array_equal(machine.path_c, [0.0, 0.0])
+    assert machine.generation == 0
 
 
 def test_init_bit_identical_for_equal_seeds():
-    a = cmaes.init(cmaes.CmaEsParams.defaults(3, seed=77))
-    b = cmaes.init(cmaes.CmaEsParams.defaults(3, seed=77))
+    a = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3, seed=77))
+    b = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3, seed=77))
     assert a.mean.tobytes() == b.mean.tobytes()
-    assert a.covariance.tobytes() == b.covariance.tobytes()
+    assert a.cov.tobytes() == b.cov.tobytes()
     assert a.rng.state() == b.rng.state()
 
 
 def test_ask_matches_golden_fixture():
-    state = cmaes.init(cmaes.CmaEsParams.defaults(2, seed=42))
-    candidates = np.array(cmaes.ask(state))
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=42))
+    candidates = np.array(machine.ask())
     np.testing.assert_array_equal(candidates, GOLDEN_ASK_K2_SEED42)
 
 
 def test_ask_degenerate_sigma_collapses_to_mean():
     params = cmaes.CmaEsParams.defaults(3, initial_sigma=1e-300, seed=5)
-    state = cmaes.init(params)
-    for c in cmaes.ask(state):
+    machine = cmaes.CmaEs(params)
+    for c in machine.ask():
         assert np.max(np.abs(c)) < 1e-290
 
 
 def test_ask_monte_carlo_identity_covariance():
     params = cmaes.CmaEsParams.defaults(2, seed=9)
-    state = cmaes.init(params)
+    machine = cmaes.CmaEs(params)
     draws = []
     while len(draws) < 100_000:
-        draws.extend(cmaes.ask(state))
+        draws.extend(machine.ask())
     xs = np.array(draws[:100_000])
     assert np.max(np.abs(xs.mean(axis=0))) < 0.02
     cov = np.cov(xs.T)
@@ -94,45 +94,79 @@ def test_ask_monte_carlo_identity_covariance():
 
 def test_ask_monte_carlo_anisotropic_covariance():
     params = cmaes.CmaEsParams.defaults(2, seed=10)
-    state = cmaes.init(params)
-    state.covariance = np.diag([4.0, 1.0])
+    machine = cmaes.CmaEs(params)
+    machine.cov = np.diag([4.0, 1.0])
     draws = []
     while len(draws) < 40_000:
-        draws.extend(cmaes.ask(state))
+        draws.extend(machine.ask())
     xs = np.array(draws)
     ratio = xs[:, 0].var() / xs[:, 1].var()
     assert abs(ratio - 4.0) < 0.4
 
 
 def test_tell_tie_breaking_uses_candidate_order():
+    candidates = np.array([[float(i), 0.0] for i in range(6)])
+
+    class Given(cmaes.CmaEs):
+        def ask(self):
+            self._candidates = candidates
+            return candidates
+
     params = cmaes.CmaEsParams.defaults(2, population=6, seed=1)
-    state = cmaes.init(params)
-    candidates = [np.array([float(i), 0.0]) for i in range(6)]
-    cmaes.tell(state, candidates, [7.0] * 6)
+    machine = Given(params)
+    machine.ask()
+    machine.tell([7.0] * 6)
     expected = np.zeros(2)
     for i in range(params.parent_count):
         expected += params.recombination_weights[i] * candidates[i]
-    np.testing.assert_allclose(state.mean, expected, atol=1e-12)
-    assert state.generation == 1
+    np.testing.assert_allclose(machine.mean, expected, atol=1e-12)
+    assert machine.generation == 1
 
 
 def test_tell_validates_inputs():
     params = cmaes.CmaEsParams.defaults(2, seed=2)
-    state = cmaes.init(params)
-    cands = cmaes.ask(state)
+    machine = cmaes.CmaEs(params)
+    machine.ask()
     with pytest.raises(ContractViolation):
-        cmaes.tell(state, cands[:-1], [0.0] * (params.population - 1))
+        machine.tell([0.0] * (params.population - 1))
     with pytest.raises(ContractViolation):
-        cmaes.tell(state, cands, [math.nan] * params.population)
+        machine.tell([math.nan] * params.population)
+
+
+@pytest.mark.parametrize("make, warnings", [
+    (cmaes.CmaEs, type(None)),
+    (quant.BinaryCmaes, type(None)),
+    (lambda params: quant.FixedCmaes(params, quant.FixedPointFormat.parse("8b4")), dict),
+], ids=["float", "binary", "fixed8b4"])
+def test_machine_protocol(make, warnings):
+    # every machine asks a (lambda, k) float array and holds tell to one
+    # finite fitness per candidate, leaving its state alone when refused
+    params = cmaes.CmaEsParams.defaults(4, seed=21)
+    machine = make(params)
+    points = machine.ask()
+    assert isinstance(points, np.ndarray)
+    assert points.dtype == np.float64 and points.shape == (params.population, 4)
+    fits = [sphere(p) for p in points]
+    for bad in (fits[:-1], fits + [0.0], fits[:-1] + [math.nan]):
+        with pytest.raises(ContractViolation):
+            machine.tell(bad)
+        assert machine.generation == 0
+    machine.tell(fits)
+    fresh = make(params)
+    fresh.ask()
+    fresh.tell(fits)
+    assert machine.generation == 1
+    assert machine.mean.tobytes() == fresh.mean.tobytes()
+    assert isinstance(machine.quant_warnings, warnings)
 
 
 def test_covariance_stays_symmetric_pd_across_generations():
     params = cmaes.CmaEsParams.defaults(4, seed=3)
-    state = cmaes.init(params)
+    machine = cmaes.CmaEs(params)
     for _ in range(60):
-        cands = cmaes.ask(state)
-        cmaes.tell(state, cands, [rosenbrock(c) for c in cands])
-        c = state.covariance
+        cands = machine.ask()
+        machine.tell([rosenbrock(c) for c in cands])
+        c = machine.cov
         assert np.max(np.abs(c - c.T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(c)) > 0.0
 
@@ -258,27 +292,27 @@ def test_stacked_matmul_equals_one_matvec_per_row(k, lam, seed, eigenvectors):
     assert stacked.tobytes() == rows.tobytes()
 
 
-def _ask_one_row_at_a_time(state):
+def _ask_one_row_at_a_time(machine):
     """The float ask as one normals draw and one matvec per candidate."""
-    values, vectors = cmaes._decompose(state)
+    values, vectors = machine._decomposition()
     scale = np.sqrt(values)
-    rng = state.rng.clone()
+    rng = machine.rng.clone()
     candidates = []
-    for _ in range(state.params.population):
-        n = rng.normals(state.params.dim)
-        candidates.append(state.mean + state.sigma * (vectors @ (scale * n)))
+    for _ in range(machine.params.population):
+        n = rng.normals(machine.params.dim)
+        candidates.append(machine.mean + machine.sigma * (vectors @ (scale * n)))
     return candidates, rng.state()
 
 
 @pytest.mark.parametrize("dim, population, seed", [(1, None, 0), (2, None, 42), (5, 9, 7),
                                                    (16, None, 14), (40, 24, 3)])
 def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
-    state = cmaes.init(cmaes.CmaEsParams.defaults(dim, population=population, seed=seed))
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(dim, population=population, seed=seed))
     for _ in range(4):
-        want, rng_state = _ask_one_row_at_a_time(state)
-        got = cmaes.ask(state)
+        want, rng_state = _ask_one_row_at_a_time(machine)
+        got = machine.ask()
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        assert state.rng.state() == rng_state
-        cmaes.tell(state, got, [rosenbrock(c) for c in got])
+        assert machine.rng.state() == rng_state
+        machine.tell([rosenbrock(c) for c in got])

@@ -220,7 +220,7 @@ def test_binary_machine_snaps_with_the_step_size_at_ask_time():
     machine = BinaryCmaes(params)
     sigmas = set()
     for _ in range(4):
-        sigma = machine.state.sigma
+        sigma = machine.sigma
         sigmas.add(sigma)
         points = machine.ask()
         assert all(set(np.abs(p)) == {sigma} for p in points)
@@ -241,7 +241,7 @@ def test_binary_machine_feedback_tells_the_snapped_points():
         told = points if feedback else raw
         w = params.recombination_weights
         expected = w @ np.asarray(told[: params.parent_count])
-        np.testing.assert_allclose(machine.state.mean, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(machine.mean, expected, rtol=0, atol=1e-12)
 
 
 def test_fixed_cmaes_wide_format_tracks_float():
