@@ -29,6 +29,10 @@ from .subspace import PrincipalSubspace, apply_correction
 MODES = ("none", "ted", "qted-v1", "fixed")
 
 
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     """Per-task knobs for the adaptation search.
@@ -58,10 +62,10 @@ class AdaptationConfig:
             raise ContractViolation("mode 'fixed' requires fixed_format")
         if self.population is not None and self.population < 2:
             raise ContractViolation("population must be >= 2")
-        if self.sigma0 <= 0.0:
-            raise ContractViolation("sigma0 must be > 0")
-        if self.binary_alpha is not None and self.binary_alpha <= 0.0:
-            raise ContractViolation("binary_alpha must be > 0")
+        if not _positive(self.sigma0):
+            raise ContractViolation("sigma0 must be finite and > 0")
+        if self.binary_alpha is not None and not _positive(self.binary_alpha):
+            raise ContractViolation("binary_alpha must be finite and > 0")
 
     def with_seed(self, seed: int) -> "AdaptationConfig":
         return replace(self, seed=seed)
@@ -102,12 +106,7 @@ def adapt(
     if decoder.dim != s.dim:
         raise ContractViolation("decoder and subspace dimensions differ")
 
-    params = cmaes.CmaEsParams.defaults(
-        dim=cfg.k,
-        population=cfg.population,
-        initial_sigma=cfg.sigma0,
-        seed=cfg.seed,
-    )
+    params = cmaes.CmaEsParams.defaults(cfg.k, cfg.population, cfg.sigma0)
 
     # track the best prediction alongside the optimizer's best fitness; calls
     # happen in the same order search compares them (baseline first)
@@ -123,11 +122,11 @@ def adapt(
         return entropy
 
     if cfg.mode == "fixed":
-        machine = quant.FixedCmaes(params, cfg.fixed_format)
+        machine = quant.FixedCmaes(params, cfg.fixed_format, cfg.seed)
     elif cfg.mode == "qted-v1":
-        machine = quant.BinaryCmaes(params, cfg.binary_alpha, cfg.binary_feedback)
+        machine = quant.BinaryCmaes(params, cfg.seed, cfg.binary_alpha, cfg.binary_feedback)
     else:
-        machine = cmaes.CmaEs(params)
+        machine = cmaes.CmaEs(params, cfg.seed)
     iterations = 0 if cfg.mode == "none" else cfg.n
     result = cmaes.search(machine, objective, iterations, baseline=np.zeros(cfg.k))
 
@@ -165,8 +164,9 @@ def adapt_batch(
     """Adapt each row independently with a per-row derived seed.
 
     Row ``i`` uses the seed derived from ``cfg.seed`` and ``indices[i]``
-    (default: the row position), so outcomes do not depend on processing
-    order and shards can be recombined. A row that raises ContractViolation
+    (default: the row position; else integers >= 0, checked before any row
+    runs), so outcomes do not depend on processing order and shards can be
+    recombined. A row that raises ContractViolation
     or ConvergenceFailure is recorded as failed; any other exception
     propagates. Each row's wall time runs from its seed derivation until
     ``adapt`` returns or raises.
@@ -181,6 +181,8 @@ def adapt_batch(
         indices = np.asarray(indices)
         if indices.shape != (n_rows,):
             raise ContractViolation("indices must have one entry per row")
+        if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):
+            raise ContractViolation("indices must be integers >= 0")
 
     batch = BatchResult(results=[])
     for i in range(n_rows):

@@ -23,6 +23,7 @@ returns the quantized machines' saturation and clamp counts as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,9 +42,11 @@ def default_lambda(k: int) -> int:
     return 4 + int(math.floor(3.0 * math.log(k)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmaEsParams:
-    """Strategy constants. Build with :meth:`defaults` unless testing."""
+    """Strategy constants, read-only and free of the seed, so one instance
+    serves every machine of a configuration. Build with :meth:`defaults`
+    unless testing."""
 
     dim: int
     population: int
@@ -56,12 +59,11 @@ class CmaEsParams:
     c_1: float
     c_mu: float
     initial_sigma: float
-    seed: int
 
     def __post_init__(self):
         if self.population < 2:
             raise ContractViolation("population must be >= 2")
-        w = np.asarray(self.recombination_weights, dtype=np.float64)
+        w = np.array(self.recombination_weights, dtype=np.float64)
         if w.shape != (self.parent_count,):
             raise ContractViolation("weights length must equal parent count")
         if np.any(w <= 0.0) or np.any(np.diff(w) >= 0.0):
@@ -74,8 +76,9 @@ class CmaEsParams:
                 raise ContractViolation(f"{name} must be in (0, 1]")
         if self.d_sigma < 1.0:
             raise ContractViolation("d_sigma must be >= 1")
-        if self.initial_sigma <= 0.0:
-            raise ContractViolation("initial_sigma must be > 0")
+        if not (math.isfinite(self.initial_sigma) and self.initial_sigma > 0.0):
+            raise ContractViolation("initial_sigma must be finite and > 0")
+        w.flags.writeable = False
         object.__setattr__(self, "recombination_weights", w)
 
     @classmethod
@@ -84,38 +87,13 @@ class CmaEsParams:
         dim: int,
         population: Optional[int] = None,
         initial_sigma: float = 1.0,
-        seed: int = 0,
     ) -> "CmaEsParams":
-        """Standard strategy constants for the given dimension."""
+        """Standard strategy constants for the given dimension: one shared
+        instance per (dim, population, initial_sigma)."""
         if dim < 1:
             raise ContractViolation("dimension must be >= 1")
         lam = population if population is not None else default_lambda(dim)
-        mu = lam // 2
-        raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=np.float64))
-        weights = raw / raw.sum()
-        mu_eff = 1.0 / float(np.sum(weights ** 2))
-        c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
-        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma
-        c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
-        c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
-        c_mu = min(
-            1.0 - c_1,
-            2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff),
-        )
-        return cls(
-            dim=dim,
-            population=lam,
-            parent_count=mu,
-            recombination_weights=weights,
-            mu_eff=mu_eff,
-            c_sigma=c_sigma,
-            d_sigma=d_sigma,
-            c_c=c_c,
-            c_1=c_1,
-            c_mu=c_mu,
-            initial_sigma=initial_sigma,
-            seed=seed,
-        )
+        return _defaults(cls, dim, lam, float(initial_sigma))
 
     @property
     def chi_n(self) -> float:
@@ -124,10 +102,42 @@ class CmaEsParams:
         return math.sqrt(k) * (1.0 - 1.0 / (4.0 * k) + 1.0 / (21.0 * k * k))
 
 
-def fitness_order(fitnesses, population: int) -> np.ndarray:
-    """The fitness contract of every machine's ``tell``: exactly one finite
+@functools.lru_cache(maxsize=64)
+def _defaults(cls, dim: int, lam: int, initial_sigma: float) -> CmaEsParams:
+    mu = lam // 2
+    raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=np.float64))
+    weights = raw / raw.sum()
+    mu_eff = 1.0 / float(np.sum(weights ** 2))
+    c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma
+    c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
+    c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
+    c_mu = min(
+        1.0 - c_1,
+        2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff),
+    )
+    return cls(
+        dim=dim,
+        population=lam,
+        parent_count=mu,
+        recombination_weights=weights,
+        mu_eff=mu_eff,
+        c_sigma=c_sigma,
+        d_sigma=d_sigma,
+        c_c=c_c,
+        c_1=c_1,
+        c_mu=c_mu,
+        initial_sigma=initial_sigma,
+    )
+
+
+def fitness_order(fitnesses, population: int, candidates) -> np.ndarray:
+    """The contract of every machine's ``tell``: one ``tell`` per ``ask``
+    (``candidates`` is None when nothing is asked), and exactly one finite
     float per candidate, else :class:`ContractViolation`. Returns the
     candidate indices ranked ascending by fitness, ties in candidate order."""
+    if candidates is None:
+        raise ContractViolation("tell needs an ask first, and pairs with one ask only")
     try:
         fit = np.asarray(fitnesses, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -142,16 +152,17 @@ def fitness_order(fitnesses, population: int) -> np.ndarray:
 class CmaEs:
     """Float CMA-ES as a search machine for :func:`search`.
 
-    A machine holds its ``params``, proposes the points to evaluate
-    (``ask``, a (population, dim) array), takes back their fitnesses in the
-    same order (``tell``) and maps the baseline onto the point it stands for
-    in its number system (``start``). It starts at zero mean, identity
-    covariance and zeroed paths. Single-owner: drive from one thread only.
+    A machine holds its ``params`` and a noise stream seeded by ``seed``,
+    proposes the points to evaluate (``ask``, a (population, dim) array),
+    takes back their fitnesses in the same order (``tell``, once per
+    ``ask``) and maps the baseline onto the point it stands for in its number
+    system (``start``). It starts at zero mean, identity covariance and
+    zeroed paths. Single-owner: drive from one thread only.
     """
 
     quant_warnings: Optional[dict] = None  # counts kept by quantized machines
 
-    def __init__(self, params: CmaEsParams):
+    def __init__(self, params: CmaEsParams, seed: int):
         self.params = params
         k = params.dim
         self.mean = np.zeros(k)
@@ -160,7 +171,8 @@ class CmaEs:
         self.path_sigma = np.zeros(k)
         self.path_c = np.zeros(k)
         self.generation = 0
-        self.rng = Xoshiro256pp(params.seed)
+        self.rng = Xoshiro256pp(seed)
+        self._candidates: Optional[np.ndarray] = None  # asked, not yet told
         self._dec: Optional[tuple[np.ndarray, np.ndarray]] = None  # of cov, until tell
 
     def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +209,7 @@ class CmaEs:
         followed by explicit re-symmetrization.
         """
         params = self.params
-        order = fitness_order(fitnesses, params.population)
+        order = fitness_order(fitnesses, params.population, self._candidates)
         values, vectors = self._decomposition()
         parents = self._candidates[order[: params.parent_count]]
         w = params.recombination_weights
@@ -242,6 +254,7 @@ class CmaEs:
         self.cov = (cov + cov.T) / 2.0
         self.generation = gen1
         self._dec = None
+        self._candidates = None
 
 
 @dataclass(frozen=True)

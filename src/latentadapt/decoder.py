@@ -6,7 +6,7 @@ arithmetic as ``decode(apply_correction(...))``. Past those checks the
 softmax and the entropy take the float64 arrays as they are, with no
 re-wrapping, and reduce them by direct ufunc calls over every axis
 (``np.add.reduce(x, None)`` is what ``x.sum()`` runs, bit for bit). The entropy skips the ``0 * log 0``
-masking when every probability is positive.
+masking when every probability is positive, and is NaN when any is NaN.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ def _entropy(p: np.ndarray) -> float:
     if p.size == 0 or np.minimum.reduce(p, None) > 0.0:
         # no zero terms: the same products and sum as the masked form below
         return float(-np.add.reduce(p * np.log(p), None))
+    if np.isnan(p).any():  # overflowed logits: no entropy, not a confident one
+        return float("nan")
     positive = p > 0.0
     terms = np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
     return float(-np.add.reduce(terms, None))

@@ -21,20 +21,19 @@ term fits in 32 bits, and the adds are replayed one at a time only where a
 prefix leaves the range, since saturating addition is not associative.
 Element-wise products with the same rounding and saturation run as one
 stacked product: the mean step with both path decays, the outer products of
-p_c and of each parent step, and the three covariance terms. The scalar registers of a generation (the path length, sigma and
-the h_sigma test) run as Python ints with the same rounding and counting,
-which agree with int64 because no product or shifted numerator of a format
-of at most 32 bits exceeds 2^62 in magnitude.
+p_c and of each parent step, and the three covariance terms. The same ops
+take the scalar registers of a generation (the path length, sigma and the
+h_sigma test) as Python ints, which agree with int64 because no product or
+shifted numerator of a format of at most 32 bits exceeds 2^62 in magnitude.
 
 The covariance decomposition is kept, with the square roots of its clamped
 eigenvalues and the quantized C^(-1/2) table, while the covariance register
 is unchanged bit for bit (the eigensolver is deterministic), as it is in
 every generation when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its
 eigenvalue clamps count once per generation and the table's saturations
-once per ``tell``, as when recomputed. The starting registers, their
-quantization counts and the decomposition of the starting covariance depend
-on the format and the strategy constants only, not on the seed: they are
-built once per configuration and every machine starts from copies.
+once per ``tell``, as when recomputed. The starting registers and the
+decomposition of the starting covariance are built once per shared
+:class:`~latentadapt.cmaes.CmaEsParams` and format.
 
 A result already in range is returned without clipping, which gives the same
 bits and counts. Division is only ever by one positive register (sigma,
@@ -45,6 +44,7 @@ stacked matrix-vector products, one gemv per row, as in the float machine.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -116,8 +116,8 @@ class FixedPointFormat:
 
 def quantize_binary(p: np.ndarray, magnitude: float) -> np.ndarray:
     """Collapse each element to +magnitude or -magnitude by sign (0 maps to +)."""
-    if magnitude <= 0.0:
-        raise ContractViolation("magnitude must be > 0")
+    if not (math.isfinite(magnitude) and magnitude > 0.0):
+        raise ContractViolation("magnitude must be finite and > 0")
     p = np.asarray(p, dtype=np.float64)
     return np.where(p >= 0.0, magnitude, -magnitude)
 
@@ -130,9 +130,9 @@ class BinaryCmaes(CmaEs):
     candidates, or the snapped ones with ``feedback``.
     """
 
-    def __init__(self, params: CmaEsParams, alpha: Optional[float] = None,
+    def __init__(self, params: CmaEsParams, seed: int, alpha: Optional[float] = None,
                  feedback: bool = False):
-        super().__init__(params)
+        super().__init__(params, seed)
         self.alpha = alpha
         self.feedback = feedback
 
@@ -147,12 +147,9 @@ class BinaryCmaes(CmaEs):
 class _FixedOps:
     """Raw-integer fixed-point arithmetic with saturation counting.
 
-    Raw values are int64 scalars or arrays; every result is saturated back to
-    the format range, and each clipped element increments ``saturations``.
-    The ``int_*`` methods are the same ops on Python ints, for the machine's
-    scalar registers: in a format of at most 32 bits no product or shifted
-    numerator exceeds 2^62 in magnitude, so Python ints give exactly what
-    int64 gives, without array dispatches.
+    Raw values are Python ints or int64 scalars or arrays; every result is
+    saturated back to the format range, and each clipped element increments
+    ``saturations``.
     """
 
     def __init__(self, fmt: FixedPointFormat):
@@ -172,21 +169,17 @@ class _FixedOps:
                                      and np.maximum.reduce(raw, None) <= self._hi)
 
     def _sat(self, raw):
+        if type(raw) is int:
+            if self._lo <= raw <= self._hi:
+                return raw
+            self.saturations += 1
+            return self._lo if raw < self._lo else self._hi
         # every caller passes a fresh array, so an in-range one is returned as is
         if self._in_range(raw):
             return raw
         clipped = np.minimum(np.maximum(raw, self._lo), self._hi)
         self.saturations += int(np.count_nonzero(clipped != raw))
         return clipped
-
-    def _sat_int(self, raw: int) -> int:
-        if raw < self._lo:
-            self.saturations += 1
-            return self._lo
-        if raw > self._hi:
-            self.saturations += 1
-            return self._hi
-        return raw
 
     def quantize(self, x):
         """Round onto the grid, ties to even, then saturate (+-inf too); NaN is refused."""
@@ -198,18 +191,11 @@ class _FixedOps:
             raise ContractViolation("cannot quantize NaN")
         return self._sat(scaled).astype(np.int64)
 
-    def int_quantize(self, x: float) -> int:
-        """:meth:`quantize` of one float."""
-        if math.isnan(x):
-            raise ContractViolation("cannot quantize NaN")
-        # clipped to just past the range first, so +-inf saturate like any other value
-        return self._sat_int(round(min(max(x * self._scale, self._lo - 1.0), self._hi + 1.0)))
-
     def to_float(self, raw):
         return np.multiply(raw, self.fmt.resolution, dtype=np.float64)
 
     def add(self, a, b):
-        return self._sat(np.add(a, b, dtype=np.int64))
+        return self._sat(a + b)
 
     def sum(self, terms, axis=0):
         """Saturating running sum from zero: one :meth:`add` per term, in order.
@@ -225,21 +211,13 @@ class _FixedOps:
         prefix = terms.cumsum(axis=axis)
         if self._in_range(prefix):
             return prefix[(slice(None),) * axis + (-1,)]  # a view of the fresh prefix
-        if terms.ndim == 1:
-            total = 0
-            for term in terms.tolist():
-                total = self._sat_int(total + term)
-            return np.int64(total)
-        total = np.int64(0)
-        for term in np.moveaxis(terms, axis, 0):
+        total = 0
+        for term in terms.tolist() if terms.ndim == 1 else np.moveaxis(terms, axis, 0):
             total = self.add(total, term)
-        return total
+        return np.int64(total) if terms.ndim == 1 else total
 
     def sub(self, a, b):
-        return self._sat(np.subtract(a, b, dtype=np.int64))
-
-    def int_sub(self, a: int, b: int) -> int:
-        return self._sat_int(a - b)
+        return self._sat(a - b)
 
     def _rhe_shift(self, p):
         """p / 2^f rounded to nearest, ties to even: adding 2^(f-1) - 1 plus
@@ -256,10 +234,7 @@ class _FixedOps:
         return q
 
     def mul(self, a, b):
-        return self._sat(self._rhe_shift(np.multiply(a, b, dtype=np.int64)))
-
-    def int_mul(self, a: int, b: int) -> int:
-        return self._sat_int(self._rhe_shift(a * b))
+        return self._sat(self._rhe_shift(a * b))
 
     @staticmethod
     def _rhe_div(num, b):
@@ -277,12 +252,7 @@ class _FixedOps:
         divides only by sigma, clamped to at least 1, and by chi)."""
         if not (np.ndim(b) == 0 and b > 0):
             raise ContractViolation("fixed-point division needs one positive register")
-        return self._sat(self._rhe_div(np.left_shift(a, self.f, dtype=np.int64), b))
-
-    def int_div(self, a: int, b: int) -> int:
-        if not b > 0:
-            raise ContractViolation("fixed-point division needs one positive register")
-        return self._sat_int(self._rhe_div(a << self.f, b))
+        return self._sat(self._rhe_div(a << self.f, b))
 
     def halve(self, raw):
         """Divide by two with round-to-nearest-even (cannot saturate): the
@@ -293,9 +263,14 @@ class _FixedOps:
         q >>= 1
         return q
 
-    def int_apply_float(self, raw: int, fn: Callable[[float], float]) -> int:
-        """Evaluate ``fn`` in float on the register's value, requantize."""
-        return self.int_quantize(float(fn(raw * self.fmt.resolution)))
+    def apply_float(self, raw: int, fn: Callable[[float], float]) -> int:
+        """Evaluate ``fn`` in float on the register's value and requantize it
+        as :meth:`quantize` does, to a Python int."""
+        x = float(fn(raw * self.fmt.resolution)) * self._scale
+        if math.isnan(x):
+            raise ContractViolation("cannot quantize NaN")
+        # clipped to just past the range first, so +-inf saturate like any other value
+        return self._sat(round(min(max(x, self._lo - 1.0), self._hi + 1.0)))
 
 
 # strategy constants held in registers: (attribute, label, value from params)
@@ -340,8 +315,7 @@ def _decompose(cov: np.ndarray, fmt: FixedPointFormat, k: int) -> _Decomposition
 
 class _Start:
     """The registers a fresh machine starts from, with the saturations and
-    sigma clamps of quantizing them: a pure function of the format and the
-    strategy constants, not of the seed. Machines copy the arrays, which stay
+    sigma clamps of quantizing them. Machines copy the arrays, which stay
     read-only here. ``decomposition`` of the starting covariance is made by
     the first machine that needs it."""
 
@@ -365,21 +339,7 @@ class _Start:
         self.decomposition: Optional[_Decomposition] = None
 
 
-_STARTS: dict = {}  # (format, strategy constants) -> _Start
-_MAX_STARTS = 64    # a sweep runs a handful of configurations; past this, start over
-
-
-def _start(params: CmaEsParams, fmt: FixedPointFormat) -> _Start:
-    """The shared :class:`_Start` of every field of ``params`` but the seed."""
-    key = (fmt, params.dim, params.population, params.initial_sigma, params.mu_eff,
-           params.c_sigma, params.d_sigma, params.c_c, params.c_1, params.c_mu,
-           params.recombination_weights.tobytes())
-    start = _STARTS.get(key)
-    if start is None:
-        if len(_STARTS) >= _MAX_STARTS:
-            _STARTS.clear()
-        start = _STARTS[key] = _Start(params, fmt)
-    return start
+_start = functools.lru_cache(maxsize=64)(_Start)  # (params, format) -> its _Start
 
 
 class FixedCmaes:
@@ -390,13 +350,14 @@ class FixedCmaes:
     fixed-point value as a float.
     """
 
-    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
+    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat, seed: int):
         self.params = params
         start = _start(params, fmt)
         self._start = start
         self.ops = _FixedOps(fmt)
         self.ops.saturations = start.saturations
-        self.rng = Xoshiro256pp(params.seed)
+        self.rng = Xoshiro256pp(seed)
+        self._raw: Optional[np.ndarray] = None  # asked, not yet told
         self.generation = 0
         self.sigma = start.sigma
         self.sigma_clamps = start.sigma_clamps
@@ -454,7 +415,7 @@ class FixedCmaes:
     def tell(self, fitnesses: list[float]) -> None:
         params = self.params
         ops = self.ops
-        order = fitness_order(fitnesses, params.population)
+        order = fitness_order(fitnesses, params.population, self._raw)
         parents = self._raw[order[: params.parent_count]]
         dec = self._decomposition()
 
@@ -475,11 +436,10 @@ class FixedCmaes:
 
         # sigma and the h_sigma test on scalar registers, as Python ints
         total = int(ops.sum(ops.mul(self.path_sigma, self.path_sigma)))
-        ps_norm = ops.int_apply_float(total, np.sqrt)
-        ratio = ops.int_div(ps_norm, self.chi)
-        factor = ops.int_apply_float(ops.int_mul(self.cs_over_ds, ops.int_sub(ratio, self.one)),
-                                     np.exp)
-        new_sigma = ops.int_mul(self.sigma, factor)
+        ps_norm = ops.apply_float(total, np.sqrt)
+        ratio = ops.div(ps_norm, self.chi)
+        factor = ops.apply_float(ops.mul(self.cs_over_ds, ops.sub(ratio, self.one)), np.exp)
+        new_sigma = ops.mul(self.sigma, factor)
         if new_sigma <= 0:
             new_sigma = 1
             self.sigma_clamps += 1
@@ -510,6 +470,7 @@ class FixedCmaes:
             self._dec = None
         self.cov = cov
         self.generation = gen1
+        self._raw = None
 
 
 def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:

@@ -139,13 +139,13 @@ def test_criterion_3_cmaes_benchmarks():
 
     sphere_hits = 0
     for seed in range(1, 11):
-        res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(8, seed=seed)), sphere, 200)
+        res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(8), seed), sphere, 200)
         sphere_hits += res.best_fitness < 1e-8
 
     rosen_hits = 0
     for seed in range(1, 11):
-        params = cmaes.CmaEsParams.defaults(4, seed=seed)
-        res = cmaes.search(cmaes.CmaEs(params), rosenbrock, 20_000 // params.population)
+        params = cmaes.CmaEsParams.defaults(4)
+        res = cmaes.search(cmaes.CmaEs(params, seed), rosenbrock, 20_000 // params.population)
         rosen_hits += res.best_fitness < 1e-6
 
     elapsed = time.perf_counter() - started

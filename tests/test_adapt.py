@@ -31,6 +31,11 @@ def test_config_validation():
         AdaptationConfig(mode="weird")
     with pytest.raises(ContractViolation):
         AdaptationConfig(mode="fixed")  # missing format
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            AdaptationConfig(sigma0=bad)
+        with pytest.raises(ContractViolation):
+            AdaptationConfig(mode="qted-v1", binary_alpha=bad)
     AdaptationConfig(mode="fixed", fixed_format=FixedPointFormat(8, 4))
 
 
@@ -224,6 +229,39 @@ def test_batch_collects_row_errors_without_failing():
     assert set(batch.errors) == {3}
     assert batch.results[3] is None
     assert all(batch.results[i] is not None for i in range(len(rows)) if i != 3)
+
+
+@pytest.mark.parametrize("indices", [[0, -1, 2], [0, 0.7, 2], [True, False, True]],
+                         ids=["negative", "fractional", "bool"])
+def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
+    adapt_module = importlib.import_module("latentadapt.adapt")
+    rows_run = []
+    monkeypatch.setattr(adapt_module, "adapt", lambda *args: rows_run.append(args))
+    task, sub, dec = _small_setup(seed=21)
+    rows = task.class_means[:3]
+    with pytest.raises(ContractViolation):
+        adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=indices)
+    assert rows_run == []
+    adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=[5, 0, 2 ** 40])
+    assert len(rows_run) == 3
+
+
+@pytest.mark.parametrize("mode, fmt", [("ted", None), ("qted-v1", None),
+                                       ("fixed", FixedPointFormat(16, 8))])
+def test_overflowing_candidates_never_win(mode, fmt):
+    # both logits are 1e308 * z_0: any correction with |z_0| > 1.8 takes them
+    # to the same infinity, and inf - inf leaves NaN probabilities, which
+    # must count as non-finite rather than as a perfectly confident prediction
+    dim = 4
+    dec = LinearDecoder(weights=np.vstack([1e308 * np.eye(dim)[0]] * 2), bias=np.array([0.0, 1.0]))
+    sub = PrincipalSubspace(mean=np.zeros(dim), basis=np.eye(dim)[:, :2],
+                            singular_values=np.ones(2), source_count=10)
+    cfg = AdaptationConfig(k=2, n=3, sigma0=100.0, seed=1, mode=mode, fixed_format=fmt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = adapt(np.zeros(dim), dec, sub, cfg)
+    assert result.nonfinite_count > 0
+    assert result.prediction.entropy == result.baseline_prediction.entropy > 0.0
+    assert np.isfinite(result.prediction.probabilities).all()
 
 
 def test_nonfinite_count_reported_every_mode(monkeypatch):

@@ -208,6 +208,18 @@ def test_adapt_usage_errors(workdir):
     ) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sigma0", "nan"], ["--sigma0", "inf"], ["--sigma0", "-1"],
+    ["--mode", "qted-v1", "--alpha", "nan"], ["--mode", "qted-v1", "--alpha", "inf"],
+], ids=["sigma0-nan", "sigma0-inf", "sigma0-negative", "alpha-nan", "alpha-inf"])
+def test_adapt_non_finite_sigma0_or_alpha_is_a_usage_error(workdir, flags):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.csv"
+    target = str(out / "target_combined.latf")
+    assert main(["adapt", str(art), target, *flags, "--out", str(rep)]) == 1
+    assert not rep.exists()
+
+
 def test_adapt_reads_config_file_with_flag_override(workdir):
     tmp_path, out, art = workdir
     cfg = tmp_path / "run.cfg"
@@ -313,7 +325,7 @@ def test_sweep_unknown_grid_token_is_a_usage_error(workdir, grid):
 
 @pytest.mark.parametrize("flag, value", [
     ("--k-grid", "0"), ("--k-grid", "2,5"), ("--n-grid", "0"), ("--n-grid", "2,-1"),
-    ("--sigma0", "0"),
+    ("--sigma0", "0"), ("--sigma0", "nan"), ("--sigma0", "inf"),
 ])
 def test_sweep_bad_grid_value_is_a_usage_error_before_any_cell(workdir, flag, value):
     # the artifact has k=4; a bad value used to give an error row that resume never retried

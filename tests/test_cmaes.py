@@ -49,8 +49,33 @@ def test_params_defaults_are_valid():
             assert 0.0 < rate <= 1.0
 
 
+def test_params_defaults_are_one_shared_read_only_instance():
+    params = cmaes.CmaEsParams.defaults(16)
+    assert cmaes.CmaEsParams.defaults(16, population=None) is params
+    assert cmaes.CmaEsParams.defaults(16, population=12, initial_sigma=1) is params
+    assert cmaes.CmaEsParams.defaults(16, initial_sigma=0.5) is not params
+    assert cmaes.CmaEsParams.defaults(16, population=10) is not params
+    assert not hasattr(params, "seed")
+    with pytest.raises(ValueError):
+        params.recombination_weights[0] = 0.5
+    # the weights given are copied, not frozen in the caller's hands
+    weights = np.array([0.75, 0.25])
+    fields = {name: getattr(params, name) for name in ("mu_eff", "c_sigma", "d_sigma", "c_c",
+                                                         "c_1", "c_mu")}
+    own = cmaes.CmaEsParams(dim=2, population=4, parent_count=2, recombination_weights=weights,
+                            initial_sigma=1.0, **fields)
+    weights[0] = 0.8
+    assert own.recombination_weights.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_params_refuse_an_initial_sigma_not_finite_and_positive(sigma):
+    with pytest.raises(ContractViolation):
+        cmaes.CmaEsParams.defaults(4, initial_sigma=sigma)
+
+
 def test_init_contract():
-    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=0))
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 0)
     np.testing.assert_array_equal(machine.mean, [0.0, 0.0])
     assert machine.sigma == 1.0
     np.testing.assert_array_equal(machine.cov, np.eye(2))
@@ -60,29 +85,29 @@ def test_init_contract():
 
 
 def test_init_bit_identical_for_equal_seeds():
-    a = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3, seed=77))
-    b = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3, seed=77))
+    a = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3), 77)
+    b = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3), 77)
     assert a.mean.tobytes() == b.mean.tobytes()
     assert a.cov.tobytes() == b.cov.tobytes()
     assert a.rng.state() == b.rng.state()
 
 
 def test_ask_matches_golden_fixture():
-    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=42))
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 42)
     candidates = np.array(machine.ask())
     np.testing.assert_array_equal(candidates, GOLDEN_ASK_K2_SEED42)
 
 
 def test_ask_degenerate_sigma_collapses_to_mean():
-    params = cmaes.CmaEsParams.defaults(3, initial_sigma=1e-300, seed=5)
-    machine = cmaes.CmaEs(params)
+    params = cmaes.CmaEsParams.defaults(3, initial_sigma=1e-300)
+    machine = cmaes.CmaEs(params, 5)
     for c in machine.ask():
         assert np.max(np.abs(c)) < 1e-290
 
 
 def test_ask_monte_carlo_identity_covariance():
-    params = cmaes.CmaEsParams.defaults(2, seed=9)
-    machine = cmaes.CmaEs(params)
+    params = cmaes.CmaEsParams.defaults(2)
+    machine = cmaes.CmaEs(params, 9)
     draws = []
     while len(draws) < 100_000:
         draws.extend(machine.ask())
@@ -93,8 +118,8 @@ def test_ask_monte_carlo_identity_covariance():
 
 
 def test_ask_monte_carlo_anisotropic_covariance():
-    params = cmaes.CmaEsParams.defaults(2, seed=10)
-    machine = cmaes.CmaEs(params)
+    params = cmaes.CmaEsParams.defaults(2)
+    machine = cmaes.CmaEs(params, 10)
     machine.cov = np.diag([4.0, 1.0])
     draws = []
     while len(draws) < 40_000:
@@ -112,8 +137,8 @@ def test_tell_tie_breaking_uses_candidate_order():
             self._candidates = candidates
             return candidates
 
-    params = cmaes.CmaEsParams.defaults(2, population=6, seed=1)
-    machine = Given(params)
+    params = cmaes.CmaEsParams.defaults(2, population=6)
+    machine = Given(params, 1)
     machine.ask()
     machine.tell([7.0] * 6)
     expected = np.zeros(2)
@@ -124,8 +149,8 @@ def test_tell_tie_breaking_uses_candidate_order():
 
 
 def test_tell_validates_inputs():
-    params = cmaes.CmaEsParams.defaults(2, seed=2)
-    machine = cmaes.CmaEs(params)
+    params = cmaes.CmaEsParams.defaults(2)
+    machine = cmaes.CmaEs(params, 2)
     machine.ask()
     with pytest.raises(ContractViolation):
         machine.tell([0.0] * (params.population - 1))
@@ -133,16 +158,26 @@ def test_tell_validates_inputs():
         machine.tell([math.nan] * params.population)
 
 
+def _machine_state(machine):
+    return (machine.generation, machine.mean.tobytes(), repr(machine.sigma),
+            machine.cov.tobytes(), machine.path_sigma.tobytes(), machine.path_c.tobytes(),
+            machine.rng.state(), machine.quant_warnings)
+
+
 @pytest.mark.parametrize("make, warnings", [
-    (cmaes.CmaEs, type(None)),
-    (quant.BinaryCmaes, type(None)),
-    (lambda params: quant.FixedCmaes(params, quant.FixedPointFormat.parse("8b4")), dict),
+    (lambda params: cmaes.CmaEs(params, 21), type(None)),
+    (lambda params: quant.BinaryCmaes(params, 21), type(None)),
+    (lambda params: quant.FixedCmaes(params, quant.FixedPointFormat.parse("8b4"), 21), dict),
 ], ids=["float", "binary", "fixed8b4"])
 def test_machine_protocol(make, warnings):
     # every machine asks a (lambda, k) float array and holds tell to one
-    # finite fitness per candidate, leaving its state alone when refused
-    params = cmaes.CmaEsParams.defaults(4, seed=21)
+    # finite fitness per candidate and to one tell per ask, leaving its
+    # state alone when refused
+    params = cmaes.CmaEsParams.defaults(4)
     machine = make(params)
+    with pytest.raises(ContractViolation):
+        machine.tell([0.0] * params.population)  # nothing asked yet
+    assert machine.generation == 0
     points = machine.ask()
     assert isinstance(points, np.ndarray)
     assert points.dtype == np.float64 and points.shape == (params.population, 4)
@@ -152,6 +187,10 @@ def test_machine_protocol(make, warnings):
             machine.tell(bad)
         assert machine.generation == 0
     machine.tell(fits)
+    told = _machine_state(machine)
+    with pytest.raises(ContractViolation):
+        machine.tell(fits)  # the same candidates told twice
+    assert _machine_state(machine) == told
     fresh = make(params)
     fresh.ask()
     fresh.tell(fits)
@@ -161,8 +200,8 @@ def test_machine_protocol(make, warnings):
 
 
 def test_covariance_stays_symmetric_pd_across_generations():
-    params = cmaes.CmaEsParams.defaults(4, seed=3)
-    machine = cmaes.CmaEs(params)
+    params = cmaes.CmaEsParams.defaults(4)
+    machine = cmaes.CmaEs(params, 3)
     for _ in range(60):
         cands = machine.ask()
         machine.tell([rosenbrock(c) for c in cands])
@@ -172,14 +211,14 @@ def test_covariance_stays_symmetric_pd_across_generations():
 
 
 def test_minimize_sphere_benchmark_single_seed():
-    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(8, seed=1)), sphere, 200)
+    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(8), 1), sphere, 200)
     assert res.best_fitness < 1e-8
     assert res.evaluations == 200 * cmaes.default_lambda(8)
 
 
 def test_minimize_rosenbrock_single_seed():
-    params = cmaes.CmaEsParams.defaults(4, seed=3)
-    res = cmaes.search(cmaes.CmaEs(params), rosenbrock, 20_000 // params.population)
+    params = cmaes.CmaEsParams.defaults(4)
+    res = cmaes.search(cmaes.CmaEs(params, 3), rosenbrock, 20_000 // params.population)
     assert res.best_fitness < 1e-6
 
 
@@ -189,7 +228,7 @@ def test_minimize_quadratic_bowl_hits_center():
     def bowl(p):
         return float(np.sum((p - center) ** 2))
 
-    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(2, seed=4)), bowl, 50)
+    res = cmaes.search(cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 4), bowl, 50)
     assert np.max(np.abs(res.best_p - center)) < 1e-3
 
 
@@ -199,29 +238,29 @@ def test_minimize_baseline_at_optimum_cannot_be_beaten():
     def bowl(p):
         return float(np.sum((p - center) ** 2))
 
-    params = cmaes.CmaEsParams.defaults(3, seed=5)
-    res = cmaes.search(cmaes.CmaEs(params), bowl, 20, baseline=center)
+    params = cmaes.CmaEsParams.defaults(3)
+    res = cmaes.search(cmaes.CmaEs(params, 5), bowl, 20, baseline=center)
     assert res.best_fitness == bowl(center)
     np.testing.assert_array_equal(res.best_p, center)
 
 
 def test_minimize_budget_accounting():
-    params = cmaes.CmaEsParams.defaults(2, population=6, seed=6)
+    params = cmaes.CmaEsParams.defaults(2, population=6)
     calls = {"n": 0}
 
     def counted(p):
         calls["n"] += 1
         return sphere(p)
 
-    res = cmaes.search(cmaes.CmaEs(params), counted, 1, baseline=np.zeros(2))
+    res = cmaes.search(cmaes.CmaEs(params, 6), counted, 1, baseline=np.zeros(2))
     assert calls["n"] == 7
     assert res.evaluations == 7
     assert res.quant_warnings is None
 
 
 def test_minimize_trace_is_running_best():
-    params = cmaes.CmaEsParams.defaults(3, seed=7)
-    res = cmaes.search(cmaes.CmaEs(params), sphere, 40, baseline=np.ones(3))
+    params = cmaes.CmaEsParams.defaults(3)
+    res = cmaes.search(cmaes.CmaEs(params, 7), sphere, 40, baseline=np.ones(3))
     assert len(res.trace) == 40
     assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
     assert res.trace[0] <= sphere(np.ones(3))
@@ -229,15 +268,15 @@ def test_minimize_trace_is_running_best():
 
 
 def test_minimize_bit_identical_across_runs():
-    params = cmaes.CmaEsParams.defaults(4, seed=8)
-    r1 = cmaes.search(cmaes.CmaEs(params), sphere, 30)
-    r2 = cmaes.search(cmaes.CmaEs(params), sphere, 30)
+    params = cmaes.CmaEsParams.defaults(4)
+    r1 = cmaes.search(cmaes.CmaEs(params, 8), sphere, 30)
+    r2 = cmaes.search(cmaes.CmaEs(params, 8), sphere, 30)
     assert r1.best_p.tobytes() == r2.best_p.tobytes()
     assert r1.trace == r2.trace
 
 
 def test_minimize_counts_nonfinite_objective_values():
-    params = cmaes.CmaEsParams.defaults(2, population=6, seed=9)
+    params = cmaes.CmaEsParams.defaults(2, population=6)
     calls = {"n": 0}
 
     def sometimes_nan(p):
@@ -246,7 +285,7 @@ def test_minimize_counts_nonfinite_objective_values():
             return math.nan
         return sphere(p)
 
-    res = cmaes.search(cmaes.CmaEs(params), sometimes_nan, 10)
+    res = cmaes.search(cmaes.CmaEs(params, 9), sometimes_nan, 10)
     assert res.nonfinite_count == 60 // 5
     assert math.isfinite(res.best_fitness)
 
@@ -256,21 +295,21 @@ def test_search_reports_the_point_the_machine_evaluated():
         def ask(self):
             return [np.round(c) for c in super().ask()]
 
-    params = cmaes.CmaEsParams.defaults(2, population=6, seed=10)
-    res = cmaes.search(Rounding(params), sphere, 5)
+    params = cmaes.CmaEsParams.defaults(2, population=6)
+    res = cmaes.search(Rounding(params, 10), sphere, 5)
     np.testing.assert_array_equal(res.best_p, np.round(res.best_p))
 
 
 def test_search_with_zero_iterations_evaluates_the_baseline_alone():
-    params = cmaes.CmaEsParams.defaults(3, seed=11)
-    res = cmaes.search(cmaes.CmaEs(params), sphere, 0, baseline=np.ones(3))
+    params = cmaes.CmaEsParams.defaults(3)
+    res = cmaes.search(cmaes.CmaEs(params, 11), sphere, 0, baseline=np.ones(3))
     assert res.evaluations == 1
     assert res.best_fitness == 3.0
     assert res.trace == []
     with pytest.raises(ContractViolation):
-        cmaes.search(cmaes.CmaEs(params), sphere, 0)
+        cmaes.search(cmaes.CmaEs(params, 11), sphere, 0)
     with pytest.raises(ContractViolation):
-        cmaes.search(cmaes.CmaEs(params), sphere, -1, baseline=np.ones(3))
+        cmaes.search(cmaes.CmaEs(params, 11), sphere, -1, baseline=np.ones(3))
 
 
 # ---------------------------------------------------------------- stacked gemv
@@ -307,7 +346,7 @@ def _ask_one_row_at_a_time(machine):
 @pytest.mark.parametrize("dim, population, seed", [(1, None, 0), (2, None, 42), (5, 9, 7),
                                                    (16, None, 14), (40, 24, 3)])
 def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
-    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(dim, population=population, seed=seed))
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(dim, population=population), seed)
     for _ in range(4):
         want, rng_state = _ask_one_row_at_a_time(machine)
         got = machine.ask()

@@ -45,6 +45,20 @@ def test_one_hot_entropy_is_exactly_zero():
     assert shannon_entropy(p) == 0.0
 
 
+def test_overflowing_logits_have_no_entropy():
+    # both logits overflow to +inf and inf - inf is NaN: no entropy, where a
+    # NaN probability used to count as a 0 * log 0 term
+    d = LinearDecoder(weights=np.array([[1e308], [1e308]]), bias=np.array([0.0, 1.0]))
+    s = PrincipalSubspace(mean=np.zeros(1), basis=np.eye(1), singular_values=np.ones(1),
+                          source_count=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entropy, prediction = fitness(d, s, np.zeros(1), np.array([10.0]))
+    assert np.isnan(prediction.probabilities).all()
+    assert np.isnan(entropy) and np.isnan(prediction.entropy)
+    assert np.isnan(shannon_entropy(np.array([np.nan, 0.0, 1.0])))
+    assert shannon_entropy(np.array([0.0, 1.0])) == 0.0
+
+
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     logits = rng.standard_normal(7)

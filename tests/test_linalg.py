@@ -238,8 +238,8 @@ def test_sym_eig_bit_identical_on_a_float_cmaes_run(monkeypatch):
         return sym_eig(s, k)
 
     monkeypatch.setattr(linalg, "sym_eig", recording)
-    params = cmaes.CmaEsParams.defaults(16, seed=14)
-    cmaes.search(cmaes.CmaEs(params), lambda p: float(p @ p), 8)
+    params = cmaes.CmaEsParams.defaults(16)
+    cmaes.search(cmaes.CmaEs(params, 14), lambda p: float(p @ p), 8)
     assert len(seen) == 8 and np.array_equal(seen[0], np.eye(16))
     for generation in seen[1:]:
         assert not np.array_equal(generation, np.eye(16))

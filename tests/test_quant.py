@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 from fractions import Fraction
 
@@ -199,6 +200,12 @@ def test_quantize_binary_signs_and_zero():
     np.testing.assert_array_equal(out, [1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, math.nan, math.inf])
+def test_quantize_binary_refuses_a_magnitude_not_finite_and_positive(magnitude):
+    with pytest.raises(ContractViolation):
+        quantize_binary(np.array([0.3, -2.0]), magnitude)
+
+
 def test_quantize_binary_idempotent():
     p = np.array([0.5, -0.5, 0.5])
     np.testing.assert_array_equal(quantize_binary(p, 0.5), p)
@@ -216,8 +223,8 @@ def sphere(p):
 
 
 def test_binary_machine_snaps_with_the_step_size_at_ask_time():
-    params = cmaes.CmaEsParams.defaults(3, seed=13)
-    machine = BinaryCmaes(params)
+    params = cmaes.CmaEsParams.defaults(3)
+    machine = BinaryCmaes(params, 13)
     sigmas = set()
     for _ in range(4):
         sigma = machine.sigma
@@ -226,14 +233,14 @@ def test_binary_machine_snaps_with_the_step_size_at_ask_time():
         assert all(set(np.abs(p)) == {sigma} for p in points)
         machine.tell([sphere(p) for p in points])
     assert len(sigmas) == 4
-    pinned = BinaryCmaes(params, alpha=0.5)
+    pinned = BinaryCmaes(params, 13, alpha=0.5)
     assert all(set(np.abs(p)) == {0.5} for p in pinned.ask())
 
 
 def test_binary_machine_feedback_tells_the_snapped_points():
-    params = cmaes.CmaEsParams.defaults(3, seed=14)
+    params = cmaes.CmaEsParams.defaults(3)
     for feedback in (False, True):
-        machine = BinaryCmaes(params, alpha=0.5, feedback=feedback)
+        machine = BinaryCmaes(params, 14, alpha=0.5, feedback=feedback)
         points = machine.ask()
         raw = machine._candidates
         # every snapped point has the same sphere value: parents are the first mu
@@ -245,27 +252,27 @@ def test_binary_machine_feedback_tells_the_snapped_points():
 
 
 def test_fixed_cmaes_wide_format_tracks_float():
-    params = cmaes.CmaEsParams.defaults(2, seed=7)
-    float_res = cmaes.search(cmaes.CmaEs(params), sphere, 50)
-    fixed_res = cmaes.search(FixedCmaes(params, FixedPointFormat(32, 8)), sphere, 50)
+    params = cmaes.CmaEsParams.defaults(2)
+    float_res = cmaes.search(cmaes.CmaEs(params, 7), sphere, 50)
+    fixed_res = cmaes.search(FixedCmaes(params, FixedPointFormat(32, 8), 7), sphere, 50)
     assert abs(float_res.best_fitness - fixed_res.best_fitness) < 1e-4
 
 
 def test_fixed_cmaes_coarse_format_still_converges():
-    params = cmaes.CmaEsParams.defaults(2, seed=7)
-    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 50)
+    params = cmaes.CmaEsParams.defaults(2)
+    res = cmaes.search(FixedCmaes(params, F8B4, 7), sphere, 50)
     assert np.linalg.norm(res.best_p) <= 0.25
 
 
 def test_fixed_cmaes_candidates_live_on_the_grid():
-    params = cmaes.CmaEsParams.defaults(3, seed=8)
+    params = cmaes.CmaEsParams.defaults(3)
     seen = []
 
     def probe(p):
         seen.append(p.copy())
         return sphere(p)
 
-    cmaes.search(FixedCmaes(params, F8B4), probe, 4)
+    cmaes.search(FixedCmaes(params, F8B4, 8), probe, 4)
     for p in seen:
         scaled = p / F8B4.resolution
         np.testing.assert_array_equal(scaled, np.round(scaled))
@@ -273,9 +280,9 @@ def test_fixed_cmaes_candidates_live_on_the_grid():
 
 
 def test_fixed_cmaes_baseline_guarantee_and_budget():
-    params = cmaes.CmaEsParams.defaults(2, population=6, seed=9)
+    params = cmaes.CmaEsParams.defaults(2, population=6)
     center = np.zeros(2)
-    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 3, baseline=center)
+    res = cmaes.search(FixedCmaes(params, F8B4, 9), sphere, 3, baseline=center)
     assert res.best_fitness == 0.0
     assert res.evaluations == 3 * 6 + 1
     assert len(res.trace) == 3
@@ -283,9 +290,9 @@ def test_fixed_cmaes_baseline_guarantee_and_budget():
 
 
 def test_fixed_cmaes_deterministic():
-    params = cmaes.CmaEsParams.defaults(2, seed=11)
-    r1 = cmaes.search(FixedCmaes(params, F8B4), sphere, 20)
-    r2 = cmaes.search(FixedCmaes(params, F8B4), sphere, 20)
+    params = cmaes.CmaEsParams.defaults(2)
+    r1 = cmaes.search(FixedCmaes(params, F8B4, 11), sphere, 20)
+    r2 = cmaes.search(FixedCmaes(params, F8B4, 11), sphere, 20)
     assert r1.best_p.tobytes() == r2.best_p.tobytes()
     assert r1.trace == r2.trace
     assert r1.quant_warnings == r2.quant_warnings
@@ -293,8 +300,8 @@ def test_fixed_cmaes_deterministic():
 
 def test_fixed_cmaes_sigma_clamp_is_counted():
     # a tiny initial step size quantizes to zero and must clamp, not die
-    params = cmaes.CmaEsParams.defaults(2, initial_sigma=1e-6, seed=12)
-    res = cmaes.search(FixedCmaes(params, F8B4), sphere, 3)
+    params = cmaes.CmaEsParams.defaults(2, initial_sigma=1e-6)
+    res = cmaes.search(FixedCmaes(params, F8B4, 12), sphere, 3)
     assert res.quant_warnings["sigma_clamps"] >= 1
     assert np.all(np.isfinite(res.best_p))
 
@@ -380,9 +387,9 @@ _GOLDEN = [
 @pytest.mark.parametrize("fmt, k, sigma0, seed, objective, base, iterations, digest", _GOLDEN)
 def test_fixed_cmaes_matches_recorded_digests(fmt, k, sigma0, seed, objective, base, iterations,
                                               digest):
-    params = cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0, seed=seed)
+    params = cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0)
     baseline = None if base is None else np.full(k, base)
-    machine = FixedCmaes(params, FixedPointFormat.parse(fmt))
+    machine = FixedCmaes(params, FixedPointFormat.parse(fmt), seed)
     res = cmaes.search(machine, _objective(objective, k), iterations, baseline=baseline)
     assert _result_digest(res) == digest
 
@@ -449,7 +456,7 @@ def _run_generations(monkeypatch, fmt, generations):
         return real_sym_eig(*args)
 
     monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
-    machine = FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=3), fmt)
+    machine = FixedCmaes(cmaes.CmaEsParams.defaults(16), fmt, 3)
     machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
     start = machine.cov.copy()
     for _ in range(generations):
@@ -552,21 +559,24 @@ def _format_and_scalars(draw):
 @settings(max_examples=500, deadline=None)
 @given(_format_and_scalars())
 def test_int_ops_equal_the_kernel_on_0d_registers(case):
+    # the machine's scalar registers are Python ints: each op on them gives
+    # what the same op gives on 0-d int64 registers, in value and count
     fmt, a, b, den, x = case
     ints, arrays = _FixedOps(fmt), _FixedOps(fmt)
     a0, b0, den0 = (np.array(v, dtype=np.int64) for v in (a, b, den))
     root = a if a >= 0 else -(a + 1)  # a non-negative register for sqrt
     with np.errstate(over="ignore"):  # exp of a large register is +inf, then saturates
         pairs = [
-            (lambda: ints.int_mul(a, b), lambda: arrays.mul(a0, b0)),
-            (lambda: ints.int_mul(fmt.raw_min, fmt.raw_min),
+            (lambda: ints.mul(a, b), lambda: arrays.mul(a0, b0)),
+            (lambda: ints.mul(fmt.raw_min, fmt.raw_min),
              lambda: arrays.mul(np.array(fmt.raw_min), np.array(fmt.raw_min))),
-            (lambda: ints.int_sub(a, b), lambda: arrays.sub(a0, b0)),
-            (lambda: ints.int_div(a, den), lambda: arrays.div(a0, den0)),
-            (lambda: ints.int_quantize(x), lambda: arrays.quantize(x)),
-            (lambda: ints.int_apply_float(root, np.sqrt),
+            (lambda: ints.add(a, b), lambda: arrays.add(a0, b0)),
+            (lambda: ints.sub(a, b), lambda: arrays.sub(a0, b0)),
+            (lambda: ints.div(a, den), lambda: arrays.div(a0, den0)),
+            (lambda: ints.apply_float(0, lambda _: x), lambda: arrays.quantize(x)),
+            (lambda: ints.apply_float(root, np.sqrt),
              lambda: arrays.quantize(np.sqrt(arrays.to_float(np.array(root))))),
-            (lambda: ints.int_apply_float(a, np.exp),
+            (lambda: ints.apply_float(a, np.exp),
              lambda: arrays.quantize(np.exp(arrays.to_float(a0)))),
         ]
         for int_op, array_op in pairs:
@@ -579,10 +589,10 @@ def test_int_ops_equal_the_kernel_on_0d_registers(case):
 def test_int_ops_refuse_what_the_kernel_refuses():
     ops = _FixedOps(F8B4)
     with pytest.raises(ContractViolation):
-        ops.int_quantize(float("nan"))
+        ops.apply_float(0, lambda _: float("nan"))
     for den in (0, -3):
         with pytest.raises(ContractViolation):
-            ops.int_div(8, den)
+            ops.div(8, den)
     assert ops.saturations == 0
 
 
@@ -607,21 +617,21 @@ def _registers_from_scratch(params, fmt):
 
 
 def test_a_machine_starts_from_registers_no_earlier_machine_changed():
-    params = cmaes.CmaEsParams.defaults(16, seed=4)
-    first = FixedCmaes(params, F8B4)
+    params = cmaes.CmaEsParams.defaults(16)
+    first = FixedCmaes(params, F8B4, 4)
     first.cov[0, 0] = 0  # as _run_generations does: an eigenvalue of 0, clamped
     first.w[0] = 0
     for _ in range(3):
         first.tell([sphere(p) for p in first.ask()])
     assert first.eig_clamps == 3
-    second = FixedCmaes(params, F8B4)
+    second = FixedCmaes(params, F8B4, 4)
     assert _registers(second) == _registers_from_scratch(params, F8B4)
     assert not np.shares_memory(second.cov, first.cov)
     assert not np.shares_memory(second.w, first.w)
     # the 8b4, k=16, sigma0=1 golden search still gives its recorded digest
     fmt, k, sigma0, seed, objective, base, iterations, digest = _GOLDEN[3]
     assert (fmt, k, sigma0) == ("8b4", 16, 1.0)
-    machine = FixedCmaes(cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0, seed=seed), F8B4)
+    machine = FixedCmaes(cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0), F8B4, seed)
     res = cmaes.search(machine, _objective(objective, k), iterations, baseline=np.full(k, base))
     assert _result_digest(res) == digest
 
@@ -632,6 +642,6 @@ def test_a_machine_starts_from_registers_no_earlier_machine_changed():
 ])
 def test_each_format_and_sigma0_gets_its_own_registers(fmt, sigma0):
     # 4b0 cannot hold 1.0: its identity covariance saturates at the start
-    params = cmaes.CmaEsParams.defaults(16, initial_sigma=sigma0, seed=5)
-    FixedCmaes(cmaes.CmaEsParams.defaults(16, seed=5), F8B4)  # another config first
-    assert _registers(FixedCmaes(params, fmt)) == _registers_from_scratch(params, fmt)
+    params = cmaes.CmaEsParams.defaults(16, initial_sigma=sigma0)
+    FixedCmaes(cmaes.CmaEsParams.defaults(16), F8B4, 5)  # another config first
+    assert _registers(FixedCmaes(params, fmt, 5)) == _registers_from_scratch(params, fmt)
