@@ -12,6 +12,7 @@ subspace is ever modified.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import cmaes, quant
-from .decoder import LinearDecoder, Prediction, fitness
+from .decoder import LinearDecoder, Prediction, decode, fitness
 from .errors import ContractViolation, ConvergenceFailure
 from .quant import FixedPointFormat
 from .rng import derive_seed
@@ -107,20 +108,6 @@ def adapt(
         raise ContractViolation("decoder and subspace dimensions differ")
 
     params = cmaes.CmaEsParams.defaults(cfg.k, cfg.population, cfg.sigma0)
-
-    # track the best prediction alongside the optimizer's best fitness; calls
-    # happen in the same order search compares them (baseline first)
-    best: dict = {"f": math.inf, "pred": None, "first": None}
-
-    def objective(p: np.ndarray) -> float:
-        entropy, prediction = fitness(decoder, s, z_t, p)
-        if best["first"] is None:
-            best["first"] = prediction
-        if prediction.entropy < best["f"]:
-            best["f"] = prediction.entropy
-            best["pred"] = prediction
-        return entropy
-
     if cfg.mode == "fixed":
         machine = quant.FixedCmaes(params, cfg.fixed_format, cfg.seed)
     elif cfg.mode == "qted-v1":
@@ -128,16 +115,21 @@ def adapt(
     else:
         machine = cmaes.CmaEs(params, cfg.seed)
     iterations = 0 if cfg.mode == "none" else cfg.n
-    result = cmaes.search(machine, objective, iterations, baseline=np.zeros(cfg.k))
+    # every machine starts from the zero correction, +0.0 in each coordinate
+    zero = np.zeros(cfg.k)
+    result = cmaes.search(machine, functools.partial(fitness, decoder, s, z_t), iterations,
+                          baseline=zero)
 
     p_star = result.best_p
     z_adapted = apply_correction(s, z_t, p_star)
-    prediction = best["pred"] if best["pred"] is not None else best["first"]
+    baseline_prediction = decode(decoder, apply_correction(s, z_t, zero))
+    # an all-zero winner is the baseline: an equal later point cannot score lower
+    prediction = decode(decoder, z_adapted) if p_star.any() else baseline_prediction
     return AdaptationResult(
         p_star=p_star,
         z_adapted=z_adapted,
         prediction=prediction,
-        baseline_prediction=best["first"],
+        baseline_prediction=baseline_prediction,
         entropy_trace=result.trace,
         evaluations=result.evaluations,
         nonfinite_count=result.nonfinite_count,

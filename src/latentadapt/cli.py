@@ -43,6 +43,8 @@ def _load_config(args) -> dict[str, str]:
         return fileio.parse_config(args.config)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {args.config}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {args.config}: {exc.strerror}") from exc
     except DataFormatError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -127,15 +129,17 @@ def _subsample(features, labels, count, seed):
 
 
 def _empirical_decoder(features, labels):
-    classes = int(labels.max()) + 1
+    present = np.unique(labels)  # sorted, so the labels are 0..C-1 iff the last is C-1
+    classes = present.size
     if classes < 2:
         raise DataFormatError("need at least 2 classes to build a decoder")
+    if present[-1] != classes - 1:
+        raise DataFormatError(f"labels must be 0..C-1 with every class present; got "
+                              f"{classes} distinct labels up to {int(present[-1])}")
     means = np.empty((classes, features.shape[1]))
     sq_sum = 0.0
     for c in range(classes):
         rows = features[labels == c]
-        if rows.shape[0] == 0:
-            raise DataFormatError(f"class {c} has no source samples")
         means[c] = rows.mean(axis=0)
         sq_sum += float(np.sum((rows - means[c]) ** 2))
     var = sq_sum / (features.shape[0] * features.shape[1])

@@ -84,22 +84,15 @@ def gen_source(
     """Sample balanced class-major source latents with labels.
 
     ``stream`` selects an independent substream so multiple draws from the
-    same task (train vs test) do not overlap.
+    same task (train vs test) do not overlap. The rows' normals are drawn in
+    row order by one ``normals`` call, which equals one call per row.
     """
     if n_per_class < 1:
         raise ContractViolation("n_per_class must be >= 1")
     rng = Xoshiro256pp(derive_seed(task.seed, _STREAM_SOURCE + 16 * stream))
-    n = task.class_count * n_per_class
-    features = np.empty((n, task.dim))
-    labels = np.empty(n, dtype=np.uint32)
-    row = 0
-    for c in range(task.class_count):
-        for _ in range(n_per_class):
-            g = rng.normals(task.dim)
-            features[row] = task.class_means[c] + task.within_class_std * g
-            labels[row] = c
-            row += 1
-    return features, labels
+    labels = np.repeat(np.arange(task.class_count, dtype=np.uint32), n_per_class)
+    g = rng.normals(labels.size * task.dim).reshape(labels.size, task.dim)
+    return task.class_means[labels] + task.within_class_std * g, labels
 
 
 def make_decoder(task: SyntheticTask) -> LinearDecoder:

@@ -1,12 +1,14 @@
 """Frozen linear-softmax classification head and the entropy objective.
 
-:func:`fitness` runs once per evaluated candidate, so it checks its inputs
-once and computes the corrected latent and the logits inline, with the same
-arithmetic as ``decode(apply_correction(...))``. Past those checks the
-softmax and the entropy take the float64 arrays as they are, with no
-re-wrapping, and reduce them by direct ufunc calls over every axis
-(``np.add.reduce(x, None)`` is what ``x.sum()`` runs, bit for bit). The entropy skips the ``0 * log 0``
-masking when every probability is positive, and is NaN when any is NaN.
+:func:`fitness` runs once per evaluated candidate and returns the entropy
+alone, as a float: it checks its inputs once and computes the corrected
+latent and the logits inline, with the same arithmetic as
+``decode(apply_correction(...))``, and builds no :class:`Prediction`. Past
+those checks the softmax and the entropy take the float64 arrays as they
+are, with no re-wrapping, and reduce them by direct ufunc calls over every
+axis (``np.add.reduce(x, None)`` is what ``x.sum()`` runs, bit for bit). The
+entropy skips the ``0 * log 0`` masking when every probability is positive,
+is NaN when any is NaN, and is +0.0, never -0.0, when every term is zero.
 """
 
 from __future__ import annotations
@@ -79,15 +81,20 @@ def shannon_entropy(probabilities: np.ndarray) -> float:
 def _entropy(p: np.ndarray) -> float:
     if p.size == 0 or np.minimum.reduce(p, None) > 0.0:
         # no zero terms: the same products and sum as the masked form below
-        return float(-np.add.reduce(p * np.log(p), None))
+        return 0.0 - float(np.add.reduce(p * np.log(p), None))
     if np.isnan(p).any():  # overflowed logits: no entropy, not a confident one
         return float("nan")
     positive = p > 0.0
     terms = np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0)
-    return float(-np.add.reduce(terms, None))
+    return 0.0 - float(np.add.reduce(terms, None))  # 0 - sum: +0, not -0, when every term is 0
 
 
-def _predict(logits: np.ndarray) -> Prediction:
+def decode(d: LinearDecoder, z: np.ndarray) -> Prediction:
+    """Forward pass: logits, probabilities, argmax class, and entropy."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (d.dim,):
+        raise ContractViolation(f"latent must have shape ({d.dim},), got {z.shape}")
+    logits = d.weights @ z + d.bias
     probabilities = _softmax(logits)
     return Prediction(
         logits=logits,
@@ -97,28 +104,20 @@ def _predict(logits: np.ndarray) -> Prediction:
     )
 
 
-def decode(d: LinearDecoder, z: np.ndarray) -> Prediction:
-    """Forward pass: logits, probabilities, argmax class, and entropy."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (d.dim,):
-        raise ContractViolation(f"latent must have shape ({d.dim},), got {z.shape}")
-    return _predict(d.weights @ z + d.bias)
-
-
 def fitness(
     d: LinearDecoder,
     s: PrincipalSubspace,
     z_t: np.ndarray,
     p: np.ndarray,
-) -> tuple[float, Prediction]:
+) -> float:
     """Entropy of the prediction after correcting ``z_t`` by ``p``.
 
-    Equal to ``decode(d, apply_correction(s, z_t, p))``, with the same checks
-    and the same arithmetic, computed inline: this runs once per evaluation.
+    Equal to ``decode(d, apply_correction(s, z_t, p)).entropy``, with the
+    same checks and the same arithmetic, computed inline: this runs once per
+    evaluation.
     """
     z_t = _check_latent(s, z_t)
     p = _check_coords(s, p)
     if d.dim != s.dim:
-        raise ContractViolation(f"latent must have shape ({d.dim},), got {z_t.shape}")
-    prediction = _predict(d.weights @ (z_t + s.basis @ p) + d.bias)
-    return prediction.entropy, prediction
+        raise ContractViolation("decoder and subspace dimensions differ")
+    return _entropy(_softmax(d.weights @ (z_t + s.basis @ p) + d.bias))

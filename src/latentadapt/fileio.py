@@ -259,9 +259,13 @@ def read_artifact(path: str | Path) -> ModelArtifact:
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment, blank lines ignored."""
+    """Flat key=value UTF-8 config; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -26,14 +26,14 @@ take the scalar registers of a generation (the path length, sigma and the
 h_sigma test) as Python ints, which agree with int64 because no product or
 shifted numerator of a format of at most 32 bits exceeds 2^62 in magnitude.
 
-The covariance decomposition is kept, with the square roots of its clamped
-eigenvalues and the quantized C^(-1/2) table, while the covariance register
-is unchanged bit for bit (the eigensolver is deterministic), as it is in
-every generation when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1; its
-eigenvalue clamps count once per generation and the table's saturations
-once per ``tell``, as when recomputed. The starting registers and the
-decomposition of the starting covariance are built once per shared
-:class:`~latentadapt.cmaes.CmaEsParams` and format.
+The covariance decomposition, with the square roots of its clamped
+eigenvalues and the quantized C^(-1/2) table, is cached process-wide by the
+register's bytes, the format and k, which is exact since the eigensolver is
+deterministic: a register unchanged bit for bit, as in every generation when
+c_1 and c_mu round to 0 and 1-c_1-c_mu to 1, is decomposed once. Its
+eigenvalue clamps count once per generation and the table's saturations once
+per ``tell``, as when recomputed. The starting registers are built once per
+shared :class:`~latentadapt.cmaes.CmaEsParams` and format.
 
 A result already in range is returned without clipping, which gives the same
 bits and counts. Division is only ever by one positive register (sigma,
@@ -291,8 +291,7 @@ _CONSTANTS = (
 
 class _Decomposition(NamedTuple):
     """What the machine takes from the eigen-decomposition of one covariance
-    register; read-only, since machines of one configuration share the one
-    of the starting covariance."""
+    register; read-only, since every machine shares the cached one."""
 
     vectors: np.ndarray
     scale: np.ndarray          # square roots of the eigenvalues, clamped up to the resolution
@@ -301,9 +300,12 @@ class _Decomposition(NamedTuple):
     invsqrt_saturations: int   # the table's, counted again by every tell that uses it
 
 
-def _decompose(cov: np.ndarray, fmt: FixedPointFormat, k: int) -> _Decomposition:
+@functools.lru_cache(maxsize=64)
+def _decompose(cov: bytes, fmt: FixedPointFormat, k: int) -> _Decomposition:
+    """The decomposition of the (k, k) int64 register whose bytes are ``cov``."""
     ops = _FixedOps(fmt)
-    values, vectors = linalg.sym_eig(ops.to_float(cov), k)
+    register = np.frombuffer(cov, dtype=np.int64).reshape(k, k)
+    values, vectors = linalg.sym_eig(ops.to_float(register), k)
     floor = fmt.resolution
     scale = np.sqrt(np.maximum(values, floor))
     invsqrt = ops.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
@@ -316,8 +318,7 @@ def _decompose(cov: np.ndarray, fmt: FixedPointFormat, k: int) -> _Decomposition
 class _Start:
     """The registers a fresh machine starts from, with the saturations and
     sigma clamps of quantizing them. Machines copy the arrays, which stay
-    read-only here. ``decomposition`` of the starting covariance is made by
-    the first machine that needs it."""
+    read-only here."""
 
     def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
         ops = _FixedOps(fmt)
@@ -336,7 +337,6 @@ class _Start:
                                   dtype=np.int64).reshape(3, 1, 1)
         self.cov_coefs.flags.writeable = False
         self.saturations = ops.saturations
-        self.decomposition: Optional[_Decomposition] = None
 
 
 _start = functools.lru_cache(maxsize=64)(_Start)  # (params, format) -> its _Start
@@ -362,7 +362,6 @@ class FixedCmaes:
         self.sigma = start.sigma
         self.sigma_clamps = start.sigma_clamps
         self.eig_clamps = 0
-        self._dec: Optional[_Decomposition] = None  # of cov, while it is unchanged
 
         k = params.dim
         self.mean = np.zeros(k, dtype=np.int64)
@@ -375,18 +374,7 @@ class FixedCmaes:
             setattr(self, attr, raw)
 
     def _decomposition(self) -> _Decomposition:
-        """The decomposition of ``cov``; sym_eig is deterministic, so it is
-        kept while the register is unchanged bit for bit, as it is in every
-        generation when c_1 and c_mu round to 0 and 1-c_1-c_mu to 1."""
-        if self._dec is None:
-            start = self._start
-            if np.array_equal(self.cov, start.cov):
-                if start.decomposition is None:
-                    start.decomposition = _decompose(start.cov, self.ops.fmt, self.params.dim)
-                self._dec = start.decomposition
-            else:
-                self._dec = _decompose(self.cov, self.ops.fmt, self.params.dim)
-        return self._dec
+        return _decompose(self.cov.tobytes(), self.ops.fmt, self.params.dim)
 
     @property
     def quant_warnings(self) -> dict:
@@ -465,10 +453,7 @@ class FixedCmaes:
         kept, rank1, rank_mu = ops.mul(self._start.cov_coefs,
                                        np.array([self.cov, rank1, rank_mu]))
         cov = ops.add(ops.add(kept, rank1), rank_mu)
-        cov = ops.halve(ops.add(cov, cov.T))
-        if (cov != self.cov).any():
-            self._dec = None
-        self.cov = cov
+        self.cov = ops.halve(ops.add(cov, cov.T))
         self.generation = gen1
         self._raw = None
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -246,6 +247,13 @@ def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
     assert len(rows_run) == 3
 
 
+def _same_prediction(a, b):
+    assert a.logits.tobytes() == b.logits.tobytes()
+    assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    assert a.predicted_class == b.predicted_class
+    assert struct.pack("<d", a.entropy) == struct.pack("<d", b.entropy)
+
+
 @pytest.mark.parametrize("mode, fmt", [("ted", None), ("qted-v1", None),
                                        ("fixed", FixedPointFormat(16, 8))])
 def test_overflowing_candidates_never_win(mode, fmt):
@@ -259,9 +267,26 @@ def test_overflowing_candidates_never_win(mode, fmt):
     cfg = AdaptationConfig(k=2, n=3, sigma0=100.0, seed=1, mode=mode, fixed_format=fmt)
     with np.errstate(over="ignore", invalid="ignore"):
         result = adapt(np.zeros(dim), dec, sub, cfg)
+        _same_prediction(result.prediction, decode(dec, result.z_adapted))
     assert result.nonfinite_count > 0
     assert result.prediction.entropy == result.baseline_prediction.entropy > 0.0
     assert np.isfinite(result.prediction.probabilities).all()
+    assert result.prediction is result.baseline_prediction  # the baseline point won
+
+
+@pytest.mark.parametrize("mode, fmt", [("none", None), ("ted", None), ("qted-v1", None),
+                                       ("fixed", FixedPointFormat(8, 4)),
+                                       ("fixed", FixedPointFormat(16, 8))],
+                         ids=["none", "ted", "qted-v1", "8b4", "16b8"])
+def test_predictions_are_the_decodes_of_the_winner_and_the_baseline(mode, fmt):
+    task, sub, dec = _small_setup(seed=22)
+    z = task.class_means[0] * 0.3 + task.class_means[3] * 0.7
+    result = adapt(z, dec, sub, AdaptationConfig(k=4, n=4, seed=6, mode=mode, fixed_format=fmt))
+    assert result.p_star.any() == (mode != "none")  # a search point won
+    _same_prediction(result.prediction, decode(dec, result.z_adapted))
+    _same_prediction(result.baseline_prediction, decode(dec, z))
+    assert result.prediction.entropy == min([result.baseline_prediction.entropy]
+                                            + result.entropy_trace)
 
 
 def test_nonfinite_count_reported_every_mode(monkeypatch):
@@ -271,8 +296,8 @@ def test_nonfinite_count_reported_every_mode(monkeypatch):
 
     def every_fifth_nan(*args):
         calls["n"] += 1
-        entropy, prediction = real_fitness(*args)
-        return (math.nan if calls["n"] % 5 == 0 else entropy), prediction
+        entropy = real_fitness(*args)
+        return math.nan if calls["n"] % 5 == 0 else entropy
 
     monkeypatch.setattr(adapt_module, "fitness", every_fifth_nan)
     task, sub, dec = _small_setup(seed=16)

@@ -248,6 +248,31 @@ def test_bad_data_exit_code(workdir, tmp_path):
     assert main(["fit", str(tmp_path / "missing.latf"), "--out", str(tmp_path / "m.lama")]) == 2
 
 
+@pytest.mark.parametrize("labels", [[0, 0, 1, 1, 0, 0xFFFFFFFF], [0, 0, 2, 2, 0, 2]],
+                         ids=["huge-label", "missing-class"])
+def test_fit_labels_must_be_every_class_from_zero(tmp_path, capsys, labels):
+    # a label of 2^32 - 1 used to size the class-mean table: a 128 GiB allocation
+    src = tmp_path / "src.latf"
+    features = np.arange(24, dtype=np.float64).reshape(6, 4) % 5
+    fileio.write_features(src, features, np.array(labels, dtype=np.uint32))
+    assert main(["fit", str(src), "--k", "2", "--out", str(tmp_path / "m.lama")]) == 2
+    assert "labels must be 0..C-1 with every class present" in capsys.readouterr().err
+    assert not (tmp_path / "m.lama").exists()
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"seed = 3\n\xff\xfe = 1\n")
+    assert main(GEN_ARGS + ["--out", str(tmp_path / "data"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_usage_exit_code_for_unknown_command():
     assert main(["definitely-not-a-command"]) == 1
 

@@ -277,6 +277,10 @@ seed = 42   # trailing comment
     bad.write_text("this is not a pair\n")
     with pytest.raises(DataFormatError):
         fileio.parse_config(bad)
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("mode = t\xe9d\n".encode("latin-1"))
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        fileio.parse_config(latin1)
 
 
 # ---------------------------------------------------------------- atomic writes
