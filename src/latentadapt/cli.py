@@ -1,8 +1,13 @@
 """Command-line interface: gen, fit, adapt, sweep, report.
 
 Exit codes: 0 success, 1 usage or config error, 2 data or contract error,
-3 convergence error. A flat key=value config file can supply any long flag;
-explicit flags win over the file.
+3 convergence error.
+
+A flat key = value UTF-8 file given with --config supplies defaults to the
+command being run: its keys are the command's optional long flags without
+the leading --, explicit flags win over the file, and a switch takes
+true/false/yes/no/on/off/1/0. An unknown key, like an unreadable file, is a
+config error.
 """
 
 from __future__ import annotations
@@ -36,74 +41,67 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(args) -> dict[str, str]:
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``. A ``--config`` file's values become the defaults of the
+    command being run and ``argv`` is parsed again, so argparse converts each
+    value with its flag's own type and an explicit flag still wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
-        return {}
+        return args
     try:
-        return fileio.parse_config(args.config)
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {args.config}") from exc
+        values = fileio.parse_config(args.config)
     except OSError as exc:
         raise UsageError(f"cannot read config file {args.config}: {exc.strerror}") from exc
     except DataFormatError as exc:
         raise UsageError(str(exc)) from exc
-
-
-_KEY_ATTRS = {"lambda": "lambda_"}
-
-
-def _resolve(args, config: dict, key: str, default, cast):
-    attr = _KEY_ATTRS.get(key, key.replace("-", "_"))
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except (ValueError, ContractViolation) as exc:
-            raise UsageError(f"bad config value for {key}: {config[key]!r}") from exc
-    return default
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    # argparse has no public list of a parser's actions
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    flags = {
+        option[2:]: action
+        for action in command._actions
+        if not action.required and action.dest not in ("help", "config")
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    defaults = {}
+    for key, value in values.items():
+        action = flags.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}: not an optional flag of {args.command}")
+        if action.nargs == 0:  # a switch takes no type
+            if value.lower() not in _SWITCH_VALUES:
+                raise UsageError(f"bad config value for {key}: {value!r}")
+            value = _SWITCH_VALUES[value.lower()]
+        defaults[action.dest] = value
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------- gen
 
 
 def _cmd_gen(args) -> int:
-    config = _load_config(args)
-    classes = _resolve(args, config, "classes", 10, int)
-    dim = _resolve(args, config, "dim", 64, int)
-    radius = _resolve(args, config, "radius", 4.0, float)
-    std = _resolve(args, config, "std", 1.0, float)
-    per_class = _resolve(args, config, "per-class", 200, int)
-    target_per_class = _resolve(args, config, "target-per-class", 20, int)
-    severity = _resolve(args, config, "severity", 1.0, float)
-    seed = _resolve(args, config, "seed", 0, int)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     task = datagen.make_task(
-        class_count=classes,
-        dim=dim,
-        mean_radius=radius,
-        within_class_std=std,
-        seed=seed,
+        class_count=args.classes,
+        dim=args.dim,
+        mean_radius=args.radius,
+        within_class_std=args.std,
+        seed=args.seed,
     )
-    train_z, train_y = datagen.gen_source(task, per_class, stream=0)
-    test_z, test_y = datagen.gen_source(task, target_per_class, stream=1)
+    train_z, train_y = datagen.gen_source(task, args.per_class, stream=0)
+    test_z, test_y = datagen.gen_source(task, args.target_per_class, stream=1)
     fileio.write_features(out_dir / "source_train.latf", train_z, train_y)
     fileio.write_features(out_dir / "source_test.latf", test_z, test_y)
 
     source_mean = task.class_means.mean(axis=0)
-    for spec in datagen.preset_shifts(dim, severity, seed, std=std):
+    for spec in datagen.preset_shifts(args.dim, args.severity, args.seed, std=args.std):
         shifted = datagen.apply_shift(test_z, source_mean, spec)
         name = f"target_{spec.label.replace('-', '_')}.latf"
         fileio.write_features(out_dir / name, shifted, test_y)
@@ -149,32 +147,25 @@ def _empirical_decoder(features, labels):
 
 
 def _cmd_fit(args) -> int:
-    config = _load_config(args)
-    k = _resolve(args, config, "k", 16, int)
-    n_sub = _resolve(args, config, "n", None, int)
-    seed = _resolve(args, config, "seed", 0, int)
-
     features, labels = fileio.read_features(args.source)
     if labels is None:
         raise UsageError("fit requires a labeled source file")
-    if n_sub is not None:
-        if n_sub < 2:
+    n_used = features.shape[0]
+    if args.n is not None:
+        if args.n < 2:
             raise UsageError("--n must be >= 2")
-        features, labels, n_used = _subsample(features, labels, n_sub, seed)
-    else:
-        n_used = features.shape[0]
-    if k > min(n_used - 1, features.shape[1]):
-        raise UsageError(
-            f"k={k} exceeds min(N-1, D)={min(n_used - 1, features.shape[1])}"
-        )
+        features, labels, n_used = _subsample(features, labels, args.n, args.seed)
+    k, k_max = args.k, min(n_used - 1, features.shape[1])
+    if not 1 <= k <= k_max:
+        raise UsageError(f"k={k} not in [1, min(N-1, D)={k_max}]")
 
     subspace = fit(features, k)
     decoder = _empirical_decoder(features, labels)
     meta = {
         "k": k,
         "source_count": n_used,
-        "seed": seed,
-        "config_hash": fileio.fit_config_hash(args.source, k, n_used, seed),
+        "seed": args.seed,
+        "config_hash": fileio.fit_config_hash(args.source, k, n_used, args.seed),
         "rank_deficient": subspace.rank_deficient,
     }
     artifact = fileio.ModelArtifact(subspace=subspace, decoder=decoder, meta=meta)
@@ -187,40 +178,23 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- adapt
 
 
-def _build_adaptation_config(args, config, artifact_k) -> AdaptationConfig:
-    mode = _resolve(args, config, "mode", "ted", str)
-    if mode not in MODES:
-        raise UsageError(f"unknown mode {mode!r}")
-    k = _resolve(args, config, "k", artifact_k, int)
-    if not (1 <= k <= artifact_k):
+def _build_adaptation_config(args, artifact_k) -> AdaptationConfig:
+    k = artifact_k if args.k is None else args.k
+    if not 1 <= k <= artifact_k:
         raise UsageError(f"k={k} not in [1, {artifact_k}] of the artifact")
-    n = _resolve(args, config, "n", 8, int)
-    lam = _resolve(args, config, "lambda", None, int)
-    sigma0 = _resolve(args, config, "sigma0", 1.0, float)
-    seed = _resolve(args, config, "seed", 0, int)
-    fmt_text = _resolve(args, config, "fmt", None, str)
-    alpha = _resolve(args, config, "alpha", None, float)
-    feedback = _resolve(args, config, "binary-feedback", False, _parse_bool)
-
-    fmt = None
-    if mode == "fixed":
-        if fmt_text is None:
-            raise UsageError("--mode fixed requires --fmt (e.g. 8b4)")
-        try:
-            fmt = FixedPointFormat.parse(fmt_text)
-        except ContractViolation as exc:
-            raise UsageError(str(exc)) from exc
+    if args.mode == "fixed" and args.fmt is None:
+        raise UsageError("--mode fixed requires --fmt (e.g. 8b4)")
     try:
         return AdaptationConfig(
             k=k,
-            n=n,
-            population=lam,
-            sigma0=sigma0,
-            seed=seed,
-            mode=mode,
-            fixed_format=fmt,
-            binary_alpha=alpha,
-            binary_feedback=feedback,
+            n=args.n,
+            population=args.lambda_,
+            sigma0=args.sigma0,
+            seed=args.seed,
+            mode=args.mode,
+            fixed_format=FixedPointFormat.parse(args.fmt) if args.mode == "fixed" else None,
+            binary_alpha=args.alpha,
+            binary_feedback=args.binary_feedback,
         )
     except ContractViolation as exc:
         raise UsageError(str(exc)) from exc
@@ -263,7 +237,6 @@ def _records(batch, labels) -> list[report.SampleRecord]:
 
 
 def _cmd_adapt(args) -> int:
-    config = _load_config(args)
     artifact = fileio.read_artifact(args.artifact)
     features, labels = fileio.read_features(args.target)
     if features.shape[1] != artifact.subspace.dim:
@@ -271,7 +244,7 @@ def _cmd_adapt(args) -> int:
             f"target dimension {features.shape[1]} does not match artifact "
             f"dimension {artifact.subspace.dim}"
         )
-    cfg = _build_adaptation_config(args, config, artifact.subspace.k)
+    cfg = _build_adaptation_config(args, artifact.subspace.k)
     subspace = artifact.subspace.truncated(cfg.k)
 
     batch = adapt_batch(features, artifact.decoder, subspace, cfg)
@@ -321,11 +294,16 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _parse_grid(text: str, cast):
+def _grid(text: str) -> list[str]:
+    """The entries of a comma-separated grid flag."""
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise UsageError(f"empty grid: {text!r}")
-    return [cast(part) for part in items]
+        raise argparse.ArgumentTypeError(f"empty grid: {text!r}")
+    return items
+
+
+def _int_grid(text: str) -> list[int]:
+    return [int(part) for part in _grid(text)]
 
 
 def _grid_mode(token: str) -> tuple[str, Optional[FixedPointFormat]]:
@@ -341,22 +319,22 @@ def _grid_mode(token: str) -> tuple[str, Optional[FixedPointFormat]]:
         ) from exc
 
 
-def _sweep_configs(k_grid, n_grid, fmt_grid, sigma0, seed, artifact_k):
+def _sweep_configs(args, artifact_k):
     """The configuration of every grid cell, keyed by ``(k, n, fmt token)``.
 
     Every cell is checked here, before any runs: a bad grid value is a usage
     error, never an error row that a resumed sweep would then skip.
     """
     configs = {}
-    for k in k_grid:
-        if not (1 <= k <= artifact_k):
+    for k in args.k_grid:
+        if not 1 <= k <= artifact_k:
             raise UsageError(f"--k-grid entry {k} not in [1, {artifact_k}] of the artifact")
-        for n in n_grid:
-            for token in fmt_grid:
+        for n in args.n_grid:
+            for token in args.fmt_grid:
                 mode, fmt = _grid_mode(token)
                 try:
                     configs[k, n, token] = AdaptationConfig(
-                        k=k, n=n, sigma0=sigma0, seed=seed, mode=mode, fixed_format=fmt
+                        k=k, n=n, sigma0=args.sigma0, seed=args.seed, mode=mode, fixed_format=fmt
                     )
                 except ContractViolation as exc:
                     raise UsageError(f"sweep cell k={k} n={n} {token}: {exc}") from exc
@@ -370,7 +348,7 @@ def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
     but only once the whole lines are known to be a sweep file; a file with
     no whole line at all has no header to check and is left as it is.
     """
-    data = path.read_bytes()
+    data = fileio.read_bytes(path)
     cut = data.rfind(b"\n") + 1
     if data and not cut:
         raise DataFormatError(f"{path}: not a sweep file: no complete header line")
@@ -387,18 +365,11 @@ def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    k_grid = _parse_grid(_resolve(args, config, "k-grid", "16", str), int)
-    n_grid = _parse_grid(_resolve(args, config, "n-grid", "8", str), int)
-    fmt_grid = _parse_grid(_resolve(args, config, "fmt-grid", "ted", str), str)
-    sigma0 = _resolve(args, config, "sigma0", 1.0, float)
-    seed = _resolve(args, config, "seed", 0, int)
-
     artifact = fileio.read_artifact(args.artifact)
     features, labels = fileio.read_features(args.target)
     if features.shape[1] != artifact.subspace.dim:
         raise UsageError("target dimension does not match artifact dimension")
-    configs = _sweep_configs(k_grid, n_grid, fmt_grid, sigma0, seed, artifact.subspace.k)
+    configs = _sweep_configs(args, artifact.subspace.k)
 
     out = Path(args.out)
     done = _read_done_cells(out) if out.exists() else set()
@@ -408,7 +379,7 @@ def _cmd_sweep(args) -> int:
         if write_header:
             writer.writerow(_SWEEP_COLUMNS)
         for (k, n, fmt_token), cfg in configs.items():
-            key = [k, n, fmt_token, seed, repr(sigma0)]
+            key = [k, n, fmt_token, args.seed, repr(args.sigma0)]
             if tuple(map(str, key)) in done:
                 continue
             batch = adapt_batch(features, artifact.decoder, artifact.subspace.truncated(k), cfg)
@@ -450,60 +421,57 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the one declaration of each option's type and default; a --config
+    # file only replaces defaults (see _parse_args)
     parser = _Parser(prog="latentadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate synthetic source/target feature files")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--classes", type=int)
-    p_gen.add_argument("--dim", type=int)
-    p_gen.add_argument("--radius", type=float)
-    p_gen.add_argument("--std", type=float)
-    p_gen.add_argument("--per-class", type=int, dest="per_class")
-    p_gen.add_argument("--target-per-class", type=int, dest="target_per_class")
-    p_gen.add_argument("--severity", type=float)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--config")
+    p_gen.add_argument("--classes", type=int, default=10)
+    p_gen.add_argument("--dim", type=int, default=64)
+    p_gen.add_argument("--radius", type=float, default=4.0)
+    p_gen.add_argument("--std", type=float, default=1.0)
+    p_gen.add_argument("--per-class", type=int, default=200)
+    p_gen.add_argument("--target-per-class", type=int, default=20)
+    p_gen.add_argument("--severity", type=float, default=1.0)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_fit = sub.add_parser("fit", help="fit subspace and decoder from a source file")
     p_fit.add_argument("source")
-    p_fit.add_argument("--k", type=int)
+    p_fit.add_argument("--k", type=int, default=16)
     p_fit.add_argument("--n", type=int, help="subsample the source to N rows")
-    p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--config")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_adapt = sub.add_parser("adapt", help="adapt a target file against an artifact")
     p_adapt.add_argument("artifact")
     p_adapt.add_argument("target")
-    p_adapt.add_argument("--mode", choices=MODES)
-    p_adapt.add_argument("--k", type=int)
-    p_adapt.add_argument("--n", type=int)
+    p_adapt.add_argument("--mode", choices=MODES, default="ted")
+    p_adapt.add_argument("--k", type=int, help="default: the k of the artifact")
+    p_adapt.add_argument("--n", type=int, default=8)
     p_adapt.add_argument("--lambda", type=int, dest="lambda_")
-    p_adapt.add_argument("--sigma0", type=float)
-    p_adapt.add_argument("--seed", type=int)
     p_adapt.add_argument("--fmt")
     p_adapt.add_argument("--alpha", type=float)
-    p_adapt.add_argument("--binary-feedback", dest="binary_feedback",
-                         action="store_const", const=True)
+    p_adapt.add_argument("--binary-feedback", action="store_true")
     p_adapt.add_argument("--out", required=True, help="per-sample CSV path")
-    p_adapt.add_argument("--config")
     p_adapt.set_defaults(func=_cmd_adapt)
 
     p_sweep = sub.add_parser("sweep", help="grid of adapt runs, one CSV row per cell")
     p_sweep.add_argument("artifact")
     p_sweep.add_argument("target")
-    p_sweep.add_argument("--k-grid", dest="k_grid")
-    p_sweep.add_argument("--n-grid", dest="n_grid")
-    p_sweep.add_argument("--fmt-grid", dest="fmt_grid",
+    p_sweep.add_argument("--k-grid", type=_int_grid, default="16")
+    p_sweep.add_argument("--n-grid", type=_int_grid, default="8")
+    p_sweep.add_argument("--fmt-grid", type=_grid, default="ted",
                          help="comma list of none|ted|qted-v1|<xby>")
-    p_sweep.add_argument("--sigma0", type=float)
-    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--config")
     p_sweep.set_defaults(func=_cmd_sweep)
+
+    for p in (p_adapt, p_sweep):
+        p.add_argument("--sigma0", type=float, default=1.0)
+    for p in (p_gen, p_fit, p_adapt, p_sweep):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", help="key = value file of defaults for the optional flags")
 
     p_rep = sub.add_parser("report", help="recompute the summary of a per-sample CSV")
     p_rep.add_argument("report")
@@ -514,21 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (ContractViolation, DataFormatError) as exc:
+    except (FileNotFoundError, ContractViolation, DataFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceFailure as exc:

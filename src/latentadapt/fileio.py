@@ -65,6 +65,18 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
         raise
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """The contents of an input file. A path that exists but cannot be read,
+    such as a directory, is a data error; a missing one raises
+    ``FileNotFoundError``."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def write_features(
     path: str | Path, features: np.ndarray, labels: Optional[np.ndarray] = None
 ) -> None:
@@ -94,7 +106,7 @@ def write_features(
 
 def read_features(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Read a feature file; rejects bad magic, truncation, and non-finite data."""
-    blob = Path(path).read_bytes()
+    blob = read_bytes(path)
     if len(blob) < _FEATURE_HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
     magic, version, n, d, label_flag = _FEATURE_HEADER.unpack_from(blob, 0)
@@ -174,7 +186,7 @@ def write_artifact(path: str | Path, artifact: ModelArtifact) -> None:
 
 
 def read_artifact(path: str | Path) -> ModelArtifact:
-    blob = Path(path).read_bytes()
+    blob = read_bytes(path)
     head = struct.Struct("<4sII")
     if len(blob) < head.size:
         raise DataFormatError(f"{path}: truncated header")

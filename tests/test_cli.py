@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latentadapt import fileio, report
-from latentadapt.cli import main
+from latentadapt.cli import _parse_args, build_parser, main
 
 GEN_ARGS = [
     "gen",
@@ -66,6 +66,16 @@ def test_fit_is_byte_stable_and_checks_k(workdir):
     assert main(
         ["fit", str(out / "source_train.latf"), "--k", "100", "--out", str(huge_k)]
     ) == 1
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_fit_k_outside_one_to_min_n_minus_1_d_is_a_usage_error(workdir, capsys, k):
+    # k <= 0 used to reach subspace.fit and exit 2, a data error, for a usage mistake
+    tmp_path, out, _ = workdir
+    art = tmp_path / "bad_k.lama"
+    assert main(["fit", str(out / "source_train.latf"), "--k", k, "--out", str(art)]) == 1
+    assert "not in [1, min(N-1, D)=16]" in capsys.readouterr().err
+    assert not art.exists()
 
 
 def test_fit_orthonormal_basis(workdir):
@@ -248,6 +258,26 @@ def test_bad_data_exit_code(workdir, tmp_path):
     assert main(["fit", str(tmp_path / "missing.latf"), "--out", str(tmp_path / "m.lama")]) == 2
 
 
+@pytest.mark.parametrize("which", ["adapt-artifact", "adapt-target", "fit-source", "sweep-out"])
+def test_a_directory_given_as_an_input_file_is_a_data_error(workdir, capsys, which):
+    # each used to end in an IsADirectoryError traceback
+    tmp_path, out, art = workdir
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    target = str(out / "target_combined.latf")
+    argv = {
+        "adapt-artifact": ["adapt", str(folder), target, "--out", str(tmp_path / "r.csv")],
+        "adapt-target": ["adapt", str(art), str(folder), "--out", str(tmp_path / "r.csv")],
+        "fit-source": ["fit", str(folder), "--out", str(tmp_path / "m.lama")],
+        "sweep-out": _sweep_args(art, out, folder),
+    }[which]
+    listing = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {folder}: cannot read")
+    assert sorted(os.listdir(tmp_path)) == listing
+    assert not any(folder.iterdir())
+
+
 @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 0, 0xFFFFFFFF], [0, 0, 2, 2, 0, 2]],
                          ids=["huge-label", "missing-class"])
 def test_fit_labels_must_be_every_class_from_zero(tmp_path, capsys, labels):
@@ -271,6 +301,115 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert not (tmp_path / "data").exists()
+
+
+def _argv(workdir, command, name, flags=(), config=None):
+    """Arguments that run ``command`` on the workdir task into ``name``, with
+    ``flags`` and, if given, a config file of that text."""
+    tmp_path, out, art = workdir
+    target = str(out / "target_combined.latf")
+    argv = {
+        "gen": ["gen", "--classes", "3", "--dim", "8", "--per-class", "10",
+                "--target-per-class", "4"],
+        "fit": ["fit", str(out / "source_train.latf")],
+        "adapt": ["adapt", str(art), target, "--seed", "5"],
+        "sweep": ["sweep", str(art), target, "--k-grid", "2", "--n-grid", "2", "--seed", "5"],
+    }[command] + list(flags)
+    if config is not None:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    return argv + ["--out", str(tmp_path / name)]
+
+
+def _run(workdir, command, name, flags=(), config=None):
+    """What a successful run wrote, wall-clock times aside."""
+    assert main(_argv(workdir, command, name, flags, config)) == 0
+    dest = workdir[0] / name
+    if dest.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(dest.iterdir())}
+    return _report_digest(dest) if dest.suffix == ".csv" else dest.read_bytes()
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("adapt", "n = 3", ["--n", "3"]),
+    ("adapt", "sigma0 = 0.5", ["--sigma0", "0.5"]),
+    ("adapt", "mode = fixed\nfmt = 8b4", ["--mode", "fixed", "--fmt", "8b4"]),
+    ("adapt", "lambda = 4", ["--lambda", "4"]),
+    ("adapt", "mode = qted-v1\nbinary-feedback = true", ["--mode", "qted-v1", "--binary-feedback"]),
+    ("adapt", "mode = qted-v1\nbinary-feedback = false", ["--mode", "qted-v1"]),
+    ("sweep", "fmt-grid = ted,8b4", ["--fmt-grid", "ted,8b4"]),
+], ids=["int", "float", "string", "lambda", "switch-on", "switch-off", "grid"])
+def test_a_config_value_acts_as_the_same_flag(workdir, command, config, flags):
+    from_file = _run(workdir, command, "file.csv", config=config)
+    assert from_file == _run(workdir, command, "flag.csv", flags=flags)
+
+
+@pytest.mark.parametrize("command, config, flags, name", [
+    ("gen", "seed = 6", ["--seed", "5"], "data"),
+    ("fit", "k = 3", ["--k", "4"], "model.lama"),
+    ("adapt", "n = 3", ["--n", "2"], "r.csv"),
+    ("sweep", "sigma0 = 0.5", ["--sigma0", "2.0"], "sweep.csv"),
+])
+def test_a_flag_beats_the_config_file_which_beats_the_default(workdir, command, config,
+                                                               flags, name):
+    from_file = _run(workdir, command, "file-" + name, config=config)
+    assert from_file != _run(workdir, command, "none-" + name)
+    from_flag = _run(workdir, command, "flag-" + name, flags=flags)
+    assert from_flag != from_file
+    assert _run(workdir, command, "both-" + name, flags=flags, config=config) == from_flag
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("adapt", "n = two", "argument --n: invalid int value: 'two'"),
+    ("adapt", "binary-feedback = maybe", "bad config value for binary-feedback: 'maybe'"),
+    ("adapt", "mode = bogus", "mode must be one of"),
+    ("gen", "severity = high", "argument --severity: invalid float value: 'high'"),
+])
+def test_a_bad_config_value_is_a_usage_error_before_any_output(workdir, capsys, command,
+                                                               config, message):
+    assert main(_argv(workdir, command, "out", config=config)) == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir[0] / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("adapt", "sigma"), ("gen", "per_class"), ("adapt", "out"), ("fit", "config"),
+    ("sweep", "help"), ("adapt", "artifact"), ("gen", "lambda"),
+])
+def test_a_config_key_that_is_not_an_optional_flag_is_a_usage_error(workdir, capsys,
+                                                                    command, key):
+    # a typo such as sigma for sigma0 used to be dropped silently
+    assert main(_argv(workdir, command, "out", config=f"{key} = 3\n")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: unknown config key {key!r}")
+    assert not (workdir[0] / "out").exists()
+
+
+_POSITIONALS = {"gen": [], "fit": ["src.latf"], "adapt": ["m.lama", "t.latf"],
+                "sweep": ["m.lama", "t.latf"]}
+
+
+def test_every_optional_long_flag_is_a_config_key(tmp_path):
+    # the one-declaration rule: a new flag needs no second entry to be read
+    # from a config file, and the file's value is converted like the flag's
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    cfg = tmp_path / "run.cfg"
+    checked = []
+    for name, positionals in _POSITIONALS.items():
+        for action in commands[name]._actions:
+            flag = next((o for o in action.option_strings if o.startswith("--")), None)
+            if flag is None or action.required or flag in ("--help", "--config"):
+                continue
+            value = "true" if action.nargs == 0 else action.choices[-1] if action.choices else "3"
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            argv = [name, *positionals, "--out", "o"]
+            from_file = _parse_args(argv + ["--config", str(cfg)])
+            from_flag = _parse_args(argv + ([flag] if action.nargs == 0 else [flag, value]))
+            assert getattr(from_file, action.dest) == getattr(from_flag, action.dest), flag
+            assert getattr(from_file, action.dest) != getattr(_parse_args(argv), action.dest)
+            checked.append(f"{name} {flag}")
+    assert {"adapt --lambda", "adapt --binary-feedback", "sweep --k-grid"} <= set(checked)
 
 
 def test_usage_exit_code_for_unknown_command():

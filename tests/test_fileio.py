@@ -283,6 +283,16 @@ seed = 42   # trailing comment
         fileio.parse_config(latin1)
 
 
+@pytest.mark.parametrize("reader", [fileio.read_features, fileio.read_artifact],
+                         ids=["features", "artifact"])
+def test_a_directory_is_a_data_error_and_a_missing_file_is_not_found(tmp_path, reader):
+    # a directory used to raise IsADirectoryError, which the CLI printed as a traceback
+    with pytest.raises(DataFormatError, match="cannot read"):
+        reader(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        reader(tmp_path / "missing")
+
+
 # ---------------------------------------------------------------- atomic writes
 
 
