@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -86,25 +87,34 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _cmd_gen(args) -> int:
+    # every file's arrays are made before the first write, so a refused flag
+    # value writes nothing
+    try:
+        task = datagen.make_task(
+            class_count=args.classes,
+            dim=args.dim,
+            mean_radius=args.radius,
+            within_class_std=args.std,
+            seed=args.seed,
+        )
+        test_z, test_y = datagen.gen_source(task, args.target_per_class, stream=1)
+        files = {
+            "source_train.latf": datagen.gen_source(task, args.per_class, stream=0),
+            "source_test.latf": (test_z, test_y),
+        }
+        source_mean = task.class_means.mean(axis=0)
+        for spec in datagen.preset_shifts(args.dim, args.severity, args.seed, std=args.std):
+            shifted = datagen.apply_shift(test_z, source_mean, spec)
+            files[f"target_{spec.label.replace('-', '_')}.latf"] = (shifted, test_y)
+    except ContractViolation as exc:
+        raise UsageError(str(exc)) from exc
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    task = datagen.make_task(
-        class_count=args.classes,
-        dim=args.dim,
-        mean_radius=args.radius,
-        within_class_std=args.std,
-        seed=args.seed,
-    )
-    train_z, train_y = datagen.gen_source(task, args.per_class, stream=0)
-    test_z, test_y = datagen.gen_source(task, args.target_per_class, stream=1)
-    fileio.write_features(out_dir / "source_train.latf", train_z, train_y)
-    fileio.write_features(out_dir / "source_test.latf", test_z, test_y)
-
-    source_mean = task.class_means.mean(axis=0)
-    for spec in datagen.preset_shifts(args.dim, args.severity, args.seed, std=args.std):
-        shifted = datagen.apply_shift(test_z, source_mean, spec)
-        name = f"target_{spec.label.replace('-', '_')}.latf"
-        fileio.write_features(out_dir / name, shifted, test_y)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"{out_dir}: cannot make directory: {exc.strerror}") from exc
+    for name, (features, labels) in files.items():
+        fileio.write_features(out_dir / name, features, labels)
     print(f"wrote source and target feature files to {out_dir}")
     return 0
 
@@ -206,37 +216,18 @@ def _records(batch, labels) -> list[report.SampleRecord]:
     for i, (result, wall) in enumerate(zip(batch.results, batch.wall_ms)):
         true_label = int(labels[i]) if labels is not None else -1
         if result is None:
-            records.append(
-                report.SampleRecord(
-                    index=i,
-                    true_label=true_label,
-                    noadapt_class=-1,
-                    noadapt_entropy=float("nan"),
-                    adapted_class=-1,
-                    adapted_entropy=float("nan"),
-                    evaluations=0,
-                    status=f"error:{type(batch.errors[i]).__name__}",
-                    wall_ms=wall,
-                )
-            )
-            continue
-        records.append(
-            report.SampleRecord(
-                index=i,
-                true_label=true_label,
-                noadapt_class=result.baseline_prediction.predicted_class,
-                noadapt_entropy=result.baseline_prediction.entropy,
-                adapted_class=result.prediction.predicted_class,
-                adapted_entropy=result.prediction.entropy,
-                evaluations=result.evaluations,
-                status="ok",
-                wall_ms=wall,
-            )
-        )
+            name = type(batch.errors[i]).__name__
+            outcome = (-1, float("nan"), -1, float("nan"), 0, f"error:{name}")
+        else:
+            base, adapted = result.baseline_prediction, result.prediction
+            outcome = (base.predicted_class, base.entropy, adapted.predicted_class,
+                       adapted.entropy, result.evaluations, "ok")
+        records.append(report.SampleRecord(i, true_label, *outcome, wall))
     return records
 
 
-def _cmd_adapt(args) -> int:
+def _load(args):
+    """The artifact, target features and target labels of adapt and sweep."""
     artifact = fileio.read_artifact(args.artifact)
     features, labels = fileio.read_features(args.target)
     if features.shape[1] != artifact.subspace.dim:
@@ -244,12 +235,19 @@ def _cmd_adapt(args) -> int:
             f"target dimension {features.shape[1]} does not match artifact "
             f"dimension {artifact.subspace.dim}"
         )
+    return artifact, features, labels
+
+
+def _cmd_adapt(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".txt":  # the summary is written to out.with_suffix(".txt")
+        raise UsageError(f"--out {out} is also the path of its summary; use another suffix")
+    artifact, features, labels = _load(args)
     cfg = _build_adaptation_config(args, artifact.subspace.k)
     subspace = artifact.subspace.truncated(cfg.k)
 
     batch = adapt_batch(features, artifact.decoder, subspace, cfg)
     records = _records(batch, labels)
-    out = Path(args.out)
     report.write_csv(out, records)
     summary = report.summarize(records)
     fmt_note = ""
@@ -279,19 +277,11 @@ def _cmd_adapt(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-_SWEEP_COLUMNS = [
-    "k",
-    "n",
-    "fmt",
-    "seed",
-    "sigma0",
-    "samples",
-    "failed",
-    "accuracy_noadapt",
-    "accuracy_adapted",
-    "mean_entropy_noadapt",
-    "mean_entropy_adapted",
-]
+# a sweep row is the key of its cell, then the summary of the cell's run
+_SWEEP_KEY = ["k", "n", "fmt", "seed", "sigma0"]
+_SWEEP_STATS = [f.name for f in dataclasses.fields(report.Summary)
+                if f.name not in ("labeled", "mean_wall_ms")]
+_SWEEP_COLUMNS = _SWEEP_KEY + _SWEEP_STATS
 
 
 def _grid(text: str) -> list[str]:
@@ -361,14 +351,11 @@ def _read_done_cells(path: Path) -> set[tuple[str, ...]]:
     if cut < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(cut)
-    return {tuple(row[:5]) for row in rows[1:]}
+    return {tuple(row[: len(_SWEEP_KEY)]) for row in rows[1:]}
 
 
 def _cmd_sweep(args) -> int:
-    artifact = fileio.read_artifact(args.artifact)
-    features, labels = fileio.read_features(args.target)
-    if features.shape[1] != artifact.subspace.dim:
-        raise UsageError("target dimension does not match artifact dimension")
+    artifact, features, labels = _load(args)
     configs = _sweep_configs(args, artifact.subspace.k)
 
     out = Path(args.out)
@@ -384,17 +371,7 @@ def _cmd_sweep(args) -> int:
                 continue
             batch = adapt_batch(features, artifact.decoder, artifact.subspace.truncated(k), cfg)
             s = report.summarize(_records(batch, labels))
-            writer.writerow(
-                key
-                + [
-                    s.samples,
-                    s.failed,
-                    "" if s.accuracy_noadapt is None else f"{s.accuracy_noadapt:.17g}",
-                    "" if s.accuracy_adapted is None else f"{s.accuracy_adapted:.17g}",
-                    f"{s.mean_entropy_noadapt:.17g}",
-                    f"{s.mean_entropy_adapted:.17g}",
-                ]
-            )
+            writer.writerow(key + [report.cell(getattr(s, name)) for name in _SWEEP_STATS])
             fh.flush()
     print(f"sweep results in {out}")
     return 0

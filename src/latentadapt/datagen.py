@@ -9,6 +9,7 @@ axes along which a shift can differ from the source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ def make_task(
     """Draw class means uniformly on the sphere of the given radius."""
     if class_count < 2:
         raise ContractViolation("need at least 2 classes")
-    if dim < 1 or mean_radius <= 0.0 or within_class_std < 0.0:
+    if dim < 1 or not 0.0 < mean_radius < math.inf or not 0.0 <= within_class_std < math.inf:
         raise ContractViolation("invalid task geometry")
     rng = Xoshiro256pp(derive_seed(seed, _STREAM_MEANS))
     means = np.empty((class_count, dim))
@@ -134,8 +135,8 @@ def preset_shifts(
     [1/(1+severity), 1+severity], applied along random orthogonal axes.
     combined: both. Severity zero yields exact identity specs.
     """
-    if severity < 0.0:
-        raise ContractViolation("severity must be >= 0")
+    if not (0.0 <= severity < math.inf and 0.0 <= std < math.inf):
+        raise ContractViolation("severity and std must be finite and >= 0")
     if severity == 0.0:
         return [
             identity_shift(dim, "mean-only"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import stat
 import struct
@@ -29,7 +30,10 @@ ARTIFACT_MAGIC = b"LAMA"
 FORMAT_VERSION = 1
 
 _FEATURE_HEADER = struct.Struct("<4sIIIB")
-_SECTION_ENTRY = struct.Struct("<16sQQ")
+_ARTIFACT_HEADER = struct.Struct("<4sII")     # magic, version, section count
+_SECTION_ENTRY = struct.Struct("<16sQQ")      # name, offset, length
+_SUBSPACE_HEADER = struct.Struct("<IIIB")     # dim, k, source count, rank-deficient flag
+_DECODER_HEADER = struct.Struct("<II")        # class count, dim
 _ORTHONORMAL_ATOL = 1e-6  # on max |B^T B - I|; a fit reaches about 1e-14
 
 
@@ -44,11 +48,16 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs):
     a new inode: hard links to the old file keep the old contents.
     A symbolic link is followed, so its target is replaced and the link kept.
     A target that exists but is not a regular file, such as a pipe or a
-    terminal, cannot be replaced and is written directly.
+    terminal, cannot be replaced and is written directly; one that cannot be
+    opened for writing, such as a directory, is a data error.
     """
-    path = Path(os.path.realpath(path))
+    target, path = path, Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
-        with open(path, mode, **kwargs) as fh:
+        try:
+            fh = open(path, mode, **kwargs)
+        except OSError as exc:
+            raise DataFormatError(f"{target}: cannot write: {exc.strerror}") from exc
+        with fh:
             yield fh
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -150,53 +159,61 @@ def fit_config_hash(source_path: str | Path, k: int, n_used: int, seed: int) -> 
     return h.hexdigest()
 
 
-def _pack_sections(sections: list[tuple[str, bytes]]) -> bytes:
-    head = struct.pack("<4sII", ARTIFACT_MAGIC, FORMAT_VERSION, len(sections))
-    offset = len(head) + _SECTION_ENTRY.size * len(sections)
-    table = b""
-    body = b""
-    for name, data in sections:
-        table += _SECTION_ENTRY.pack(name.encode().ljust(16, b"\0"), offset, len(data))
-        body += data
-        offset += len(data)
-    return head + table + body
+def _f64_section(header: struct.Struct, values: tuple, arrays: tuple) -> bytes:
+    """A section: its header, then each array as little-endian float64."""
+    return header.pack(*values) + b"".join(a.astype("<f8").tobytes() for a in arrays)
+
+
+def _read_f64_section(path, name: str, data: bytes, header: struct.Struct, shapes):
+    """The header values and the arrays of a section written by
+    :func:`_f64_section`; ``shapes`` maps the header values to the shape of
+    each array. Each array is a fresh copy, not a view of ``data``."""
+    if len(data) < header.size:
+        raise DataFormatError(f"{path}: truncated {name} section")
+    values = header.unpack_from(data, 0)
+    shapes = shapes(*values)
+    counts = [math.prod(shape) for shape in shapes]
+    if len(data) != header.size + 8 * sum(counts):
+        raise DataFormatError(f"{path}: {name} section length mismatch")
+    arrays, offset = [], header.size
+    for shape, count in zip(shapes, counts):
+        arrays.append(np.frombuffer(data, "<f8", count, offset).reshape(shape).copy())
+        offset += 8 * count
+    return values, arrays
 
 
 def write_artifact(path: str | Path, artifact: ModelArtifact) -> None:
     s = artifact.subspace
     d = artifact.decoder
-    sub_head = struct.pack("<IIIB", s.dim, s.k, s.source_count, 1 if s.rank_deficient else 0)
-    sub_body = (
-        s.mean.astype("<f8").tobytes()
-        + s.basis.astype("<f8").tobytes()
-        + s.singular_values.astype("<f8").tobytes()
-    )
-    dec_head = struct.pack("<II", d.class_count, d.dim)
-    dec_body = d.weights.astype("<f8").tobytes() + d.bias.astype("<f8").tobytes()
-    meta = json.dumps(artifact.meta, sort_keys=True).encode()
-    blob = _pack_sections(
-        [
-            ("meta", meta),
-            ("subspace", sub_head + sub_body),
-            ("decoder", dec_head + dec_body),
-        ]
-    )
+    sections = [
+        (b"meta", json.dumps(artifact.meta, sort_keys=True).encode()),
+        (b"subspace", _f64_section(_SUBSPACE_HEADER,
+                                   (s.dim, s.k, s.source_count, 1 if s.rank_deficient else 0),
+                                   (s.mean, s.basis, s.singular_values))),
+        (b"decoder", _f64_section(_DECODER_HEADER, (d.class_count, d.dim),
+                                  (d.weights, d.bias))),
+    ]
+    offset = _ARTIFACT_HEADER.size + _SECTION_ENTRY.size * len(sections)
+    blob = _ARTIFACT_HEADER.pack(ARTIFACT_MAGIC, FORMAT_VERSION, len(sections))
+    for name, data in sections:
+        blob += _SECTION_ENTRY.pack(name.ljust(16, b"\0"), offset, len(data))
+        offset += len(data)
+    blob += b"".join(data for _, data in sections)
     with atomic_open(path) as fh:
         fh.write(blob)
 
 
 def read_artifact(path: str | Path) -> ModelArtifact:
     blob = read_bytes(path)
-    head = struct.Struct("<4sII")
-    if len(blob) < head.size:
+    if len(blob) < _ARTIFACT_HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
-    magic, version, count = head.unpack_from(blob, 0)
+    magic, version, count = _ARTIFACT_HEADER.unpack_from(blob, 0)
     if magic != ARTIFACT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
     sections: dict[str, bytes] = {}
-    pos = head.size
+    pos = _ARTIFACT_HEADER.size
     for _ in range(count):
         if pos + _SECTION_ENTRY.size > len(blob):
             raise DataFormatError(f"{path}: truncated section table")
@@ -220,22 +237,11 @@ def read_artifact(path: str | Path) -> ModelArtifact:
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: meta section is not a JSON object")
 
-    sub = sections["subspace"]
-    sub_head = struct.Struct("<IIIB")
-    if len(sub) < sub_head.size:
-        raise DataFormatError(f"{path}: truncated subspace section")
-    dim, k, source_count, rank_flag = sub_head.unpack_from(sub, 0)
+    (dim, k, source_count, rank_flag), (mean, basis, singular) = _read_f64_section(
+        path, "subspace", sections["subspace"], _SUBSPACE_HEADER,
+        lambda dim, k, *_: [(dim,), (dim, k), (k,)])
     if dim == 0 or k == 0:
         raise DataFormatError(f"{path}: empty subspace (dim={dim}, k={k})")
-    expect = sub_head.size + 8 * (dim + dim * k + k)
-    if len(sub) != expect:
-        raise DataFormatError(f"{path}: subspace section length mismatch")
-    off = sub_head.size
-    mean = np.frombuffer(sub, dtype="<f8", count=dim, offset=off).copy()
-    off += 8 * dim
-    basis = np.frombuffer(sub, dtype="<f8", count=dim * k, offset=off).reshape(dim, k).copy()
-    off += 8 * dim * k
-    singular = np.frombuffer(sub, dtype="<f8", count=k, offset=off).copy()
     if not all(np.all(np.isfinite(a)) for a in (mean, basis, singular)):
         raise DataFormatError(f"{path}: non-finite subspace values")
     with np.errstate(all="ignore"):  # a corrupt basis may overflow the product
@@ -250,17 +256,8 @@ def read_artifact(path: str | Path) -> ModelArtifact:
         rank_deficient=bool(rank_flag),
     )
 
-    dec = sections["decoder"]
-    dec_head = struct.Struct("<II")
-    if len(dec) < dec_head.size:
-        raise DataFormatError(f"{path}: truncated decoder section")
-    c, d_dim = dec_head.unpack_from(dec, 0)
-    if len(dec) != dec_head.size + 8 * (c * d_dim + c):
-        raise DataFormatError(f"{path}: decoder section length mismatch")
-    off = dec_head.size
-    weights = np.frombuffer(dec, dtype="<f8", count=c * d_dim, offset=off).reshape(c, d_dim).copy()
-    off += 8 * c * d_dim
-    bias = np.frombuffer(dec, dtype="<f8", count=c, offset=off).copy()
+    _, (weights, bias) = _read_f64_section(
+        path, "decoder", sections["decoder"], _DECODER_HEADER, lambda c, dim: [(c, dim), (c,)])
     try:
         decoder = LinearDecoder(weights=weights, bias=bias)
     except ContractViolation as exc:

@@ -8,26 +8,20 @@ recomputed from the rows rather than carried separately.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from .fileio import atomic_open
 
-CSV_COLUMNS = [
-    "index",
-    "true_label",
-    "noadapt_class",
-    "noadapt_entropy",
-    "adapted_class",
-    "adapted_entropy",
-    "evaluations",
-    "status",
-    "wall_ms",
-]
 
 @dataclass(frozen=True)
 class SampleRecord:
+    """One row of the per-sample CSV. The fields, in order, are its columns:
+    each cell is written by :func:`cell` (a float field in the format of its
+    ``format`` metadata) and read back with the field's type."""
+
     index: int
     true_label: int           # -1 when the target file carries no labels
     noadapt_class: int
@@ -36,7 +30,13 @@ class SampleRecord:
     adapted_entropy: float
     evaluations: int
     status: str               # "ok" or an error tag
-    wall_ms: float
+    wall_ms: float = field(metadata={"format": ".3f"})
+
+
+_TYPES = typing.get_type_hints(SampleRecord)
+_COLUMNS = [(f.name, _TYPES[f.name], f.metadata.get("format", ".17g"))
+            for f in fields(SampleRecord)]
+CSV_COLUMNS = [name for name, _, _ in _COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,12 @@ def summarize(records: list[SampleRecord]) -> Summary:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def cell(value, spec: str = ".17g") -> str:
+    """The CSV text of a value: empty for None, a float in ``spec``, anything
+    else as ``str``."""
+    if value is None:
+        return ""
+    return format(value, spec) if isinstance(value, float) else str(value)
 
 
 def write_csv(path: str | Path, records: list[SampleRecord]) -> None:
@@ -91,19 +95,7 @@ def write_csv(path: str | Path, records: list[SampleRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.index,
-                    r.true_label,
-                    r.noadapt_class,
-                    _fmt(r.noadapt_entropy),
-                    r.adapted_class,
-                    _fmt(r.adapted_entropy),
-                    r.evaluations,
-                    r.status,
-                    f"{r.wall_ms:.3f}",
-                ]
-            )
+            writer.writerow([cell(kind(getattr(r, name)), spec) for name, kind, spec in _COLUMNS])
 
 
 def read_csv(path: str | Path) -> list[SampleRecord]:
@@ -118,19 +110,7 @@ def read_csv(path: str | Path) -> list[SampleRecord]:
                 raise ValueError(
                     f"{path}: line {reader.line_num}: expected {len(CSV_COLUMNS)} fields"
                 )
-            records.append(
-                SampleRecord(
-                    index=int(row["index"]),
-                    true_label=int(row["true_label"]),
-                    noadapt_class=int(row["noadapt_class"]),
-                    noadapt_entropy=float(row["noadapt_entropy"]),
-                    adapted_class=int(row["adapted_class"]),
-                    adapted_entropy=float(row["adapted_entropy"]),
-                    evaluations=int(row["evaluations"]),
-                    status=row["status"],
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
+            records.append(SampleRecord(*(kind(row[name]) for name, kind, _ in _COLUMNS)))
     return records
 
 

@@ -278,6 +278,69 @@ def test_a_directory_given_as_an_input_file_is_a_data_error(workdir, capsys, whi
     assert not any(folder.iterdir())
 
 
+@pytest.mark.parametrize("which", ["gen-file", "fit-dir", "adapt-dir", "report-dir"])
+def test_a_write_target_that_cannot_be_written_is_a_data_error(workdir, capsys, which):
+    # gen used to die with FileExistsError, the others with IsADirectoryError
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.csv"
+    if which == "report-dir":
+        assert main(["adapt", str(art), str(out / "target_combined.latf"), "--n", "2",
+                     "--out", str(rep)]) == 0
+        capsys.readouterr()
+    target = tmp_path / "taken"
+    if which == "gen-file":
+        target.write_bytes(b"a file")
+    else:
+        target.mkdir()
+    argv = {
+        "gen-file": GEN_ARGS,
+        "fit-dir": ["fit", str(out / "source_train.latf"), "--k", "2"],
+        "adapt-dir": ["adapt", str(art), str(out / "target_combined.latf"), "--n", "2"],
+        "report-dir": ["report", str(rep)],
+    }[which]
+    listing = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {target}: cannot ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == listing
+    if which != "gen-file":
+        assert not any(target.iterdir())
+
+
+def test_adapt_out_that_is_its_own_summary_path_is_a_usage_error(workdir, capsys):
+    # the summary goes to --out with the suffix .txt: it used to overwrite the report
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.txt"
+    assert main(["adapt", str(art), str(out / "target_combined.latf"), "--out", str(rep)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: --out {rep} is also the path")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--severity", "-1"], ["--severity", "nan"], ["--severity", "inf"],
+    ["--radius", "nan"], ["--std", "nan"], ["--std", "inf"],
+], ids=["severity-negative", "severity-nan", "severity-inf", "radius-nan", "std-nan", "std-inf"])
+def test_gen_refuses_a_bad_shape_value_before_any_write(tmp_path, capsys, flags):
+    # the severity used to be refused after the two source files were written,
+    # with exit 2; a NaN radius or std used to fail at the first write
+    out = tmp_path / "data"
+    assert main(GEN_ARGS + flags + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["adapt", "sweep"])
+def test_adapt_and_sweep_name_both_dimensions_of_a_mismatch(workdir, capsys, command):
+    tmp_path, out, art = workdir
+    other = tmp_path / "other"
+    assert main(["gen", "--classes", "3", "--dim", "8", "--per-class", "10",
+                 "--target-per-class", "4", "--out", str(other)]) == 0
+    rep = tmp_path / "r.csv"
+    assert main([command, str(art), str(other / "target_combined.latf"), "--out", str(rep)]) == 1
+    assert "target dimension 8 does not match artifact dimension 16" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("labels", [[0, 0, 1, 1, 0, 0xFFFFFFFF], [0, 0, 2, 2, 0, 2]],
                          ids=["huge-label", "missing-class"])
 def test_fit_labels_must_be_every_class_from_zero(tmp_path, capsys, labels):

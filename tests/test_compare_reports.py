@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from latentadapt import report
 from latentadapt.report import SampleRecord, write_csv
 
@@ -111,3 +113,26 @@ def test_summaries_are_compared_only_when_both_exist(tmp_path, capsys):
     _write_summary(a, records, "saturation events: 1 (sigma clamps: 0, eigenvalue clamps: 0)\n")
     assert compare_reports.main([a, b]) == 0
     assert "summaries'" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("which", ["missing", "directory", "not-utf8", "summary-not-utf8"])
+def test_an_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, which):
+    # each used to end in a traceback with exit 1, the code of "reports differ"
+    records = _records()
+    a = _write(tmp_path, "a.csv", records)
+    b = tmp_path / "b.csv"
+    bad = b
+    if which == "directory":
+        b.mkdir()
+    elif which == "not-utf8":
+        b.write_bytes(b"index\n\xff\xfe\n")
+    elif which == "summary-not-utf8":
+        write_csv(b, records)
+        _write_summary(a, records)
+        bad = b.with_suffix(".txt")
+        bad.write_bytes(b"\xff\xfe\n")
+    assert compare_reports.main([a, str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{bad}: cannot read: ")
+    assert captured.err.count("\n") == 1

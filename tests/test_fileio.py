@@ -107,6 +107,32 @@ def test_artifact_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == first
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 9), data=st.data())
+def test_any_artifact_shape_writes_reads_and_writes_the_same_bytes(dim, data):
+    k = data.draw(st.integers(1, dim))
+    classes = data.draw(st.integers(2, 6))  # a decoder needs two classes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, k)))
+    artifact = fileio.ModelArtifact(
+        subspace=PrincipalSubspace(rng.standard_normal(dim), basis,
+                                   np.sort(rng.random(k))[::-1], int(rng.integers(1, 99)),
+                                   bool(rng.integers(2))),
+        decoder=LinearDecoder(rng.standard_normal((classes, dim)), rng.standard_normal(classes)),
+        meta={"k": k},
+    )
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.lama"
+        fileio.write_artifact(path, artifact)
+        first = path.read_bytes()
+        back = fileio.read_artifact(path)
+        fileio.write_artifact(path, back)
+        assert path.read_bytes() == first
+    assert back.subspace.basis.shape == (dim, k)
+    assert back.decoder.weights.tobytes() == artifact.decoder.weights.tobytes()
+    assert back.subspace.rank_deficient == artifact.subspace.rank_deficient
+
+
 def test_artifact_rejects_corruption(tmp_path):
     task = datagen.make_task(class_count=3, dim=6, seed=4)
     source, _ = datagen.gen_source(task, 20)

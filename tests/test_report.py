@@ -1,4 +1,11 @@
 import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentadapt import report
 
@@ -75,3 +82,48 @@ def test_summary_text_mentions_gain():
     text = report.summary_text(report.summarize(records), header="h")
     assert "accuracy gain" in text
     assert text.startswith("h\n")
+
+
+def test_the_columns_are_the_record_fields():
+    assert report.CSV_COLUMNS == list(report.SampleRecord.__dataclass_fields__)
+
+
+_INTS = st.integers(-(2 ** 63), 2 ** 64)
+_RECORDS = st.lists(st.builds(
+    report.SampleRecord, _INTS, st.one_of(st.just(-1), _INTS), _INTS, st.floats(), _INTS,
+    st.floats(), _INTS, st.text(), st.floats(),
+), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS)
+def test_any_records_read_back_as_written(records):
+    # every field but wall_ms comes back exactly (floats by repr, so -0.0 and
+    # the infinities too, and NaN as NaN); wall_ms to its 3 written decimals
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.csv"
+        report.write_csv(path, records)
+        back = report.read_csv(path)
+    assert len(back) == len(records)
+    for r, b in zip(records, back):
+        for name in report.CSV_COLUMNS[:-1]:
+            assert repr(getattr(b, name)) == repr(getattr(r, name)), name
+        assert repr(b.wall_ms) == repr(float(f"{r.wall_ms:.3f}"))
+
+
+_HEADER = ",".join(report.CSV_COLUMNS)
+_ROW = "0,1,1,0.5,1,0.25,9,ok,1.5"
+
+
+def test_a_blank_line_is_skipped(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(f"{_HEADER}\n{_ROW}\n\n{_ROW}\n")
+    assert len(report.read_csv(path)) == 2
+
+
+@pytest.mark.parametrize("row", [_ROW.rsplit(",", 1)[0], _ROW + ",7"], ids=["short", "extra"])
+def test_a_row_with_a_missing_or_extra_field_is_refused_naming_its_line(tmp_path, row):
+    path = tmp_path / "r.csv"
+    path.write_text(f"{_HEADER}\n{_ROW}\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: expected 9 fields")):
+        report.read_csv(path)

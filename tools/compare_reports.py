@@ -5,15 +5,17 @@
 Exits 0 when both CSVs have the same header and the same rows with every
 column but ``wall_ms`` equal as text and, where both have a ``.txt`` summary
 beside them, the summaries have the same lines apart from the mean
-wall-clock one; exits 1 and prints the first difference otherwise. The
-saturation and clamp counts of fixed mode are only in the summary. Standard
-library only, so it runs against any checkout.
+wall-clock one; exits 1 and prints the first difference otherwise; exits 2
+with one line naming the file when an input cannot be read as text or CSV.
+The saturation and clamp counts of fixed mode are only in the summary.
+Standard library only, so it runs against any checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -22,9 +24,25 @@ IGNORED = ("wall_ms",)  # the wall-clock column of latentadapt.report.CSV_COLUMN
 IGNORED_LINE = "mean wall-clock per sample:"  # the wall-clock line of the summary
 
 
+class Unreadable(Exception):
+    """An input that cannot be read; the message names the file."""
+
+
+def _text(path: str | Path) -> str:
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise Unreadable(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise Unreadable(f"{path}: cannot read: {exc.reason} at byte {exc.start}") from exc
+
+
 def _read(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        rows = list(csv.reader(io.StringIO(_text(path), newline="")))
+    except csv.Error as exc:
+        raise Unreadable(f"{path}: cannot read: {exc}") from exc
     if not rows:
         return [], []
     return rows[0], rows[1:]
@@ -35,7 +53,7 @@ def _summary(path: str) -> Path:
 
 
 def _summary_lines(path: Path) -> list[tuple[int, str]]:
-    lines = path.read_text().splitlines()
+    lines = _text(path).splitlines()
     return [(number, line) for number, line in enumerate(lines, start=1)
             if not line.startswith(IGNORED_LINE)]
 
@@ -79,7 +97,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("a")
     parser.add_argument("b")
     args = parser.parse_args(argv)
-    difference = first_difference(args.a, args.b)
+    try:
+        difference = first_difference(args.a, args.b)
+    except Unreadable as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if difference is None:
         summaries = _summary(args.a).is_file() and _summary(args.b).is_file()
         also = f" and the summaries' {IGNORED_LINE[:-1]!r} line" if summaries else ""
