@@ -8,6 +8,13 @@ evaluates the baseline alone. The no-correction point competes in the
 selection, so an adapted prediction can never be less confident than the
 unadapted one. Nothing in the decoder or
 subspace is ever modified.
+
+:func:`adapt_batch` runs every row in lockstep: each row's search advances
+one generation at a time, and before each generation the covariances of all
+live float searches are decomposed together, stacked once there are at
+least ``linalg._STACK_MIN`` of them. Each row's ask, evaluation and tell
+stay its own, so a row's result does not depend on the batch it ran in.
+:func:`adapt` is the same runner on one row.
 """
 
 from __future__ import annotations
@@ -95,8 +102,21 @@ def adapt(
     Runs ``cfg.n`` generations of entropy-minimizing search over the
     correction coordinates (none in mode ``none``), with the zero correction
     evaluated first as the baseline. The winner is the lowest-entropy point
-    over every evaluation.
+    over every evaluation. This is the batch runner on one row, seeded with
+    ``cfg.seed`` itself.
     """
+    batch = _run([z_t], decoder, s, cfg, None)
+    if batch.errors:
+        raise batch.errors[0]
+    return batch.results[0]
+
+
+def _start_row(z_t, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
+               index: Optional[int]) -> tuple[cmaes.Search, np.ndarray]:
+    """One row's search, its baseline evaluated, and the row's latent. The
+    machine is seeded from ``index``, or with ``cfg.seed`` itself when it is
+    None."""
+    seed = cfg.seed if index is None else derive_seed(cfg.seed, int(index))
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.shape != (s.dim,):
         raise ContractViolation(f"latent must have shape ({s.dim},), got {z_t.shape}")
@@ -109,20 +129,23 @@ def adapt(
 
     params = cmaes.CmaEsParams.defaults(cfg.k, cfg.population, cfg.sigma0)
     if cfg.mode == "fixed":
-        machine = quant.FixedCmaes(params, cfg.fixed_format, cfg.seed)
+        machine = quant.FixedCmaes(params, cfg.fixed_format, seed)
     elif cfg.mode == "qted-v1":
-        machine = quant.BinaryCmaes(params, cfg.seed, cfg.binary_alpha, cfg.binary_feedback)
+        machine = quant.BinaryCmaes(params, seed, cfg.binary_alpha, cfg.binary_feedback)
     else:
-        machine = cmaes.CmaEs(params, cfg.seed)
-    iterations = 0 if cfg.mode == "none" else cfg.n
+        machine = cmaes.CmaEs(params, seed)
     # every machine starts from the zero correction, +0.0 in each coordinate
-    zero = np.zeros(cfg.k)
-    result = cmaes.search(machine, functools.partial(fitness, decoder, s, z_t), iterations,
-                          baseline=zero)
+    run = cmaes.Search(machine, functools.partial(fitness, decoder, s, z_t),
+                       baseline=np.zeros(cfg.k))
+    return run, z_t
 
+
+def _finish_row(run: cmaes.Search, z_t: np.ndarray, decoder: LinearDecoder,
+                s: PrincipalSubspace) -> AdaptationResult:
+    result = run.result()
     p_star = result.best_p
     z_adapted = apply_correction(s, z_t, p_star)
-    baseline_prediction = decode(decoder, apply_correction(s, z_t, zero))
+    baseline_prediction = decode(decoder, apply_correction(s, z_t, np.zeros(s.k)))
     # an all-zero winner is the baseline: an equal later point cannot score lower
     prediction = decode(decoder, z_adapted) if p_star.any() else baseline_prediction
     return AdaptationResult(
@@ -160,8 +183,8 @@ def adapt_batch(
     runs), so outcomes do not depend on processing order and shards can be
     recombined. A row that raises ContractViolation
     or ConvergenceFailure is recorded as failed; any other exception
-    propagates. Each row's wall time runs from its seed derivation until
-    ``adapt`` returns or raises.
+    propagates. Each row's wall time is the time spent on that row alone
+    plus an equal share of each joint decomposition it took part in.
     """
     z_rows = np.asarray(z_rows, dtype=np.float64)
     if z_rows.ndim != 2:
@@ -176,15 +199,54 @@ def adapt_batch(
         if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):
             raise ContractViolation("indices must be integers >= 0")
 
-    batch = BatchResult(results=[])
-    for i in range(n_rows):
+    return _run(z_rows, decoder, s, cfg, indices)
+
+
+def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
+         indices: Optional[np.ndarray]) -> BatchResult:
+    """The lockstep runner: every row's search advances one generation at a
+    time, and before each generation the stale covariances of all live
+    float machines are decomposed together (:func:`cmaes.decompose_stale`).
+
+    Row ``i`` is seeded from ``indices[i]``, or with ``cfg.seed`` itself when
+    ``indices`` is None. A row fails alone. Its wall time is the time spent
+    on it alone plus an equal share of each joint decomposition it took part
+    in.
+    """
+    n_rows = len(z_rows)
+    wall = [0.0] * n_rows
+    errors: dict[int, Exception] = {}
+    rows: dict[int, tuple[cmaes.Search, np.ndarray]] = {}
+
+    def timed(i: int, step, *args):
         start = time.perf_counter()
-        row_cfg = cfg.with_seed(derive_seed(cfg.seed, int(indices[i])))
         try:
-            result = adapt(z_rows[i], decoder, s, row_cfg)
+            return step(*args)
         except (ContractViolation, ConvergenceFailure) as exc:
-            result = None
-            batch.errors[i] = exc
-        batch.wall_ms.append((time.perf_counter() - start) * 1e3)
-        batch.results.append(result)
-    return batch
+            errors[i] = exc
+            rows.pop(i, None)
+        finally:
+            wall[i] += time.perf_counter() - start
+
+    for i in range(n_rows):
+        row = timed(i, _start_row, z_rows[i], decoder, s, cfg,
+                    None if indices is None else indices[i])
+        if row is not None:
+            rows[i] = row
+    for _ in range(0 if cfg.mode == "none" else cfg.n):
+        live = list(rows)
+        start = time.perf_counter()
+        joined = cmaes.decompose_stale([rows[i][0].machine for i in live])
+        share = (time.perf_counter() - start) / max(len(joined), 1)
+        for j, exc in joined.items():
+            wall[live[j]] += share
+            if exc is not None:
+                errors[live[j]] = exc
+                del rows[live[j]]
+        for i in list(rows):
+            timed(i, rows[i][0].step)
+    results: list[Optional[AdaptationResult]] = [None] * n_rows
+    for i, (run, z_t) in list(rows.items()):
+        results[i] = timed(i, _finish_row, run, z_t, decoder, s)
+    return BatchResult(results=results, errors=dict(sorted(errors.items())),
+                       wall_ms=[w * 1e3 for w in wall])

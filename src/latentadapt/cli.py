@@ -106,6 +106,8 @@ def _cmd_gen(args) -> int:
         for spec in datagen.preset_shifts(args.dim, args.severity, args.seed, std=args.std):
             shifted = datagen.apply_shift(test_z, source_mean, spec)
             files[f"target_{spec.label.replace('-', '_')}.latf"] = (shifted, test_y)
+        for features, labels in files.values():
+            fileio.check_features(features, labels)
     except ContractViolation as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out)

@@ -15,10 +15,15 @@ Every search machine, this one and the 1-bit and fixed-point machines in
 :mod:`latentadapt.quant`, has the same interface: ``ask()`` returns the
 generation's candidates as a (population, dim) array, and ``tell(fitnesses)``
 ranks the machine's own last candidates after :func:`fitness_order` has
-checked the one fitness contract. :func:`search` is the one
-ask/evaluate/tell loop and :class:`MinimizeResult` its one result type; it
-returns the quantized machines' saturation and clamp counts as
-``quant_warnings``.
+checked the one fitness contract. :class:`Search` is the one
+ask/evaluate/tell driver, one generation per ``step``; :func:`search` runs
+it for a number of generations, and :class:`MinimizeResult` is its one
+result type, with the quantized machines' saturation and clamp counts as
+``quant_warnings``. The batch runner in :mod:`latentadapt.adapt` steps many
+searches in lockstep and, before each generation, hands every stale float
+covariance to :func:`decompose_stale`, which decomposes them in one
+:func:`latentadapt.linalg.sym_eig_many` call; each machine then finds its
+decomposition cached, so its arithmetic is the same as when run alone.
 """
 
 from __future__ import annotations
@@ -149,6 +154,15 @@ def fitness_order(fitnesses, population: int, candidates) -> np.ndarray:
     return np.argsort(fit, kind="stable")
 
 
+def _positive_definite(decomposition: tuple[np.ndarray, np.ndarray]) -> tuple:
+    values = decomposition[0]
+    if values[-1] <= 0.0:
+        raise ConvergenceFailure(
+            f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
+        )
+    return decomposition
+
+
 class CmaEs:
     """Float CMA-ES as a search machine for :func:`search`.
 
@@ -177,12 +191,7 @@ class CmaEs:
 
     def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
         if self._dec is None:
-            values, vectors = linalg.sym_eig(self.cov, self.params.dim)
-            if values[-1] <= 0.0:
-                raise ConvergenceFailure(
-                    f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
-                )
-            self._dec = (values, vectors)
+            self._dec = _positive_definite(linalg.sym_eig(self.cov, self.params.dim))
         return self._dec
 
     def start(self, baseline: np.ndarray) -> np.ndarray:
@@ -257,6 +266,32 @@ class CmaEs:
         self._candidates = None
 
 
+def decompose_stale(machines: list) -> dict[int, Optional[Exception]]:
+    """Decompose the covariance of every float machine in ``machines`` (all
+    of one dimension) whose decomposition is stale, with one
+    :func:`linalg.sym_eig_many` call, which stacks the matrices once there
+    are enough of them.
+
+    Returns the positions of the machines that took part, each mapped to
+    None when the machine now holds its decomposition, or else to the
+    exception its own ``ask`` would have raised.
+    """
+    stale = [i for i, m in enumerate(machines) if isinstance(m, CmaEs) and m._dec is None]
+    if not stale:
+        return {}
+    found = linalg.sym_eig_many([machines[i].cov for i in stale], machines[stale[0]].params.dim)
+    outcome: dict[int, Optional[Exception]] = {}
+    for i, decomposition in zip(stale, found):
+        if not isinstance(decomposition, Exception):
+            try:
+                machines[i]._dec = _positive_definite(decomposition)
+                decomposition = None
+            except ConvergenceFailure as exc:
+                decomposition = exc
+        outcome[i] = decomposition
+    return outcome
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     best_p: np.ndarray
@@ -265,6 +300,63 @@ class MinimizeResult:
     evaluations: int
     nonfinite_count: int        # objective values replaced by +inf
     quant_warnings: Optional[dict] = None  # the machine's saturation/clamp counts
+
+
+class Search:
+    """One machine's run of :func:`search`: the baseline, if any, is
+    evaluated on construction, each :meth:`step` is one ask/evaluate/tell
+    generation and :meth:`result` the outcome so far. A batch runner
+    advances many of them together."""
+
+    def __init__(self, machine, objective: Callable[[np.ndarray], float],
+                 baseline: Optional[np.ndarray] = None):
+        self.machine = machine
+        self.objective = objective
+        self.evaluations = 0
+        self.nonfinite = 0
+        self.best_p: Optional[np.ndarray] = None
+        self.best_f = math.inf
+        self.trace: list[float] = []
+        if baseline is not None:
+            baseline = np.asarray(baseline, dtype=np.float64)
+            if baseline.shape != (machine.params.dim,):
+                raise ContractViolation("baseline must have the search dimension")
+            point = machine.start(baseline)
+            self.best_f = self._evaluate(point)
+            self.best_p = point.copy()
+
+    def _evaluate(self, point: np.ndarray) -> float:
+        value = float(self.objective(point))
+        self.evaluations += 1
+        if not math.isfinite(value):
+            self.nonfinite += 1
+            return math.inf
+        return value
+
+    def step(self) -> None:
+        points = self.machine.ask()
+        fits = [self._evaluate(point) for point in points]
+        for point, f in zip(points, fits):
+            if self.best_p is None or f < self.best_f:
+                self.best_f = f
+                self.best_p = point.copy()
+        if any(math.isinf(f) for f in fits):
+            finite = [f for f in fits if math.isfinite(f)]
+            sentinel = (max(finite) if finite else 0.0) + 1.0
+            fits = [f if math.isfinite(f) else sentinel for f in fits]
+        self.machine.tell(fits)
+        self.trace.append(self.best_f)
+
+    def result(self) -> MinimizeResult:
+        assert self.best_p is not None  # a baseline or a step guarantees evaluations
+        return MinimizeResult(
+            best_p=self.best_p,
+            best_fitness=self.best_f,
+            trace=self.trace,
+            evaluations=self.evaluations,
+            nonfinite_count=self.nonfinite,
+            quant_warnings=self.machine.quant_warnings,
+        )
 
 
 def search(
@@ -284,49 +376,7 @@ def search(
     """
     if iterations < 0 or (iterations == 0 and baseline is None):
         raise ContractViolation("iterations must be >= 1, or 0 with a baseline")
-    evaluations = 0
-    nonfinite = 0
-    best_p: Optional[np.ndarray] = None
-    best_f = math.inf
-
-    def evaluate(point: np.ndarray) -> float:
-        nonlocal evaluations, nonfinite
-        value = float(objective(point))
-        evaluations += 1
-        if not math.isfinite(value):
-            nonfinite += 1
-            return math.inf
-        return value
-
-    if baseline is not None:
-        baseline = np.asarray(baseline, dtype=np.float64)
-        if baseline.shape != (machine.params.dim,):
-            raise ContractViolation("baseline must have the search dimension")
-        point = machine.start(baseline)
-        best_f = evaluate(point)
-        best_p = point.copy()
-
-    trace: list[float] = []
+    run = Search(machine, objective, baseline)
     for _ in range(iterations):
-        points = machine.ask()
-        fits = [evaluate(point) for point in points]
-        for point, f in zip(points, fits):
-            if best_p is None or f < best_f:
-                best_f = f
-                best_p = point.copy()
-        if any(math.isinf(f) for f in fits):
-            finite = [f for f in fits if math.isfinite(f)]
-            sentinel = (max(finite) if finite else 0.0) + 1.0
-            fits = [f if math.isfinite(f) else sentinel for f in fits]
-        machine.tell(fits)
-        trace.append(best_f)
-
-    assert best_p is not None  # a baseline or an iteration guarantees evaluations
-    return MinimizeResult(
-        best_p=best_p,
-        best_fitness=best_f,
-        trace=trace,
-        evaluations=evaluations,
-        nonfinite_count=nonfinite,
-        quant_warnings=machine.quant_warnings,
-    )
+        run.step()
+    return run.result()

@@ -86,31 +86,46 @@ def read_bytes(path: str | Path) -> bytes:
         raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
-def write_features(
-    path: str | Path, features: np.ndarray, labels: Optional[np.ndarray] = None
-) -> None:
-    """Write an N x D float matrix (and optional labels) as a feature file."""
+def check_features(
+    features: np.ndarray, labels: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The arrays a feature file stores: ``features`` as a non-empty N x D
+    little-endian float32 matrix, every value finite after the cast (so
+    nothing beyond the float32 range), and ``labels``, if given, as N u32
+    values. Anything else is a :class:`ContractViolation`."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.size == 0:
         raise ContractViolation("features must be a non-empty 2-d array")
-    if not np.all(np.isfinite(features)):
-        raise ContractViolation("features contain non-finite entries")
-    n, d = features.shape
+    with np.errstate(over="ignore"):
+        stored = features.astype("<f4")
+    if not np.all(np.isfinite(stored)):
+        raise ContractViolation("features contain non-finite entries or values "
+                                "beyond the float32 range")
     if labels is not None:
         labels = np.asarray(labels)
-        if labels.shape != (n,):
+        if labels.shape != (features.shape[0],):
             raise ContractViolation("labels must have one entry per row")
         if np.any(labels < 0) or np.any(labels > 0xFFFFFFFF):
             raise ContractViolation("labels must fit in u32")
-    payload = features.astype("<f4").tobytes()
+        labels = labels.astype("<u4")
+    return stored, labels
+
+
+def write_features(
+    path: str | Path, features: np.ndarray, labels: Optional[np.ndarray] = None
+) -> None:
+    """Write an N x D float matrix (and optional labels) as a feature file;
+    refuses what :func:`check_features` refuses."""
+    stored, labels = check_features(features, labels)
+    n, d = stored.shape
     header = _FEATURE_HEADER.pack(
         FEATURE_MAGIC, FORMAT_VERSION, n, d, 1 if labels is not None else 0
     )
     with atomic_open(path) as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(stored.tobytes())
         if labels is not None:
-            fh.write(labels.astype("<u4").tobytes())
+            fh.write(labels.tobytes())
 
 
 def read_features(path: str | Path) -> tuple[np.ndarray, Optional[np.ndarray]]:

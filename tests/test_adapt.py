@@ -237,7 +237,9 @@ def test_batch_collects_row_errors_without_failing():
 def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
     adapt_module = importlib.import_module("latentadapt.adapt")
     rows_run = []
-    monkeypatch.setattr(adapt_module, "adapt", lambda *args: rows_run.append(args))
+    start_row = adapt_module._start_row
+    monkeypatch.setattr(adapt_module, "_start_row",
+                        lambda *args: rows_run.append(args) or start_row(*args))
     task, sub, dec = _small_setup(seed=21)
     rows = task.class_means[:3]
     with pytest.raises(ContractViolation):
@@ -382,3 +384,62 @@ def test_public_surface_is_pinned():
     ]
     for name in latentadapt.__all__:
         assert getattr(latentadapt, name).__module__.startswith("latentadapt.")
+
+
+_COMPOSITION_MODES = [("none", None), ("ted", None), ("qted-v1", None),
+                      ("fixed", FixedPointFormat(8, 4)), ("fixed", FixedPointFormat(16, 8))]
+
+
+def _row_bits(result):
+    return (result.p_star.tobytes(), result.entropy_trace, result.evaluations,
+            result.nonfinite_count, result.quant_warnings)
+
+
+def _composition_rows(seed):
+    task, sub, dec = _small_setup(seed=seed)
+    rows, _ = datagen.gen_source(task, linalg._STACK_MIN, stream=9)
+    return rows[: 2 * linalg._STACK_MIN + 3], sub, dec
+
+
+@pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES, ids=["none", "ted", "qted-v1", "8b4", "16b8"])
+def test_batch_composition_does_not_change_a_row(mode, fmt):
+    # all rows at once decompose the float covariances in stacked calls, 7-row
+    # shards and single rows one matrix at a time
+    rows, sub, dec = _composition_rows(seed=22)
+    cfg = AdaptationConfig(k=4, n=3, seed=17, mode=mode, fixed_format=fmt)
+    whole = adapt_batch(rows, dec, sub, cfg)
+    assert not whole.errors
+    expected = [_row_bits(r) for r in whole.results]
+    for start in range(0, len(rows), 7):
+        shard = np.arange(start, min(start + 7, len(rows)))
+        part = adapt_batch(rows[shard], dec, sub, cfg, indices=shard)
+        assert [_row_bits(r) for r in part.results] == expected[shard[0]:shard[-1] + 1]
+    for i in range(len(rows)):
+        single = adapt_batch(rows[i:i + 1], dec, sub, cfg, indices=[i])
+        assert _row_bits(single.results[0]) == expected[i]
+
+    broken = rows.copy()
+    middle = len(rows) // 2
+    broken[middle, 0] = np.nan
+    mixed = adapt_batch(broken, dec, sub, cfg)
+    assert set(mixed.errors) == {middle} and mixed.results[middle] is None
+    assert str(mixed.errors[middle]) == "latent contains non-finite entries"
+    assert [_row_bits(r) for i, r in enumerate(mixed.results) if i != middle] == \
+        expected[:middle] + expected[middle + 1:]
+    assert len(mixed.wall_ms) == len(rows) and all(ms >= 0.0 for ms in mixed.wall_ms)
+
+    empty = adapt_batch(rows[:0], dec, sub, cfg)
+    assert (empty.results, empty.errors, empty.wall_ms) == ([], {}, [])
+
+
+@pytest.mark.parametrize("mode", ["ted", "qted-v1"])
+def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mode):
+    rows, sub, dec = _composition_rows(seed=23)
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    cfg = AdaptationConfig(k=4, n=3, seed=19, mode=mode)
+    whole = adapt_batch(rows, dec, sub, cfg)
+    assert set(whole.errors) == set(range(len(rows)))
+    for i in (0, len(rows) - 1):
+        single = adapt_batch(rows[i:i + 1], dec, sub, cfg, indices=[i])
+        assert type(single.errors[0]) is type(whole.errors[i]) is ConvergenceFailure
+        assert str(single.errors[0]) == str(whole.errors[i])

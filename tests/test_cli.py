@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,20 @@ def test_gen_refuses_a_bad_shape_value_before_any_write(tmp_path, capsys, flags)
     out = tmp_path / "data"
     assert main(GEN_ARGS + flags + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_gen_refuses_features_beyond_float32_before_any_write(tmp_path, capsys):
+    # finite in float64 but infinite once stored as float32: gen used to exit 0
+    # with an overflow warning and write targets that adapt then refused
+    out = tmp_path / "data"
+    args = ["gen", "--severity", "1e300", "--classes", "3", "--dim", "8", "--per-class", "10",
+            "--target-per-class", "4", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "float32" in err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentadapt import cmaes, linalg, quant
-from latentadapt.errors import ContractViolation
+from latentadapt.errors import ContractViolation, ConvergenceFailure
 
 # frozen regression fixture: first population for dimension 2, seed 42
 GOLDEN_ASK_K2_SEED42 = np.array(
@@ -355,3 +355,43 @@ def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
             assert a.tobytes() == b.tobytes()
         assert machine.rng.state() == rng_state
         machine.tell([rosenbrock(c) for c in got])
+
+
+def _ask_error(machine):
+    try:
+        machine.ask()
+    except (ContractViolation, ConvergenceFailure) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("count", [4, linalg._STACK_MIN + 2])
+def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(count):
+    params = cmaes.CmaEsParams.defaults(6)
+    fixed = quant.FixedCmaes(params, quant.FixedPointFormat(8, 4), 0)
+    machines, twins = [fixed], []
+    for seed in range(count):
+        pair = [cmaes.CmaEs(params, seed), cmaes.CmaEs(params, seed)]
+        for m in pair:
+            m.tell([sphere(p) for p in m.ask()])  # a covariance that is not diagonal
+        machines.append(pair[0])
+        twins.append(pair[1])
+    bad = {1: np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), 2: np.full((6, 6), np.nan),
+           3: np.triu(np.ones((6, 6)))}
+    for i, cov in bad.items():
+        machines[i].cov = twins[i - 1].cov = cov
+    machines[4]._decomposition()  # fresh: takes no part
+
+    outcome = cmaes.decompose_stale(machines)
+    assert set(outcome) == set(range(1, count + 1)) - {4}
+    for i, twin in enumerate(twins, start=1):
+        alone = _ask_error(twin)
+        if i in bad:
+            assert type(outcome[i]) is type(alone) and str(outcome[i]) == str(alone)
+            assert machines[i]._dec is None
+        else:
+            assert alone is None and outcome.get(i) is None
+            for got, want in zip(machines[i]._decomposition(), twin._decomposition()):
+                assert got.tobytes() == want.tobytes()
+    assert "positive definiteness" in str(outcome[1])
+    assert isinstance(outcome[3], ContractViolation)

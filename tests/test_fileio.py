@@ -79,6 +79,17 @@ def test_write_features_rejects_non_finite():
         fileio.write_features("/tmp/never.latf", np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.parametrize("value", [3.5e38, -1e300])
+def test_write_features_rejects_values_beyond_float32(tmp_path, value):
+    path = tmp_path / "big.latf"
+    with pytest.raises(ContractViolation, match="float32"):
+        fileio.write_features(path, np.array([[value, 1.0]]))
+    assert not path.exists()
+    max32 = float(np.finfo(np.float32).max)
+    fileio.write_features(path, np.array([[max32, -max32]]))
+    assert fileio.read_features(path)[0].tolist() == [[max32, -max32]]
+
+
 def test_artifact_roundtrip_bit_exact(tmp_path):
     task = datagen.make_task(class_count=4, dim=10, seed=3)
     source, _ = datagen.gen_source(task, 30)

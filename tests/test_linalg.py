@@ -270,3 +270,94 @@ def test_sym_eig_sweep_cap_raises(monkeypatch):
     rng = np.random.default_rng(13)
     with pytest.raises(ConvergenceFailure):
         sym_eig(_random_spd(rng, 8), 8)
+
+
+def _mixed_stack(rng, n, count):
+    # converged before any sweep (diagonal, zero), after one rotation (one
+    # off-diagonal pair), and after a few to many sweeps (CMA-ES shaped, SPD)
+    one_pair = np.diag(np.arange(n, 0, -1.0))
+    if n > 1:
+        one_pair[0, 1] = one_pair[1, 0] = 0.5
+    kinds = [
+        lambda: np.diag(rng.standard_normal(n)),
+        lambda: np.zeros((n, n)),
+        lambda: one_pair,
+        lambda: _cmaes_shaped(rng, n, max(1, n // 3)),
+        lambda: _random_spd(rng, n),
+        lambda: np.eye(n),
+    ]
+    return [kinds[i % len(kinds)]() for i in range(count)]
+
+
+def _assert_each_matches_reference(mats, found, k):
+    assert len(found) == len(mats)
+    for s, item in zip(mats, found):
+        ref_values, ref_vectors = _reference_sym_eig(s, k)
+        values, vectors = item
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+        assert vectors.flags.c_contiguous and vectors.shape == (s.shape[0], k)
+
+
+@pytest.mark.parametrize("count", [1, linalg._STACK_MIN - 1, linalg._STACK_MIN,
+                                   2 * linalg._STACK_MIN + 5])
+@pytest.mark.parametrize("n, k", [(5, 5), (16, 16), (16, 4)])
+def test_sym_eig_many_matches_the_reference_per_matrix(monkeypatch, count, n, k):
+    stacked = []
+    real = linalg._sym_eig_stacked
+    monkeypatch.setattr(linalg, "_sym_eig_stacked",
+                        lambda mats, k: stacked.append(len(mats)) or real(mats, k))
+    mats = _mixed_stack(np.random.default_rng(400 + count + n + k), n, count)
+    _assert_each_matches_reference(mats, linalg.sym_eig_many(mats, k), k)
+    assert stacked == ([count] if count >= linalg._STACK_MIN else [])
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_stacked_kernel_matches_the_reference_below_the_threshold(count):
+    # the stack size only picks the faster kernel; both give the same bits
+    mats = _mixed_stack(np.random.default_rng(500 + count), 16, count)
+    _assert_each_matches_reference(mats, linalg._sym_eig_stacked(mats, 16), 16)
+
+
+def _single_outcome(s, k):
+    try:
+        return sym_eig(s, k)
+    except (ContractViolation, ConvergenceFailure) as exc:
+        return exc
+
+
+def _assert_same_failures(mats, found, k):
+    for s, item in zip(mats, found):
+        expected = _single_outcome(s, k)
+        if isinstance(expected, Exception):
+            assert type(item) is type(expected) and str(item) == str(expected)
+        else:
+            assert expected[0].tobytes() == item[0].tobytes()
+            assert expected[1].tobytes() == item[1].tobytes()
+
+
+@pytest.mark.parametrize("count", [6, 2 * linalg._STACK_MIN])
+def test_sweep_cap_fails_only_the_matrices_that_need_more_sweeps(monkeypatch, count):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    mats = _mixed_stack(np.random.default_rng(600 + count), 8, count)
+    found = linalg.sym_eig_many(mats, 8)
+    failed = [i for i, item in enumerate(found) if isinstance(item, ConvergenceFailure)]
+    # the CMA-ES shaped and the SPD matrices need more than one sweep
+    assert failed == [i for i in range(count) if i % 6 in (3, 4)]
+    assert all("Jacobi sweep cap reached" in str(found[i]) for i in failed)
+    _assert_same_failures(mats, found, 8)
+
+
+@pytest.mark.parametrize("count", [5, 2 * linalg._STACK_MIN + 1])
+def test_bad_matrices_in_a_stack_fail_alone(count):
+    rng = np.random.default_rng(700 + count)
+    mats = _mixed_stack(rng, 6, count)
+    mats[1] = np.full((6, 6), np.nan)
+    mats[3] = _random_spd(rng, 6)
+    mats[3][0, 5] += 1.0
+    found = linalg.sym_eig_many(mats, 6)
+    assert isinstance(found[1], ContractViolation) and "non-finite" in str(found[1])
+    assert isinstance(found[3], ContractViolation) and "not symmetric" in str(found[3])
+    _assert_same_failures(mats, found, 6)
+    good = [i for i in range(count) if i not in (1, 3)]
+    _assert_each_matches_reference([mats[i] for i in good], [found[i] for i in good], 6)
