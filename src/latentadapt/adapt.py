@@ -9,12 +9,13 @@ selection, so an adapted prediction can never be less confident than the
 unadapted one. Nothing in the decoder or
 subspace is ever modified.
 
-:func:`adapt_batch` runs every row in lockstep: each row's search advances
-one generation at a time, and before each generation the covariances of all
-live float searches are decomposed together, stacked once there are at
-least ``linalg._STACK_MIN`` of them. Each row's ask, evaluation and tell
-stay its own, so a row's result does not depend on the batch it ran in.
-:func:`adapt` is the same runner on one row.
+:func:`adapt_batch` runs its rows in lockstep, ``_LOCKSTEP_ROWS`` at a time:
+each row's search advances one generation at a time, and before each
+generation the covariances of all live float searches are decomposed
+together, stacked once there are at least ``linalg._STACK_MIN`` of them.
+Each row's ask, evaluation and tell stay its own, so a row's result does not
+depend on the batch it ran in. :func:`adapt` is the same runner, on one row
+or on one chunk of a batch.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .rng import derive_seed
 from .subspace import PrincipalSubspace, apply_correction
 
 MODES = ("none", "ted", "qted-v1", "fixed")
+# a batch runs in lockstep this many rows at a time: each live row holds its
+# search state (about 20 KB at k = 16), and the stacked decomposition gains
+# little beyond a few hundred matrices
+_LOCKSTEP_ROWS = 256
 
 
 def _positive(x: float) -> bool:
@@ -96,7 +101,9 @@ def adapt(
     decoder: LinearDecoder,
     s: PrincipalSubspace,
     cfg: AdaptationConfig,
-) -> AdaptationResult:
+    *,
+    indices: Optional[np.ndarray] = None,
+) -> AdaptationResult | BatchResult:
     """Adapt one latent and return the best correction found.
 
     Runs ``cfg.n`` generations of entropy-minimizing search over the
@@ -104,7 +111,15 @@ def adapt(
     evaluated first as the baseline. The winner is the lowest-entropy point
     over every evaluation. This is the batch runner on one row, seeded with
     ``cfg.seed`` itself.
+
+    Given ``indices``, ``z_t`` is instead a chunk of rows, row ``i`` seeded
+    from ``indices[i]`` as :func:`adapt_batch` seeds it, and the chunk's
+    :class:`BatchResult` is returned. :func:`adapt_batch` runs each of its
+    chunks this way, so every search runs inside an ``adapt`` call, where
+    profiles of the package (``bench/spans.py``) look for it.
     """
+    if indices is not None:
+        return _run(z_t, decoder, s, cfg, indices)
     batch = _run([z_t], decoder, s, cfg, None)
     if batch.errors:
         raise batch.errors[0]
@@ -181,7 +196,8 @@ def adapt_batch(
     Row ``i`` uses the seed derived from ``cfg.seed`` and ``indices[i]``
     (default: the row position; else integers >= 0, checked before any row
     runs), so outcomes do not depend on processing order and shards can be
-    recombined. A row that raises ContractViolation
+    recombined. Rows run in lockstep ``_LOCKSTEP_ROWS`` at a time, each chunk
+    by one :func:`adapt` call. A row that raises ContractViolation
     or ConvergenceFailure is recorded as failed; any other exception
     propagates. Each row's wall time is the time spent on that row alone
     plus an equal share of each joint decomposition it took part in.
@@ -199,7 +215,16 @@ def adapt_batch(
         if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):
             raise ContractViolation("indices must be integers >= 0")
 
-    return _run(z_rows, decoder, s, cfg, indices)
+    results: list[Optional[AdaptationResult]] = []
+    errors: dict[int, Exception] = {}
+    wall_ms: list[float] = []
+    for start in range(0, n_rows, _LOCKSTEP_ROWS):
+        rows = slice(start, start + _LOCKSTEP_ROWS)
+        chunk = adapt(z_rows[rows], decoder, s, cfg, indices=indices[rows])
+        results += chunk.results
+        errors.update((start + i, exc) for i, exc in chunk.errors.items())
+        wall_ms += chunk.wall_ms
+    return BatchResult(results=results, errors=errors, wall_ms=wall_ms)
 
 
 def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,

@@ -197,9 +197,10 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym_eig_many(matrices: list, k: int) -> list:
-    """:func:`sym_eig` of each of a list of n x n matrices, one result per
-    matrix: its ``(values, vectors)``, or the :class:`ContractViolation` or
-    :class:`ConvergenceFailure` that :func:`sym_eig` raises for it.
+    """:func:`sym_eig` of each of a list of n x n matrices, all of one n, one
+    result per matrix: its ``(values, vectors)``, or the
+    :class:`ContractViolation` or :class:`ConvergenceFailure` that
+    :func:`sym_eig` raises for it.
 
     Lists of at least ``_STACK_MIN`` matrices are solved as one stack,
     shorter ones one at a time; both give the same bits.
@@ -243,8 +244,6 @@ def _sym_eig_stacked(matrices: list, k: int) -> list:
         fros.append(fro)
     if not valid:
         return found
-    if len({s.shape for s in inputs}) > 1:
-        raise ContractViolation("stacked matrices must share one shape")
 
     s = np.stack(inputs, axis=2)
     n, b = s.shape[0], s.shape[2]

@@ -402,9 +402,10 @@ def _composition_rows(seed):
 
 
 @pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES, ids=["none", "ted", "qted-v1", "8b4", "16b8"])
-def test_batch_composition_does_not_change_a_row(mode, fmt):
+def test_batch_composition_does_not_change_a_row(monkeypatch, mode, fmt):
     # all rows at once decompose the float covariances in stacked calls, 7-row
     # shards and single rows one matrix at a time
+    adapt_module = importlib.import_module("latentadapt.adapt")
     rows, sub, dec = _composition_rows(seed=22)
     cfg = AdaptationConfig(k=4, n=3, seed=17, mode=mode, fixed_format=fmt)
     whole = adapt_batch(rows, dec, sub, cfg)
@@ -427,6 +428,20 @@ def test_batch_composition_does_not_change_a_row(mode, fmt):
     assert [_row_bits(r) for i, r in enumerate(mixed.results) if i != middle] == \
         expected[:middle] + expected[middle + 1:]
     assert len(mixed.wall_ms) == len(rows) and all(ms >= 0.0 for ms in mixed.wall_ms)
+
+    # in lockstep chunks, each chunk is one adapt call
+    chunks = []
+    real_adapt = adapt_module.adapt
+    monkeypatch.setattr(adapt_module, "adapt",
+                        lambda z, *args, **kw: chunks.append(len(z)) or real_adapt(z, *args, **kw))
+    monkeypatch.setattr(adapt_module, "_LOCKSTEP_ROWS", linalg._STACK_MIN)
+    chunked = adapt_batch(broken, dec, sub, cfg)
+    assert chunks == [linalg._STACK_MIN, linalg._STACK_MIN, len(rows) - 2 * linalg._STACK_MIN]
+    assert list(chunked.errors) == [middle]
+    assert str(chunked.errors[middle]) == str(mixed.errors[middle])
+    assert [r and _row_bits(r) for r in chunked.results] == \
+        [r and _row_bits(r) for r in mixed.results]
+    assert len(chunked.wall_ms) == len(rows)
 
     empty = adapt_batch(rows[:0], dec, sub, cfg)
     assert (empty.results, empty.errors, empty.wall_ms) == ([], {}, [])
