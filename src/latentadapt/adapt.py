@@ -11,11 +11,11 @@ subspace is ever modified.
 
 :func:`adapt_batch` runs its rows in lockstep, ``_LOCKSTEP_ROWS`` at a time:
 each row's search advances one generation at a time, and before each
-generation the covariances of all live float searches are decomposed
-together, stacked once there are at least ``linalg._STACK_MIN`` of them.
-Each row's ask, evaluation and tell stay its own, so a row's result does not
-depend on the batch it ran in. :func:`adapt` is the same runner, on one row
-or on one chunk of a batch.
+generation the stale covariances of all live searches, in every mode, are
+decomposed together by :func:`cmaes.decompose_stale`, each distinct matrix
+once. Each row's ask, evaluation and tell stay its own, so a row's result
+does not depend on the batch it ran in. :func:`adapt` is the same runner, on
+one row or on one chunk of a batch.
 """
 
 from __future__ import annotations
@@ -113,13 +113,14 @@ def adapt(
     ``cfg.seed`` itself.
 
     Given ``indices``, ``z_t`` is instead a chunk of rows, row ``i`` seeded
-    from ``indices[i]`` as :func:`adapt_batch` seeds it, and the chunk's
-    :class:`BatchResult` is returned. :func:`adapt_batch` runs each of its
-    chunks this way, so every search runs inside an ``adapt`` call, where
+    from ``indices[i]`` as :func:`adapt_batch` checks and seeds it, and the
+    chunk's :class:`BatchResult` is returned. :func:`adapt_batch` runs each of
+    its chunks this way, so every search runs inside an ``adapt`` call, where
     profiles of the package (``bench/spans.py``) look for it.
     """
     if indices is not None:
-        return _run(z_t, decoder, s, cfg, indices)
+        z_rows, indices = _checked_batch(z_t, indices)
+        return _run(z_rows, decoder, s, cfg, indices)
     batch = _run([z_t], decoder, s, cfg, None)
     if batch.errors:
         raise batch.errors[0]
@@ -202,19 +203,8 @@ def adapt_batch(
     propagates. Each row's wall time is the time spent on that row alone
     plus an equal share of each joint decomposition it took part in.
     """
-    z_rows = np.asarray(z_rows, dtype=np.float64)
-    if z_rows.ndim != 2:
-        raise ContractViolation("batch must be a 2-d array of latents")
+    z_rows, indices = _checked_batch(z_rows, indices)
     n_rows = z_rows.shape[0]
-    if indices is None:
-        indices = np.arange(n_rows)
-    else:
-        indices = np.asarray(indices)
-        if indices.shape != (n_rows,):
-            raise ContractViolation("indices must have one entry per row")
-        if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):
-            raise ContractViolation("indices must be integers >= 0")
-
     results: list[Optional[AdaptationResult]] = []
     errors: dict[int, Exception] = {}
     wall_ms: list[float] = []
@@ -227,17 +217,28 @@ def adapt_batch(
     return BatchResult(results=results, errors=errors, wall_ms=wall_ms)
 
 
+def _checked_batch(z_rows, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as a 2-d float array and their seed indices: the row
+    positions when ``indices`` is None, else checked as one integer >= 0 per
+    row, so that bad indices fail before any row runs."""
+    z_rows = np.asarray(z_rows, dtype=np.float64)
+    if z_rows.ndim != 2:
+        raise ContractViolation("batch must be a 2-d array of latents")
+    if indices is None:
+        return z_rows, np.arange(len(z_rows))
+    indices = np.asarray(indices)
+    if indices.shape != (len(z_rows),):
+        raise ContractViolation("indices must have one entry per row")
+    if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):
+        raise ContractViolation("indices must be integers >= 0")
+    return z_rows, indices
+
+
 def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
          indices: Optional[np.ndarray]) -> BatchResult:
-    """The lockstep runner: every row's search advances one generation at a
-    time, and before each generation the stale covariances of all live
-    float machines are decomposed together (:func:`cmaes.decompose_stale`).
-
-    Row ``i`` is seeded from ``indices[i]``, or with ``cfg.seed`` itself when
-    ``indices`` is None. A row fails alone. Its wall time is the time spent
-    on it alone plus an equal share of each joint decomposition it took part
-    in.
-    """
+    """The lockstep runner of the module docstring, for the rows and wall
+    times :func:`adapt_batch` describes. Row ``i`` is seeded from
+    ``indices[i]``, or with ``cfg.seed`` itself when ``indices`` is None."""
     n_rows = len(z_rows)
     wall = [0.0] * n_rows
     errors: dict[int, Exception] = {}
@@ -263,11 +264,8 @@ def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationCo
         start = time.perf_counter()
         joined = cmaes.decompose_stale([rows[i][0].machine for i in live])
         share = (time.perf_counter() - start) / max(len(joined), 1)
-        for j, exc in joined.items():
+        for j in joined:  # a row whose matrix failed raises it from its own ask
             wall[live[j]] += share
-            if exc is not None:
-                errors[live[j]] = exc
-                del rows[live[j]]
         for i in list(rows):
             timed(i, rows[i][0].step)
     results: list[Optional[AdaptationResult]] = [None] * n_rows

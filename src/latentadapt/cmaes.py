@@ -19,11 +19,12 @@ checked the one fitness contract. :class:`Search` is the one
 ask/evaluate/tell driver, one generation per ``step``; :func:`search` runs
 it for a number of generations, and :class:`MinimizeResult` is its one
 result type, with the quantized machines' saturation and clamp counts as
-``quant_warnings``. The batch runner in :mod:`latentadapt.adapt` steps many
-searches in lockstep and, before each generation, hands every stale float
-covariance to :func:`decompose_stale`, which decomposes them in one
-:func:`latentadapt.linalg.sym_eig_many` call; each machine then finds its
-decomposition cached, so its arithmetic is the same as when run alone.
+``quant_warnings``. Each machine keeps its covariance's decomposition in
+``decomposition``, None while stale, from the eigenpairs of its
+``float_cov()`` handed to ``take_decomposition``. :func:`decompose_stale`,
+the one caller of the eigensolver on the search path, decomposes one machine
+or a whole lockstep batch alike, solving each distinct matrix once unless
+its previous call already did.
 """
 
 from __future__ import annotations
@@ -154,15 +155,6 @@ def fitness_order(fitnesses, population: int, candidates) -> np.ndarray:
     return np.argsort(fit, kind="stable")
 
 
-def _positive_definite(decomposition: tuple[np.ndarray, np.ndarray]) -> tuple:
-    values = decomposition[0]
-    if values[-1] <= 0.0:
-        raise ConvergenceFailure(
-            f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
-        )
-    return decomposition
-
-
 class CmaEs:
     """Float CMA-ES as a search machine for :func:`search`.
 
@@ -187,12 +179,18 @@ class CmaEs:
         self.generation = 0
         self.rng = Xoshiro256pp(seed)
         self._candidates: Optional[np.ndarray] = None  # asked, not yet told
-        self._dec: Optional[tuple[np.ndarray, np.ndarray]] = None  # of cov, until tell
+        self.decomposition: Optional[tuple[np.ndarray, np.ndarray]] = None  # of cov, or stale
 
-    def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._dec is None:
-            self._dec = _positive_definite(linalg.sym_eig(self.cov, self.params.dim))
-        return self._dec
+    def float_cov(self) -> np.ndarray:
+        return self.cov
+
+    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
+        """Keep the eigenpairs of :meth:`float_cov`, if positive definite."""
+        if values[-1] <= 0.0:
+            raise ConvergenceFailure(
+                f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
+            )
+        self.decomposition = (values, vectors)
 
     def start(self, baseline: np.ndarray) -> np.ndarray:
         return baseline
@@ -200,7 +198,7 @@ class CmaEs:
     def ask(self) -> np.ndarray:
         """Sample one population of candidates; advances only the RNG state."""
         params = self.params
-        values, vectors = self._decomposition()
+        values, vectors = decomposition_of(self)
         scale = np.sqrt(values)
         noise = self.rng.normals(params.population * params.dim).reshape(params.population, -1)
         # stacked matvecs: each row still goes through gemv, like ``vectors @ row``
@@ -219,7 +217,7 @@ class CmaEs:
         """
         params = self.params
         order = fitness_order(fitnesses, params.population, self._candidates)
-        values, vectors = self._decomposition()
+        values, vectors = decomposition_of(self)
         parents = self._candidates[order[: params.parent_count]]
         w = params.recombination_weights
 
@@ -262,34 +260,52 @@ class CmaEs:
         )
         self.cov = (cov + cov.T) / 2.0
         self.generation = gen1
-        self._dec = None
+        self.decomposition = None
         self._candidates = None
 
 
+# the last call's decompositions by matrix bytes, shared by the machines that take them
+_previous: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def decompose_stale(machines: list) -> dict[int, Optional[Exception]]:
-    """Decompose the covariance of every float machine in ``machines`` (all
-    of one dimension) whose decomposition is stale, with one
-    :func:`linalg.sym_eig_many` call, which stacks the matrices once there
-    are enough of them.
+    """Decompose the matrix of every machine in ``machines`` (all of one
+    dimension) whose decomposition is stale, and hand it its eigenpairs: one
+    :func:`linalg.sym_eig_many` call for the distinct matrices that the
+    previous call did not decompose, such as a new machine's identity.
 
     Returns the positions of the machines that took part, each mapped to
     None when the machine now holds its decomposition, or else to the
     exception its own ``ask`` would have raised.
     """
-    stale = [i for i, m in enumerate(machines) if isinstance(m, CmaEs) and m._dec is None]
+    global _previous
+    stale = [i for i, m in enumerate(machines) if m.decomposition is None]
     if not stale:
         return {}
-    found = linalg.sym_eig_many([machines[i].cov for i in stale], machines[stale[0]].params.dim)
+    matrices = {i: machines[i].float_cov() for i in stale}
+    keys = {i: matrix.tobytes() for i, matrix in matrices.items()}
+    unsolved = {keys[i]: matrices[i] for i in stale if keys[i] not in _previous}
+    solved = linalg.sym_eig_many(list(unsolved.values()), machines[stale[0]].params.dim)
+    found = {**_previous, **dict(zip(unsolved, solved))}
     outcome: dict[int, Optional[Exception]] = {}
-    for i, decomposition in zip(stale, found):
-        if not isinstance(decomposition, Exception):
+    for i, key in keys.items():
+        outcome[i] = found[key] if isinstance(found[key], Exception) else None
+        if outcome[i] is None:
             try:
-                machines[i]._dec = _positive_definite(decomposition)
-                decomposition = None
-            except ConvergenceFailure as exc:
-                decomposition = exc
-        outcome[i] = decomposition
+                machines[i].take_decomposition(*found[key])
+            except (ContractViolation, ConvergenceFailure) as exc:
+                outcome[i] = exc
+    # not failures: a converged solve holds under any higher sweep cap, a failure does not
+    _previous = {key: found[key] for key in keys.values() if not isinstance(found[key], Exception)}
     return outcome
+
+
+def decomposition_of(machine):
+    """The machine's decomposition, made by :func:`decompose_stale` if stale."""
+    error = decompose_stale([machine]).get(0)
+    if error is not None:
+        raise error
+    return machine.decomposition
 
 
 @dataclass(frozen=True)

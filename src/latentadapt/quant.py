@@ -26,14 +26,11 @@ take the scalar registers of a generation (the path length, sigma and the
 h_sigma test) as Python ints, which agree with int64 because no product or
 shifted numerator of a format of at most 32 bits exceeds 2^62 in magnitude.
 
-The covariance decomposition, with the square roots of its clamped
-eigenvalues and the quantized C^(-1/2) table, is cached process-wide by the
-register's bytes, the format and k, which is exact since the eigensolver is
-deterministic: a register unchanged bit for bit, as in every generation when
-c_1 and c_mu round to 0 and 1-c_1-c_mu to 1, is decomposed once. Its
-eigenvalue clamps count once per generation and the table's saturations once
-per ``tell``, as when recomputed. The starting registers are built once per
-shared :class:`~latentadapt.cmaes.CmaEsParams` and format.
+The covariance register is decomposed through the protocol of
+:mod:`latentadapt.cmaes`, and the machine keeps what it derives from it while
+the register stays unchanged bit for bit, as in every generation when c_1
+and c_mu round to 0 and 1-c_1-c_mu to 1. The starting registers are built
+once per shared :class:`~latentadapt.cmaes.CmaEsParams` and format.
 
 A result already in range is returned without clipping, which gives the same
 bits and counts. Division is only ever by one positive register (sigma,
@@ -52,8 +49,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg
-from .cmaes import CmaEs, CmaEsParams, fitness_order
+from .cmaes import CmaEs, CmaEsParams, decomposition_of, fitness_order
 from .errors import ContractViolation
 from .rng import Xoshiro256pp
 
@@ -290,29 +286,13 @@ _CONSTANTS = (
 
 
 class _Decomposition(NamedTuple):
-    """What the machine takes from the eigen-decomposition of one covariance
-    register; read-only, since every machine shares the cached one."""
+    """What the machine keeps of the eigen-decomposition of its covariance register."""
 
-    vectors: np.ndarray
+    vectors: np.ndarray        # shared by the machines with this register
     scale: np.ndarray          # square roots of the eigenvalues, clamped up to the resolution
     clamps: int                # eigenvalues clamped
     invsqrt: np.ndarray        # C^(-1/2), tabulated in float and quantized
     invsqrt_saturations: int   # the table's, counted again by every tell that uses it
-
-
-@functools.lru_cache(maxsize=64)
-def _decompose(cov: bytes, fmt: FixedPointFormat, k: int) -> _Decomposition:
-    """The decomposition of the (k, k) int64 register whose bytes are ``cov``."""
-    ops = _FixedOps(fmt)
-    register = np.frombuffer(cov, dtype=np.int64).reshape(k, k)
-    values, vectors = linalg.sym_eig(ops.to_float(register), k)
-    floor = fmt.resolution
-    scale = np.sqrt(np.maximum(values, floor))
-    invsqrt = ops.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
-    for table in (vectors, scale, invsqrt):
-        table.flags.writeable = False
-    return _Decomposition(vectors, scale, int(np.count_nonzero(values < floor)), invsqrt,
-                          ops.saturations)
 
 
 class _Start:
@@ -366,6 +346,7 @@ class FixedCmaes:
         k = params.dim
         self.mean = np.zeros(k, dtype=np.int64)
         self.cov = start.cov.copy()
+        self.decomposition: Optional[_Decomposition] = None  # of cov, None while stale
         self.path_sigma = np.zeros(k, dtype=np.int64)
         self.path_c = np.zeros(k, dtype=np.int64)
         # strategy constants, quantized once per configuration
@@ -373,8 +354,17 @@ class FixedCmaes:
         for attr, raw in start.constants.items():
             setattr(self, attr, raw)
 
-    def _decomposition(self) -> _Decomposition:
-        return _decompose(self.cov.tobytes(), self.ops.fmt, self.params.dim)
+    def float_cov(self) -> np.ndarray:
+        return self.ops.to_float(self.cov)
+
+    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
+        """Keep the eigenvectors of :meth:`float_cov` and derive the rest of a _Decomposition."""
+        ops = _FixedOps(self.ops.fmt)  # counts the table's saturations alone
+        floor = ops.fmt.resolution
+        scale = np.sqrt(np.maximum(values, floor))
+        invsqrt = ops.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
+        self.decomposition = _Decomposition(vectors, scale, int(np.count_nonzero(values < floor)),
+                                            invsqrt, ops.saturations)
 
     @property
     def quant_warnings(self) -> dict:
@@ -389,7 +379,7 @@ class FixedCmaes:
 
     def ask(self) -> np.ndarray:
         """Sample lambda candidates; keep the raw registers, return floats."""
-        dec = self._decomposition()
+        dec = decomposition_of(self)
         self.eig_clamps += dec.clamps  # once per generation, reused or not
         ops = self.ops
         lam, k = self.params.population, self.params.dim
@@ -405,7 +395,7 @@ class FixedCmaes:
         ops = self.ops
         order = fitness_order(fitnesses, params.population, self._raw)
         parents = self._raw[order[: params.parent_count]]
-        dec = self._decomposition()
+        dec = decomposition_of(self)
 
         # normalized parent steps y_i = (x_i - m) / sigma
         y = ops.div(ops.sub(parents, self.mean), self.sigma)
@@ -453,7 +443,10 @@ class FixedCmaes:
         kept, rank1, rank_mu = ops.mul(self._start.cov_coefs,
                                        np.array([self.cov, rank1, rank_mu]))
         cov = ops.add(ops.add(kept, rank1), rank_mu)
-        self.cov = ops.halve(ops.add(cov, cov.T))
+        cov = ops.halve(ops.add(cov, cov.T))
+        if not np.array_equal(cov, self.cov):
+            self.decomposition = None
+        self.cov = cov
         self.generation = gen1
         self._raw = None
 

@@ -232,8 +232,9 @@ def test_batch_collects_row_errors_without_failing():
     assert all(batch.results[i] is not None for i in range(len(rows)) if i != 3)
 
 
-@pytest.mark.parametrize("indices", [[0, -1, 2], [0, 0.7, 2], [True, False, True]],
-                         ids=["negative", "fractional", "bool"])
+@pytest.mark.parametrize("indices", [[0, -1, 2], [0, 0.7, 2], [True, False, True], [0, 1],
+                                     [0, 1, 2, 3]],
+                         ids=["negative", "fractional", "bool", "short", "long"])
 def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
     adapt_module = importlib.import_module("latentadapt.adapt")
     rows_run = []
@@ -242,8 +243,9 @@ def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
                         lambda *args: rows_run.append(args) or start_row(*args))
     task, sub, dec = _small_setup(seed=21)
     rows = task.class_means[:3]
-    with pytest.raises(ContractViolation):
-        adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=indices)
+    for run in (adapt_batch, adapt):  # adapt given indices runs a chunk of rows
+        with pytest.raises(ContractViolation):
+            run(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=indices)
     assert rows_run == []
     adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=[5, 0, 2 ** 40])
     assert len(rows_run) == 3
@@ -447,14 +449,43 @@ def test_batch_composition_does_not_change_a_row(monkeypatch, mode, fmt):
     assert (empty.results, empty.errors, empty.wall_ms) == ([], {}, [])
 
 
-@pytest.mark.parametrize("mode", ["ted", "qted-v1"])
-def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mode):
+@pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES[1:], ids=["ted", "qted-v1", "8b4", "16b8"])
+def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mode, fmt):
     rows, sub, dec = _composition_rows(seed=23)
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    cfg = AdaptationConfig(k=4, n=3, seed=19, mode=mode)
-    whole = adapt_batch(rows, dec, sub, cfg)
-    assert set(whole.errors) == set(range(len(rows)))
-    for i in (0, len(rows) - 1):
-        single = adapt_batch(rows[i:i + 1], dec, sub, cfg, indices=[i])
-        assert type(single.errors[0]) is type(whole.errors[i]) is ConvergenceFailure
-        assert str(single.errors[0]) == str(whole.errors[i])
+    cfg = AdaptationConfig(k=4, n=3, seed=19, mode=mode, fixed_format=fmt)
+    # the last two rows repeat the first two, seed included: one matrix each
+    indices = [*range(len(rows)), 0, 1]
+    whole = adapt_batch(np.concatenate([rows, rows[:2]]), dec, sub, cfg, indices=indices)
+    # every float row fails; a fixed-point register may stay diagonal
+    assert {0, 1, len(rows), len(rows) + 1} <= set(whole.errors)
+    assert mode == "fixed" or set(whole.errors) == set(range(len(indices)))
+    for i, index in enumerate(indices):
+        single = adapt_batch(rows[index:index + 1], dec, sub, cfg, indices=[index])
+        if i in whole.errors:
+            assert type(single.errors[0]) is type(whole.errors[i]) is ConvergenceFailure
+            assert str(single.errors[0]) == str(whole.errors[i])
+        else:
+            assert not single.errors
+            assert _row_bits(single.results[0]) == _row_bits(whole.results[i])
+
+
+def test_an_8b4_batch_and_single_rows_after_it_make_one_eigensolve(monkeypatch):
+    # at 8b4 and k = 16 the covariance never moves: a whole batch and the
+    # single rows after it share the one solve of the identity
+    cmaes_module = importlib.import_module("latentadapt.cmaes")
+    monkeypatch.setattr(cmaes_module, "_previous", {})
+    solved = []
+    real = linalg.sym_eig_many
+    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
+    task = datagen.make_task(class_count=4, dim=20, seed=24)
+    source, _ = datagen.gen_source(task, 50, stream=0)
+    sub, dec = fit(source, 16), datagen.make_decoder(task)
+    rows, _ = datagen.gen_source(task, 6, stream=10)
+    cfg = AdaptationConfig(k=16, n=3, seed=5, mode="fixed", fixed_format=FixedPointFormat(8, 4))
+    batch = adapt_batch(rows[:23], dec, sub, cfg)
+    assert len(batch.results) == 23 and not batch.errors
+    for z in rows[:2]:
+        adapt(z, dec, sub, cfg)
+    assert len(solved) == 1
+    np.testing.assert_array_equal(solved[0], np.eye(16))

@@ -333,7 +333,8 @@ def test_stacked_matmul_equals_one_matvec_per_row(k, lam, seed, eigenvectors):
 
 def _ask_one_row_at_a_time(machine):
     """The float ask as one normals draw and one matvec per candidate."""
-    values, vectors = machine._decomposition()
+    cmaes.decompose_stale([machine])
+    values, vectors = machine.decomposition
     scale = np.sqrt(values)
     rng = machine.rng.clone()
     candidates = []
@@ -357,41 +358,66 @@ def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
         machine.tell([rosenbrock(c) for c in got])
 
 
-def _ask_error(machine):
+def _ask(machine):
+    """The machine's candidates and the error its ask raised, one of them None."""
     try:
-        machine.ask()
+        return machine.ask(), None
     except (ContractViolation, ConvergenceFailure) as exc:
-        return exc
-    return None
+        return None, exc
 
 
 @pytest.mark.parametrize("count", [4, linalg._STACK_MIN + 2])
 def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(count):
+    # float machines, an 8b4 machine with a clamped eigenvalue and two 16b8
+    # machines with one matrix, each with a twin that decomposes alone
     params = cmaes.CmaEsParams.defaults(6)
-    fixed = quant.FixedCmaes(params, quant.FixedPointFormat(8, 4), 0)
-    machines, twins = [fixed], []
+    machines, twins = [], []
     for seed in range(count):
         pair = [cmaes.CmaEs(params, seed), cmaes.CmaEs(params, seed)]
         for m in pair:
             m.tell([sphere(p) for p in m.ask()])  # a covariance that is not diagonal
         machines.append(pair[0])
         twins.append(pair[1])
-    bad = {1: np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), 2: np.full((6, 6), np.nan),
-           3: np.triu(np.ones((6, 6)))}
+    for fmt in ("8b4", "16b8", "16b8"):
+        pair = [quant.FixedCmaes(params, quant.FixedPointFormat.parse(fmt), 5) for _ in range(2)]
+        for m in pair:
+            m.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+            if fmt == "16b8":
+                m.tell([sphere(p) for p in m.ask()])  # a register that is not diagonal
+        machines.append(pair[0])
+        twins.append(pair[1])
+    bad = {0: np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), 1: np.full((6, 6), np.nan),
+           2: np.triu(np.ones((6, 6)))}
     for i, cov in bad.items():
-        machines[i].cov = twins[i - 1].cov = cov
-    machines[4]._decomposition()  # fresh: takes no part
+        machines[i].cov = twins[i].cov = cov
+    cmaes.decomposition_of(machines[3])  # fresh: takes no part
 
     outcome = cmaes.decompose_stale(machines)
-    assert set(outcome) == set(range(1, count + 1)) - {4}
-    for i, twin in enumerate(twins, start=1):
-        alone = _ask_error(twin)
+    assert set(outcome) == set(range(len(machines))) - {3}
+    for i, (machine, twin) in enumerate(zip(machines, twins)):
+        want, alone = _ask(twin)
         if i in bad:
             assert type(outcome[i]) is type(alone) and str(outcome[i]) == str(alone)
-            assert machines[i]._dec is None
+            assert machine.decomposition is None
         else:
             assert alone is None and outcome.get(i) is None
-            for got, want in zip(machines[i]._decomposition(), twin._decomposition()):
-                assert got.tobytes() == want.tobytes()
-    assert "positive definiteness" in str(outcome[1])
-    assert isinstance(outcome[3], ContractViolation)
+            for got, expected in zip(machine.decomposition, twin.decomposition):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            assert machine.ask().tobytes() == want.tobytes()
+            assert machine.quant_warnings == twin.quant_warnings
+    assert "positive definiteness" in str(outcome[0])
+    assert isinstance(outcome[2], ContractViolation)
+    assert machines[-2].float_cov().tobytes() == machines[-1].float_cov().tobytes()
+    assert machines[-3].eig_clamps == 1 and machines[-2].eig_clamps == 2  # clamps in play
+
+
+def test_a_failed_decomposition_is_not_kept(monkeypatch):
+    # a failure under a lowered sweep cap must not outlive the cap
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(6), 0)
+    machine.tell([sphere(p) for p in machine.ask()])  # a covariance that is not diagonal
+    cap = linalg._MAX_SWEEPS
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceFailure, match="sweep cap"):
+        machine.ask()
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", cap)
+    assert machine.ask().shape == (machine.params.population, 6)

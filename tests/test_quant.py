@@ -456,6 +456,8 @@ def _run_generations(monkeypatch, fmt, generations):
         return real_sym_eig(*args)
 
     monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
+    # no decomposition kept from an earlier test: the first one is counted too
+    monkeypatch.setattr(cmaes, "_previous", {})
     machine = FixedCmaes(cmaes.CmaEsParams.defaults(16), fmt, 3)
     machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
     start = machine.cov.copy()
@@ -470,12 +472,16 @@ def test_unchanged_covariance_reuses_decomposition_and_counts_clamps(monkeypatch
     np.testing.assert_array_equal(machine.cov, start)
     assert eig_calls == 1
     assert machine.eig_clamps == 6  # once per generation, as when recomputed
+    kept = machine.decomposition
+    machine.tell([sphere(p) for p in machine.ask()])
+    assert machine.decomposition is kept
 
 
 def test_changed_covariance_is_decomposed_every_generation(monkeypatch):
     machine, start, eig_calls = _run_generations(monkeypatch, FixedPointFormat(32, 8), 6)
     assert not np.array_equal(machine.cov, start)
     assert eig_calls == 6
+    assert machine.decomposition is None  # stale until the next ask
 
 
 def test_quantization_health_at_harness_settings():
