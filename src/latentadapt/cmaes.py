@@ -23,8 +23,8 @@ result type, with the quantized machines' saturation and clamp counts as
 ``decomposition``, None while stale, from the eigenpairs of its
 ``float_cov()`` handed to ``take_decomposition``. :func:`decompose_stale`,
 the one caller of the eigensolver on the search path, decomposes one machine
-or a whole lockstep batch alike, solving each distinct matrix once unless
-its previous call already did.
+or a whole lockstep batch alike, solving each distinct matrix of the call
+once; it keeps nothing from one call to the next.
 """
 
 from __future__ import annotations
@@ -264,29 +264,23 @@ class CmaEs:
         self._candidates = None
 
 
-# the last call's decompositions by matrix bytes, shared by the machines that take them
-_previous: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def decompose_stale(machines: list) -> dict[int, Optional[Exception]]:
     """Decompose the matrix of every machine in ``machines`` (all of one
     dimension) whose decomposition is stale, and hand it its eigenpairs: one
-    :func:`linalg.sym_eig_many` call for the distinct matrices that the
-    previous call did not decompose, such as a new machine's identity.
+    :func:`linalg.sym_eig_many` call, which solves each distinct matrix once.
 
     Returns the positions of the machines that took part, each mapped to
     None when the machine now holds its decomposition, or else to the
     exception its own ``ask`` would have raised.
     """
-    global _previous
     stale = [i for i, m in enumerate(machines) if m.decomposition is None]
     if not stale:
         return {}
     matrices = {i: machines[i].float_cov() for i in stale}
     keys = {i: matrix.tobytes() for i, matrix in matrices.items()}
-    unsolved = {keys[i]: matrices[i] for i in stale if keys[i] not in _previous}
-    solved = linalg.sym_eig_many(list(unsolved.values()), machines[stale[0]].params.dim)
-    found = {**_previous, **dict(zip(unsolved, solved))}
+    distinct = {keys[i]: matrices[i] for i in stale}
+    solved = linalg.sym_eig_many(list(distinct.values()), machines[stale[0]].params.dim)
+    found = dict(zip(distinct, solved))
     outcome: dict[int, Optional[Exception]] = {}
     for i, key in keys.items():
         outcome[i] = found[key] if isinstance(found[key], Exception) else None
@@ -295,8 +289,6 @@ def decompose_stale(machines: list) -> dict[int, Optional[Exception]]:
                 machines[i].take_decomposition(*found[key])
             except (ContractViolation, ConvergenceFailure) as exc:
                 outcome[i] = exc
-    # not failures: a converged solve holds under any higher sweep cap, a failure does not
-    _previous = {key: found[key] for key in keys.values() if not isinstance(found[key], Exception)}
     return outcome
 
 

@@ -20,19 +20,20 @@ every element follows the textbook cyclic Jacobi order (full column update,
 then full row update, then the eigenvector update) bit for bit, with five
 array steps per rotation and ``O(n^2)`` memory.
 
-:func:`sym_eig_many` solves a list of matrices of one size, as the batch
-runner's CMA-ES machines need once per generation. From ``_STACK_MIN`` = 10
-matrices on, the crossover measured for 16 x 16 covariances
-(``BENCH_15.json``), it runs the same iteration on one ``(n, 2n, B)`` stack
-of lane matrices, the stack axis last so that every step is one array
-operation over all B matrices: the same rotation plan, convergence test,
-ordering and sign rule, with the rotation parameters computed for all B at
-once by the same IEEE operations (``np.sqrt``, like ``math.sqrt``, is
-correctly rounded). A matrix whose pivot is within its tolerance keeps its
-lanes by selection, and one that has converged leaves the stack, so no
-arithmetic touches either and every matrix gets the bits :func:`sym_eig`
-gives it. Shorter lists go to :func:`sym_eig` one matrix at a time, which
-costs about a seventh of a one-matrix stack.
+:func:`sym_eig_many` is the one sweep driver, and :func:`sym_eig` is it on
+a list of one matrix. It keeps the lane matrices of all its matrices as one
+``(n, 2n, B)`` stack, the stack axis last, tests each iterate's residual once
+per sweep, and picks the kernel of each sweep from the number of iterates not
+yet converged. From ``_STACK_MIN`` = 10 on, the crossover measured for
+16 x 16 covariances (``BENCH_15.json``), one sweep is one array operation per
+step over all of them: the same rotation plan with the rotation parameters
+computed for all at once by the same IEEE operations (``np.sqrt``, like
+``math.sqrt``, is correctly rounded), and a matrix whose pivot is within its
+tolerance keeps its lanes by selection. Fewer live iterates are each swept
+alone, in scalar arithmetic on a contiguous copy of their lane matrix, which
+costs about a seventh of a sweep of a one-matrix stack. A converged iterate
+leaves the sweeps, so no arithmetic touches it, and every matrix gets the
+same bits in any list and under either kernel.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import ContractViolation, ConvergenceFailure
 _SYMMETRY_RTOL = 1e-9
 _OFFDIAG_RTOL = 1e-12
 _MAX_SWEEPS = 100
-_STACK_MIN = 10  # fewer matrices are solved one at a time; see sym_eig_many
+_STACK_MIN = 10  # fewer live iterates are swept one at a time; see sym_eig_many
 
 
 def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
@@ -108,10 +109,6 @@ def _checked(s: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return s, fro
 
 
-def _cap_reached(residual: float) -> ConvergenceFailure:
-    return ConvergenceFailure(f"Jacobi sweep cap reached, off-diagonal residual {residual:.3e}")
-
-
 def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -121,79 +118,10 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     input (or is exactly zero), capped at 100 sweeps. Each eigenvector's sign
     is fixed so its largest-magnitude component is positive.
     """
-    s, fro = _checked(s, k)
-    n = s.shape[0]
-    lanes = np.empty((n, 2 * n), dtype=np.float64)
-    buf = lanes.reshape(-1)
-    a = lanes[:, :n]
-    vt = lanes[:, n:]
-    a[:] = (s + s.T) / 2.0
-    vt[:] = np.eye(n, dtype=np.float64)
-    a_cols = a.T
-    tol = _OFFDIAG_RTOL * fro
-
-    converged = False
-    residual = 0.0
-    rotations = _rotation_plan(n)
-    coef = np.empty((4, 1), dtype=np.float64)
-    coef_flat = coef[:, 0]
-    take = lanes.take
-    prod = np.empty((4, 2 * n), dtype=np.float64)
-    top = prod[:2]
-    bottom = prod[2:]
-    top_a = prod[:2, :n]
-    for _ in range(_MAX_SWEEPS):
-        off = np.abs(a - np.diag(np.diag(a)))
-        residual = float(off.max())
-        if residual <= tol:
-            converged = True
-            break
-        for pp, qq, pq, qp, rows, pair in rotations:
-            apq = buf.item(pq)
-            if abs(apq) <= tol:
-                continue
-            app = buf.item(pp)
-            aqq = buf.item(qq)
-            theta = (aqq - app) / (2.0 * apq)
-            if theta >= 0.0:
-                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-            else:
-                t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * c
-
-            aqp = buf.item(qp)
-            coef_flat[0] = coef_flat[1] = c
-            coef_flat[2] = -sn
-            coef_flat[3] = sn
-            # rows f, g, g, f scaled and summed in halves: c*f + (-sn)*g
-            # into lane p and c*g + sn*f into lane q; the rows are always in
-            # range, and mode "raise" would copy the output through a buffer
-            take(rows, 0, prod, "clip")
-            prod *= coef
-            top += bottom
-            lanes[pair] = top
-            # a stays exactly symmetric, so its columns p, q take the new rows
-            a_cols[pair] = top_a
-
-            # the lanes also write the 2x2 block, with values the row update
-            # would not give; redo it as column update then row update
-            app_c = c * app - sn * apq
-            aqp_c = c * aqp - sn * aqq
-            apq_c = sn * app + c * apq
-            aqq_c = sn * aqp + c * aqq
-            buf[pp] = c * app_c - sn * aqp_c
-            buf[qq] = sn * apq_c + c * aqq_c
-            buf[pq] = 0.0
-            buf[qp] = 0.0
-
-    if not converged:
-        off = np.abs(a - np.diag(np.diag(a)))
-        residual = float(off.max())
-        if residual > tol:
-            raise _cap_reached(residual)
-
-    return _top_pairs(np.diag(a)[None], vt[None], k)[0]
+    found = sym_eig_many([s], k)[0]
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def sym_eig_many(matrices: list, k: int) -> list:
@@ -202,34 +130,8 @@ def sym_eig_many(matrices: list, k: int) -> list:
     :class:`ContractViolation` or :class:`ConvergenceFailure` that
     :func:`sym_eig` raises for it.
 
-    Lists of at least ``_STACK_MIN`` matrices are solved as one stack,
-    shorter ones one at a time; both give the same bits.
-    """
-    if len(matrices) >= _STACK_MIN:
-        return _sym_eig_stacked(matrices, k)
-    found = []
-    for s in matrices:
-        try:
-            found.append(sym_eig(s, k))
-        except (ContractViolation, ConvergenceFailure) as exc:
-            found.append(exc)
-    return found
-
-
-def _residuals(lanes: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal magnitude of each iterate in an (n, 2n, B) stack."""
-    n = lanes.shape[0]
-    off = np.abs(lanes[:, :n])
-    off.reshape(n * n, -1)[:: n + 1] = 0.0
-    return off.max(axis=(0, 1))
-
-
-def _sym_eig_stacked(matrices: list, k: int) -> list:
-    """:func:`sym_eig_many` on one stack of lane matrices.
-
-    The stack axis is the last one, so each lane entry holds the B matrices'
-    values side by side and every step of :func:`sym_eig` becomes one array
-    step over all of them.
+    Each sweep drops the converged iterates and rotates the rest: as one
+    stack while at least ``_STACK_MIN`` are live, else each alone.
     """
     found: list = [None] * len(matrices)
     valid, inputs, fros = [], [], []
@@ -252,13 +154,17 @@ def _sym_eig_stacked(matrices: list, k: int) -> list:
     lanes[:, n:] = np.eye(n, dtype=np.float64)[:, :, None]
     tol = _OFFDIAG_RTOL * np.array(fros)
 
-    # each sweep rotates a copy of the iterates not yet converged
     live = np.arange(b)
     for _ in range(_MAX_SWEEPS):
         live = live[~(_residuals(lanes[:, :, live]) <= tol[live])]
         if not live.size:
             break
-        if live.size == b:
+        if live.size < _STACK_MIN:
+            for j in live.tolist():
+                one = np.ascontiguousarray(lanes[:, :, j])
+                _sweep_one(one, tol.item(j))
+                lanes[:, :, j] = one
+        elif live.size == b:
             _sweep(lanes, tol)
         else:
             block = lanes.take(live, 2)  # C order, as ``_sweep`` takes lanes fastest
@@ -268,7 +174,8 @@ def _sym_eig_stacked(matrices: list, k: int) -> list:
         residuals = _residuals(lanes[:, :, live])
         capped = residuals > tol[live]
         for j, residual in zip(live[capped], residuals[capped]):
-            found[valid[j]] = _cap_reached(float(residual))
+            found[valid[j]] = ConvergenceFailure(
+                f"Jacobi sweep cap reached, off-diagonal residual {residual:.3e}")
 
     diagonals = lanes.reshape(2 * n * n, b)[:: 2 * n + 1].T
     pairs = _top_pairs(diagonals, lanes[:, n:].transpose(2, 0, 1), k)
@@ -278,8 +185,69 @@ def _sym_eig_stacked(matrices: list, k: int) -> list:
     return found
 
 
+def _residuals(lanes: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude of each iterate in an (n, 2n, B) stack."""
+    n = lanes.shape[0]
+    off = np.abs(lanes[:, :n])
+    off.reshape(n * n, -1)[:: n + 1] = 0.0
+    return off.max(axis=(0, 1))
+
+
+def _sweep_one(lanes: np.ndarray, tol: float) -> None:
+    """One cyclic sweep of rotations over one C-contiguous (n, 2n) lane
+    matrix, in place, in scalar arithmetic for the rotation parameters."""
+    n = lanes.shape[0]
+    buf = lanes.reshape(-1)
+    a_cols = lanes[:, :n].T
+    coef = np.empty((4, 1), dtype=np.float64)
+    coef_flat = coef[:, 0]
+    take = lanes.take
+    prod = np.empty((4, 2 * n), dtype=np.float64)
+    top = prod[:2]
+    bottom = prod[2:]
+    top_a = prod[:2, :n]
+    for pp, qq, pq, qp, rows, pair in _rotation_plan(n):
+        apq = buf.item(pq)
+        if abs(apq) <= tol:
+            continue
+        app = buf.item(pp)
+        aqq = buf.item(qq)
+        theta = (aqq - app) / (2.0 * apq)
+        if theta >= 0.0:
+            t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+        else:
+            t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
+        c = 1.0 / math.sqrt(t * t + 1.0)
+        sn = t * c
+
+        aqp = buf.item(qp)
+        coef_flat[0] = coef_flat[1] = c
+        coef_flat[2] = -sn
+        coef_flat[3] = sn
+        # rows f, g, g, f scaled and summed in halves: c*f + (-sn)*g
+        # into lane p and c*g + sn*f into lane q; the rows are always in
+        # range, and mode "raise" would copy the output through a buffer
+        take(rows, 0, prod, "clip")
+        prod *= coef
+        top += bottom
+        lanes[pair] = top
+        # a stays exactly symmetric, so its columns p, q take the new rows
+        a_cols[pair] = top_a
+
+        # the lanes also write the 2x2 block, with values the row update
+        # would not give; redo it as column update then row update
+        app_c = c * app - sn * apq
+        aqp_c = c * aqp - sn * aqq
+        apq_c = sn * app + c * apq
+        aqq_c = sn * aqp + c * aqq
+        buf[pp] = c * app_c - sn * aqp_c
+        buf[qq] = sn * apq_c + c * aqq_c
+        buf[pq] = 0.0
+        buf[qp] = 0.0
+
+
 def _sweep(lanes: np.ndarray, tol: np.ndarray) -> None:
-    """One cyclic sweep of :func:`sym_eig`'s rotations over an (n, 2n, B)
+    """One cyclic sweep of :func:`_sweep_one`'s rotations over an (n, 2n, B)
     stack of lane matrices, in place.
 
     The rotation parameters are computed for every matrix at once with the

@@ -471,21 +471,24 @@ def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mod
 
 
 def test_an_8b4_batch_and_single_rows_after_it_make_one_eigensolve(monkeypatch):
-    # at 8b4 and k = 16 the covariance never moves: a whole batch and the
-    # single rows after it share the one solve of the identity
-    cmaes_module = importlib.import_module("latentadapt.cmaes")
-    monkeypatch.setattr(cmaes_module, "_previous", {})
-    solved = []
-    real = linalg.sym_eig_many
-    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
+    # at 8b4 and k = 16 the covariance never moves: a whole batch and each
+    # single row after it make one solve of the identity per call
     task = datagen.make_task(class_count=4, dim=20, seed=24)
     source, _ = datagen.gen_source(task, 50, stream=0)
     sub, dec = fit(source, 16), datagen.make_decoder(task)
     rows, _ = datagen.gen_source(task, 6, stream=10)
+    solved = []
+    real = linalg.sym_eig_many
+    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
     cfg = AdaptationConfig(k=16, n=3, seed=5, mode="fixed", fixed_format=FixedPointFormat(8, 4))
     batch = adapt_batch(rows[:23], dec, sub, cfg)
     assert len(batch.results) == 23 and not batch.errors
+    assert len(solved) == 1
+    again = adapt_batch(rows[:23], dec, sub, cfg)  # nothing is kept from the first run
+    assert len(solved) == 2
+    assert [_row_bits(r) for r in again.results] == [_row_bits(r) for r in batch.results]
     for z in rows[:2]:
         adapt(z, dec, sub, cfg)
-    assert len(solved) == 1
-    np.testing.assert_array_equal(solved[0], np.eye(16))
+    assert len(solved) == 4
+    for matrix in solved:
+        np.testing.assert_array_equal(matrix, np.eye(16))

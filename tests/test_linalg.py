@@ -232,12 +232,13 @@ def test_sym_eig_bit_identical_on_a_float_cmaes_run(monkeypatch):
     # the covariances a k=16 float search on the sphere decomposes in
     # generations 1-7, as in an n=8 harness adaptation
     seen = []
+    real = linalg.sym_eig_many
 
-    def recording(s, k):
-        seen.append(np.array(s, copy=True))
-        return sym_eig(s, k)
+    def recording(mats, k):
+        seen.extend(np.array(s, copy=True) for s in mats)
+        return real(mats, k)
 
-    monkeypatch.setattr(linalg, "sym_eig", recording)
+    monkeypatch.setattr(linalg, "sym_eig_many", recording)
     params = cmaes.CmaEsParams.defaults(16)
     cmaes.search(cmaes.CmaEs(params, 14), lambda p: float(p @ p), 8)
     assert len(seen) == 8 and np.array_equal(seen[0], np.eye(16))
@@ -299,24 +300,31 @@ def _assert_each_matches_reference(mats, found, k):
         assert vectors.flags.c_contiguous and vectors.shape == (s.shape[0], k)
 
 
+def _record_kernels(monkeypatch):
+    """Log each sweep kernel call: ("stack", live count) or ("one", 1)."""
+    ran = []
+    sweep, sweep_one = linalg._sweep, linalg._sweep_one
+    monkeypatch.setattr(linalg, "_sweep",
+                        lambda lanes, tol: ran.append(("stack", lanes.shape[2])) or sweep(lanes, tol))
+    monkeypatch.setattr(linalg, "_sweep_one",
+                        lambda lanes, tol: ran.append(("one", 1)) or sweep_one(lanes, tol))
+    return ran
+
+
 @pytest.mark.parametrize("count", [1, linalg._STACK_MIN - 1, linalg._STACK_MIN,
                                    2 * linalg._STACK_MIN + 5])
 @pytest.mark.parametrize("n, k", [(5, 5), (16, 16), (16, 4)])
 def test_sym_eig_many_matches_the_reference_per_matrix(monkeypatch, count, n, k):
-    stacked = []
-    real = linalg._sym_eig_stacked
-    monkeypatch.setattr(linalg, "_sym_eig_stacked",
-                        lambda mats, k: stacked.append(len(mats)) or real(mats, k))
+    # each kernel alone at every size: the live count only picks the faster
+    # one, and both give the same bits
     mats = _mixed_stack(np.random.default_rng(400 + count + n + k), n, count)
-    _assert_each_matches_reference(mats, linalg.sym_eig_many(mats, k), k)
-    assert stacked == ([count] if count >= linalg._STACK_MIN else [])
-
-
-@pytest.mark.parametrize("count", [1, 2, 7])
-def test_stacked_kernel_matches_the_reference_below_the_threshold(count):
-    # the stack size only picks the faster kernel; both give the same bits
-    mats = _mixed_stack(np.random.default_rng(500 + count), 16, count)
-    _assert_each_matches_reference(mats, linalg._sym_eig_stacked(mats, 16), 16)
+    ran = _record_kernels(monkeypatch)
+    for stack_min, kernel in ((1, "stack"), (count + 1, "one")):
+        monkeypatch.setattr(linalg, "_STACK_MIN", stack_min)
+        ran.clear()
+        _assert_each_matches_reference(mats, linalg.sym_eig_many(mats, k), k)
+        # a single matrix here is diagonal and never swept
+        assert {name for name, _ in ran} == ({kernel} if count > 2 else set())
 
 
 def _single_outcome(s, k):
@@ -361,3 +369,21 @@ def test_bad_matrices_in_a_stack_fail_alone(count):
     _assert_same_failures(mats, found, 6)
     good = [i for i in range(count) if i not in (1, 3)]
     _assert_each_matches_reference([mats[i] for i in good], [found[i] for i in good], 6)
+
+
+def test_a_shrinking_stack_is_handed_to_the_per_matrix_sweep(monkeypatch):
+    # 12 live matrices at the first sweep; the 4 one-pair matrices converge
+    # after it, and the 8 left converge at different later sweeps
+    mats = _mixed_stack(np.random.default_rng(800), 16, 24)
+    ran = _record_kernels(monkeypatch)
+    _assert_each_matches_reference(mats, linalg.sym_eig_many(mats, 16), 16)
+    assert ran[0] == ("stack", 12)
+    assert ran[1:] and all(item == ("one", 1) for item in ran[1:])
+
+    # a cap reached after the hand-off fails each matrix as alone
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 3)
+    ran.clear()
+    found = linalg.sym_eig_many(mats, 16)
+    assert ("stack", 12) in ran and ("one", 1) in ran
+    assert any(isinstance(item, ConvergenceFailure) for item in found)
+    _assert_same_failures(mats, found, 16)

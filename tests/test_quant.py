@@ -447,23 +447,17 @@ def test_rhe_shift_equals_exact_division(f, products):
 
 
 def _run_generations(monkeypatch, fmt, generations):
-    """Drive the fixed machine on the sphere; return it and its sym_eig calls."""
-    real_sym_eig = linalg.sym_eig
-    calls = []
-
-    def counting_sym_eig(*args):
-        calls.append(args)
-        return real_sym_eig(*args)
-
-    monkeypatch.setattr(linalg, "sym_eig", counting_sym_eig)
-    # no decomposition kept from an earlier test: the first one is counted too
-    monkeypatch.setattr(cmaes, "_previous", {})
+    """Drive the fixed machine on the sphere; return it and the number of
+    matrices it had decomposed."""
+    real = linalg.sym_eig_many
+    solved = []
+    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
     machine = FixedCmaes(cmaes.CmaEsParams.defaults(16), fmt, 3)
     machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
     start = machine.cov.copy()
     for _ in range(generations):
         machine.tell([sphere(p) for p in machine.ask()])
-    return machine, start, len(calls)
+    return machine, start, len(solved)
 
 
 def test_unchanged_covariance_reuses_decomposition_and_counts_clamps(monkeypatch):
