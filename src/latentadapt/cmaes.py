@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -350,7 +351,10 @@ class Search:
                 self.best_p = point.copy()
         if any(math.isinf(f) for f in fits):
             finite = [f for f in fits if math.isfinite(f)]
-            sentinel = (max(finite) if finite else 0.0) + 1.0
+            worst = max(finite) if finite else 0.0
+            # above worst also where adding 1 rounds back to it (|worst| >= 2^53);
+            # the largest float has nothing finite above it, and ties instead
+            sentinel = min(max(worst + 1.0, math.nextafter(worst, math.inf)), sys.float_info.max)
             fits = [f if math.isfinite(f) else sentinel for f in fits]
         self.machine.tell(fits)
         self.trace.append(self.best_f)
@@ -380,7 +384,8 @@ def search(
     machine's points, so the result can never be worse than it; with a
     baseline, zero iterations evaluate it alone. A non-finite objective value
     counts as +inf for selection and reaches ``tell`` as one more than the
-    generation's worst finite value (1 when none is finite).
+    generation's worst finite value (1 when none is finite), or as the next
+    float above it where adding 1 would round back to that value.
     """
     if iterations < 0 or (iterations == 0 and baseline is None):
         raise ContractViolation("iterations must be >= 1, or 0 with a baseline")

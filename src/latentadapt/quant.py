@@ -457,17 +457,22 @@ def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
     Lists the constants whose register value is exactly 0 or 1 although the
     real value is not (c_1 and c_mu at 0 switch covariance adaptation off),
     and the sum of the quantized recombination weights, which should be 1.
+    Where the quantized covariance coefficients 1-c_1-c_mu, c_1 and c_mu do
+    not sum to 1, the covariance shrinks or grows with no adaptation at all,
+    and their sum is appended.
     """
     ops = _FixedOps(fmt)
     unit = 1 << fmt.frac_bits  # raw value of exactly 1 (out of range if no integer bits)
+    raws = {}
     degenerate = []
-    for _, label, value in _CONSTANTS:
+    for attr, label, value in _CONSTANTS:
         real = value(params)
-        raw = int(ops.quantize(real))
+        raws[attr] = raw = int(ops.quantize(real))
         if raw in (0, unit) and real != raw / unit:
             degenerate.append(f"{label}->{raw // unit}")
     weight_sum = float(np.sum(ops.to_float(ops.quantize(params.recombination_weights))))
-    return (
-        f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} "
-        f"(recombination weight sum: {weight_sum:g})"
-    )
+    sums = [f"recombination weight sum: {weight_sum:g}"]
+    coef_sum = raws["base_coef"] + raws["c1"] + raws["cmu"]
+    if coef_sum != unit:
+        sums.append(f"covariance coefficient sum: {coef_sum / unit:g}")
+    return f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} ({'; '.join(sums)})"

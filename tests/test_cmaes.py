@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +289,26 @@ def test_minimize_counts_nonfinite_objective_values():
     res = cmaes.search(cmaes.CmaEs(params, 9), sometimes_nan, 10)
     assert res.nonfinite_count == 60 // 5
     assert math.isfinite(res.best_fitness)
+
+
+@pytest.mark.parametrize("worst", [2.0 ** 60, -(2.0 ** 60), 3.0, sys.float_info.max])
+def test_a_nonfinite_value_reaches_tell_above_every_finite_one(worst):
+    # worst + 1 rounds back to worst once |worst| >= 2^53: a NaN candidate
+    # would then tie the finite ones and could rank ahead of them by index
+    machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(4), 1)
+    told = []
+    real_tell = machine.tell
+    machine.tell = lambda fits: told.append(list(fits)) or real_tell(fits)
+    run = cmaes.Search(machine, lambda p: math.nan if p[0] < 0.0 else worst)
+    run.step()
+    fits = told[0]
+    assert 0 < run.nonfinite < len(fits)
+    above = [f for f in fits if f != worst]
+    if worst < sys.float_info.max:
+        assert len(above) == run.nonfinite and min(above) > worst
+        assert set(above) == {max(worst + 1.0, math.nextafter(worst, math.inf))}
+    else:  # nothing finite lies above the largest float: a tie, not an error
+        assert not above
 
 
 def test_search_reports_the_point_the_machine_evaluated():

@@ -489,6 +489,18 @@ def test_quantization_health_at_harness_settings():
     )
 
 
+def test_quantization_health_flags_covariance_coefficients_off_one():
+    # at 8b4 and k=6, 1-c_1-c_mu quantizes to 0.875 while c_1 and c_mu go to 0:
+    # the covariance shrinks with no adaptation at all
+    assert quantization_health(cmaes.CmaEsParams.defaults(6), F8B4) == (
+        "strategy constants at 0 or 1: c_1->0, c_mu->0 "
+        "(recombination weight sum: 0.875; covariance coefficient sum: 0.875)"
+    )
+    assert quantization_health(cmaes.CmaEsParams.defaults(16), FixedPointFormat(16, 8)).endswith(
+        "; covariance coefficient sum: 1.00781)"
+    )
+
+
 @st.composite
 def _format_numerators_denominator(draw):
     total_bits = draw(st.integers(4, 32))
