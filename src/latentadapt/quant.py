@@ -463,16 +463,15 @@ def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
     """
     ops = _FixedOps(fmt)
     unit = 1 << fmt.frac_bits  # raw value of exactly 1 (out of range if no integer bits)
-    raws = {}
     degenerate = []
-    for attr, label, value in _CONSTANTS:
+    for _, label, value in _CONSTANTS:
         real = value(params)
-        raws[attr] = raw = int(ops.quantize(real))
+        raw = int(ops.quantize(real))
         if raw in (0, unit) and real != raw / unit:
             degenerate.append(f"{label}->{raw // unit}")
     weight_sum = float(np.sum(ops.to_float(ops.quantize(params.recombination_weights))))
     sums = [f"recombination weight sum: {weight_sum:g}"]
-    coef_sum = raws["base_coef"] + raws["c1"] + raws["cmu"]
+    coef_sum = int(_start(params, fmt).cov_coefs.sum())  # the machine's own registers
     if coef_sum != unit:
         sums.append(f"covariance coefficient sum: {coef_sum / unit:g}")
     return f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} ({'; '.join(sums)})"
