@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import sys
 
 import numpy as np
@@ -442,3 +444,98 @@ def test_a_failed_decomposition_is_not_kept(monkeypatch):
         machine.ask()
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", cap)
     assert machine.ask().shape == (machine.params.population, 6)
+
+
+# ---------------------------------------------------------------- float golden runs
+#
+# Digests of a float or 1-bit search: the result and the machine's final
+# mean, sigma, covariance and paths. The linear objective keeps the sigma
+# path long, so h_sigma switches the rank-1 path term off in the number of
+# generations given; any change to the update equations, their constants or
+# their order changes a digest.
+
+
+def _linear(p):
+    return float(p[0] + np.sum(p))
+
+
+def _golden_objective(name, k):
+    if name == "linear":
+        return _linear
+    if name == "ellipsoid":
+        w = 10.0 ** (4.0 * np.arange(k) / max(k - 1, 1))
+        return lambda p: float(np.sum(w * (p - 0.7) ** 2))
+    if name == "holes":  # non-finite values on part of the space
+        def holes(p):
+            if p[0] > 0.25:
+                return float("nan")
+            if p[-1] < -1.5:
+                return float("inf")
+            return sphere(p - 0.5)
+        return holes
+    raise KeyError(name)
+
+
+_MACHINES = {
+    "float": lambda params, seed: cmaes.CmaEs(params, seed),
+    "binary": lambda params, seed: quant.BinaryCmaes(params, seed),
+    "feedback": lambda params, seed: quant.BinaryCmaes(params, seed, alpha=2.0, feedback=True),
+}
+
+
+def _hsig_off(machine):
+    """Whether the last tell switched h_sigma off, from the state it left."""
+    params = machine.params
+    ps_norm = float(np.linalg.norm(machine.path_sigma))
+    denom = math.sqrt(1.0 - (1.0 - params.c_sigma) ** (2.0 * machine.generation))
+    return not ps_norm / denom < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
+
+
+def _run_digest(machine, res):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(res.best_p, dtype=np.float64).tobytes())
+    h.update(struct.pack("<d", res.best_fitness))
+    h.update(struct.pack(f"<{len(res.trace)}d", *res.trace))
+    h.update(struct.pack("<2q", res.evaluations, res.nonfinite_count))
+    h.update(struct.pack("<d", machine.sigma))
+    for state in (machine.mean, machine.cov, machine.path_sigma, machine.path_c):
+        h.update(np.ascontiguousarray(state, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# (machine, k, sigma0, seed, objective, baseline fill or None, iterations,
+#  generations with h_sigma off, digest)
+_GOLDEN = [
+    ("float", 16, 1.0, 3, "linear", None, 8, 5,
+     "6228e1c3f0d63ed2d0e8c35bbc9a8705ebcd8c8a8f24bde79f64a09e1d0fc2ef"),
+    ("float", 6, 0.3, 9, "ellipsoid", None, 30, 0,
+     "e6281b01bc66629a2c608f044c385351fc3a583c176f7dd0bcc13ddd2f4c9434"),
+    ("float", 5, 0.5, 3, "holes", 0.0, 20, 0,
+     "70323c84e4543185c744a5d3741e922e192c2bed8892315a4671960d33f65d43"),
+    ("binary", 8, 1.0, 1, "linear", None, 8, 1,
+     "6758294319f9ce0b68968bf50133ddff65b23a5f9c4ad730624219c753cd89a8"),
+    ("binary", 5, 1.0, 2, "holes", None, 12, 1,
+     "2cc72cc1426388c02103c77a7c15c37730b20b308abd0f69262686372ae9cd6e"),
+    ("feedback", 16, 1.0, 1, "linear", None, 12, 3,
+     "740de6ac46200d81027fe81d5898a1886b6dc11214fed74a1277ac1ad990c54b"),
+    ("feedback", 8, 1.0, 2, "ellipsoid", 0.0, 12, 2,
+     "3807537760e2364611a8ed88b6275e48b733299be7bc0ae726cbc457599384c5"),
+]
+
+
+@pytest.mark.parametrize("kind, k, sigma0, seed, objective, base, iterations, offs, digest",
+                         _GOLDEN)
+def test_float_search_matches_recorded_digests(kind, k, sigma0, seed, objective, base,
+                                               iterations, offs, digest):
+    params = cmaes.CmaEsParams.defaults(k, initial_sigma=sigma0)
+    machine = _MACHINES[kind](params, seed)
+    run = cmaes.Search(machine, _golden_objective(objective, k),
+                       None if base is None else np.full(k, base))
+    gates = []
+    for _ in range(iterations):
+        run.step()
+        gates.append(_hsig_off(machine))
+    res = run.result()
+    assert res.quant_warnings is None
+    assert sum(gates) == offs
+    assert _run_digest(machine, res) == digest

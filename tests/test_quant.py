@@ -326,6 +326,8 @@ def _objective(name, k):
     if name == "ellipsoid":
         w = 10.0 ** (4.0 * np.arange(k) / max(k - 1, 1))
         return lambda p: float(np.sum(w * (p - 0.7) ** 2))
+    if name == "linear":  # keeps the sigma path long: h_sigma goes off
+        return lambda p: float(p[0] + np.sum(p))
     if name == "holes":  # non-finite values on part of the space
         def holes(p):
             if p[0] > 0.25:
@@ -381,6 +383,9 @@ _GOLDEN = [
      "ccd4c730f568e6a0e06ae1c0c48157aa7c156e26ba8fe63fd50d8e71dfbd8bb3"),
     ("10b2", 3, 0.05, 1, "far", None, 30,
      "8521cfba6a17ee4cf6e92115f098de9e5ae545cd1ce9e0553d6f0ed700f3af52"),
+    # h_sigma is off in 6 of the 8 generations
+    ("16b8", 16, 1.0, 3, "linear", None, 8,
+     "979d3ed8a9d159ab08d10a66f6f78bc2b696ab0f0e2eedd3090ca121e0bfb207"),
 ]
 
 
@@ -434,6 +439,34 @@ def test_saturating_sum_replays_in_order():
     assert ops.sum(terms) == -1
     assert ops.saturations == 1
     assert int(np.sum(terms)) == F8B4.raw_max - 1
+
+
+@st.composite
+def _format_and_pair(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    shape = draw(st.sampled_from([None, (3,), (2, 2)]))
+    if shape is None:  # the scalar registers, as Python ints
+        return fmt, draw(raw), draw(raw)
+    size = math.prod(shape)
+    pair = [np.array(draw(st.lists(raw, min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(shape) for _ in range(2)]
+    return fmt, *pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(_format_and_pair())
+def test_a_zero_coefficient_adds_nothing(case):
+    # the h_sigma gate multiplies a term by a zero register instead of
+    # skipping it: x + 0 * y must be x bit for bit, with no saturation
+    fmt, x, y = case
+    ops = _FixedOps(fmt)
+    got = ops.add(x, ops.mul(0, y))
+    assert np.asarray(got).tobytes() == np.asarray(x).tobytes()
+    assert type(got) is type(x)
+    assert ops.saturations == 0
 
 
 @settings(max_examples=300, deadline=None)
