@@ -1,15 +1,21 @@
-"""Forward-only CMA-ES: the float search machine and the one search driver.
+"""Forward-only CMA-ES: the one search machine and the one search driver.
 
 :class:`CmaEs` draws candidates from N(mean, sigma^2 * C). Ranked fitnesses
 drive weighted recombination of the mean, cumulative step-size adaptation of
 sigma, and a rank-1 plus rank-mu update of the covariance. Strategy constants
-follow the standard tutorial defaults; the covariance is decomposed with the
-package's own deterministic eigensolver and all noise comes from the package
-PRNG, so runs replay bit for bit from the seed. A generation's noise is drawn
-in one call, and its candidates are computed as stacked matrix-vector
-products (``np.matmul(B, x[:, :, None])``): each row still goes through gemv,
-bit for bit like ``B @ x``, whereas one matrix-matrix product may round
-differently.
+follow the standard tutorial defaults. The machine holds its state and its
+constants (one table, ``_CONSTANTS``) in a number system ``ops``:
+:class:`FloatOps`, whose primitives are plain numpy expressions, or the
+fixed-point registers of :mod:`latentadapt.quant`. ``ask`` and ``tell`` are
+written once over those primitives, so both number systems run the same
+equations in the same order; h_sigma gates its two terms through a
+coefficient that is zero when it is off. The covariance is decomposed with
+the package's own deterministic eigensolver and all noise comes from the
+package PRNG, so runs replay bit for bit from the seed. A generation's noise
+is drawn in one call, and its candidates are computed as stacked
+matrix-vector products (``np.matmul(B, x[:, :, None])``): each row still
+goes through gemv, bit for bit like ``B @ x``, whereas one matrix-matrix
+product may round differently.
 
 Every search machine, this one and the 1-bit and fixed-point machines in
 :mod:`latentadapt.quant`, has the same interface: ``ask()`` returns the
@@ -19,12 +25,12 @@ checked the one fitness contract. :class:`Search` is the one
 ask/evaluate/tell driver, one generation per ``step``; :func:`search` runs
 it for a number of generations, and :class:`MinimizeResult` is its one
 result type, with the quantized machines' saturation and clamp counts as
-``quant_warnings``. Each machine keeps its covariance's decomposition in
-``decomposition``, None while stale, from the eigenpairs of its
-``float_cov()`` handed to ``take_decomposition``. :func:`decompose_stale`,
-the one caller of the eigensolver on the search path, decomposes one machine
-or a whole lockstep batch alike, solving each distinct matrix of the call
-once; it keeps nothing from one call to the next.
+``quant_warnings``. Each machine keeps its covariance's :class:`Decomposition`
+in ``decomposition``, None while stale, derived by its number system from
+the eigenpairs of its ``float_cov()`` handed to ``take_decomposition``.
+:func:`decompose_stale`, the one caller of the eigensolver on the search
+path, decomposes one machine or a whole lockstep batch alike, solving each
+distinct matrix of the call once; it keeps nothing from one call to the next.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -156,56 +162,142 @@ def fitness_order(fitnesses, population: int, candidates) -> np.ndarray:
     return np.argsort(fit, kind="stable")
 
 
-class CmaEs:
-    """Float CMA-ES as a search machine for :func:`search`.
+# strategy constants held in the machine's number system: (attribute, label, value)
+_CONSTANTS = (
+    ("cs_over_ds", "c_sigma/d_sigma", lambda p: p.c_sigma / p.d_sigma),
+    ("one_minus_cs", "1-c_sigma", lambda p: 1.0 - p.c_sigma),
+    ("coef_sigma", "sqrt(c_sigma(2-c_sigma)mu_eff)",
+     lambda p: math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)),
+    ("one_minus_cc", "1-c_c", lambda p: 1.0 - p.c_c),
+    ("coef_c", "sqrt(c_c(2-c_c)mu_eff)",
+     lambda p: math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_eff)),
+    ("c1", "c_1", lambda p: p.c_1),
+    ("cmu", "c_mu", lambda p: p.c_mu),
+    ("base_coef", "1-c_1-c_mu", lambda p: 1.0 - p.c_1 - p.c_mu),
+    ("hsig_coef", "c_c(2-c_c)", lambda p: p.c_c * (2.0 - p.c_c)),
+)
 
-    A machine holds its ``params`` and a noise stream seeded by ``seed``,
-    proposes the points to evaluate (``ask``, a (population, dim) array),
-    takes back their fitnesses in the same order (``tell``, once per
-    ``ask``) and maps the baseline onto the point it stands for in its number
-    system (``start``). It starts at zero mean, identity covariance and
-    zeroed paths. Single-owner: drive from one thread only.
-    """
 
-    quant_warnings: Optional[dict] = None  # counts kept by quantized machines
+class Decomposition(NamedTuple):
+    """What a machine keeps of the eigen-decomposition of its covariance."""
 
-    def __init__(self, params: CmaEsParams, seed: int):
-        self.params = params
-        k = params.dim
-        self.mean = np.zeros(k)
-        self.sigma = params.initial_sigma
-        self.cov = np.eye(k)
-        self.path_sigma = np.zeros(k)
-        self.path_c = np.zeros(k)
-        self.generation = 0
-        self.rng = Xoshiro256pp(seed)
-        self._candidates: Optional[np.ndarray] = None  # asked, not yet told
-        self.decomposition: Optional[tuple[np.ndarray, np.ndarray]] = None  # of cov, or stale
+    vectors: np.ndarray                    # eigenvectors, by descending eigenvalue
+    scale: np.ndarray                      # square roots of the eigenvalues
+    clamps: int = 0                        # fixed point: eigenvalues clamped up to the resolution
+    invsqrt: Optional[np.ndarray] = None   # fixed point: C^(-1/2), tabulated in float and quantized
+    invsqrt_saturations: int = 0           # the table's, counted again by every tell that uses it
 
-    def float_cov(self) -> np.ndarray:
-        return self.cov
 
-    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
-        """Keep the eigenpairs of :meth:`float_cov`, if positive definite."""
+class FloatOps:
+    """The float number system of :class:`CmaEs`. Each primitive is the numpy
+    expression the float update equations are written with, so the float
+    machine's bits are those of the equations written out."""
+
+    def quantize(self, x):
+        return x
+
+    to_float = quantize  # a float is its own value
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def div(self, a, b):
+        return a / b
+
+    def halve(self, x):
+        return x / 2.0
+
+    def weighted_sum(self, w, y):
+        return w @ y
+
+    def rank_mu(self, w, y):
+        return (y * w[:, None]).T @ y
+
+    def norm(self, v):
+        return float(np.linalg.norm(v))
+
+    exp = staticmethod(math.exp)
+
+    def invsqrt_times(self, dec: Decomposition, v):
+        """C^(-1/2) v through the eigenpairs."""
+        return dec.vectors @ ((dec.vectors.T @ v) / dec.scale)
+
+    def floor_sigma(self, sigma):
+        """Sigma as it is, and that it was not clamped."""
+        return sigma, False
+
+    def decomposition(self, values, vectors) -> Decomposition:
         if values[-1] <= 0.0:
             raise ConvergenceFailure(
                 f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
             )
-        self.decomposition = (values, vectors)
+        return Decomposition(vectors, np.sqrt(values))
+
+
+class CmaEs:
+    """CMA-ES as a search machine for :func:`search`, over a number system.
+
+    A machine holds its ``params`` and a noise stream seeded by ``seed``,
+    proposes the points to evaluate (``ask``, a (population, dim) float
+    array), takes back their fitnesses in the same order (``tell``, once per
+    ``ask``) and maps the baseline onto the point it stands for in its number
+    system (``start``). Its state, strategy constants and arithmetic live in
+    ``ops``: :class:`FloatOps` by default, fixed-point registers for
+    :class:`latentadapt.quant.FixedCmaes`. It starts at zero mean, identity
+    covariance and zeroed paths. Single-owner: drive from one thread only.
+    """
+
+    quant_warnings: Optional[dict] = None  # counts kept by quantized machines
+
+    def __init__(self, params: CmaEsParams, seed: int, ops=None):
+        self.params = params
+        self.ops = ops = FloatOps() if ops is None else ops
+        k = params.dim
+        self.mean = ops.quantize(np.zeros(k))
+        self.sigma, clamped = ops.floor_sigma(ops.quantize(params.initial_sigma))
+        self.sigma_clamps = int(clamped)
+        self.eig_clamps = 0
+        self.cov = ops.quantize(np.eye(k))
+        self.path_sigma = ops.quantize(np.zeros(k))
+        self.path_c = ops.quantize(np.zeros(k))
+        self.generation = 0
+        self.rng = Xoshiro256pp(seed)
+        self._candidates = None  # asked, not yet told
+        self.decomposition: Optional[Decomposition] = None  # of cov, None while stale
+        # strategy constants, quantized once per machine
+        self.w = ops.quantize(params.recombination_weights)
+        self.zero, self.one, self.chi = (ops.quantize(x) for x in (0.0, 1.0, params.chi_n))
+        for attr, _, value in _CONSTANTS:
+            setattr(self, attr, ops.quantize(value(params)))
+
+    def float_cov(self) -> np.ndarray:
+        return self.ops.to_float(self.cov)
+
+    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
+        """Keep what the number system derives from the eigenpairs of
+        :meth:`float_cov`; the float one refuses a non-positive eigenvalue."""
+        self.decomposition = self.ops.decomposition(values, vectors)
 
     def start(self, baseline: np.ndarray) -> np.ndarray:
-        return baseline
+        return self.ops.to_float(self.ops.quantize(baseline))
 
     def ask(self) -> np.ndarray:
         """Sample one population of candidates; advances only the RNG state."""
-        params = self.params
-        values, vectors = decomposition_of(self)
-        scale = np.sqrt(values)
+        params, ops = self.params, self.ops
+        dec = decomposition_of(self)
+        self.eig_clamps += dec.clamps  # once per generation, reused or not
         noise = self.rng.normals(params.population * params.dim).reshape(params.population, -1)
-        # stacked matvecs: each row still goes through gemv, like ``vectors @ row``
-        y = np.matmul(vectors, (scale * noise)[:, :, None])[:, :, 0]
-        self._candidates = self.mean + self.sigma * y
-        return self._candidates
+        # stacked matvecs: each row still goes through gemv, like ``vectors @ row``,
+        # where one (population, dim) x (dim, dim) gemm may round differently
+        y = np.matmul(dec.vectors, (dec.scale * noise)[:, :, None])[:, :, 0]
+        self._candidates = ops.quantize(ops.to_float(self.mean) + ops.to_float(self.sigma) * y)
+        return ops.to_float(self._candidates)
 
     def tell(self, fitnesses: list[float]) -> None:
         """Rank the last candidates ascending by fitness and update the search
@@ -214,54 +306,45 @@ class CmaEs:
         Ties rank by candidate index. The mean moves to the weighted
         recombination of the top parents, sigma follows cumulative step-size
         adaptation, and the covariance gets the rank-1 plus rank-mu update
-        followed by explicit re-symmetrization.
+        followed by explicit re-symmetrization. The decomposition goes stale
+        only when the covariance changes.
         """
-        params = self.params
+        params, ops = self.params, self.ops
         order = fitness_order(fitnesses, params.population, self._candidates)
-        values, vectors = decomposition_of(self)
+        dec = decomposition_of(self)
         parents = self._candidates[order[: params.parent_count]]
-        w = params.recombination_weights
 
-        old_mean = self.mean
-        y_parents = (parents - old_mean) / self.sigma
-        y_w = w @ y_parents
-        self.mean = old_mean + self.sigma * y_w
+        # normalized parent steps y_i = (x_i - m) / sigma
+        y = ops.div(ops.sub(parents, self.mean), self.sigma)
+        y_w = ops.weighted_sum(self.w, y)
+        self.mean = ops.add(self.mean, ops.mul(self.sigma, y_w))
 
-        # C^(-1/2) action via the cached eigendecomposition
-        invsqrt_yw = vectors @ ((vectors.T @ y_w) / np.sqrt(values))
-        c_s = params.c_sigma
-        self.path_sigma = (1.0 - c_s) * self.path_sigma + math.sqrt(
-            c_s * (2.0 - c_s) * params.mu_eff
-        ) * invsqrt_yw
+        self.path_sigma = ops.add(ops.mul(self.one_minus_cs, self.path_sigma),
+                                  ops.mul(self.coef_sigma, ops.invsqrt_times(dec, y_w)))
+        ps_norm = ops.norm(self.path_sigma)
+        ratio = ops.div(ps_norm, self.chi)
+        factor = ops.exp(ops.mul(self.cs_over_ds, ops.sub(ratio, self.one)))
+        self.sigma, clamped = ops.floor_sigma(ops.mul(self.sigma, factor))
+        self.sigma_clamps += clamped
 
         gen1 = self.generation + 1
-        ps_norm = float(np.linalg.norm(self.path_sigma))
-        self.sigma = self.sigma * math.exp(
-            (c_s / params.d_sigma) * (ps_norm / params.chi_n - 1.0)
-        )
+        c_s = params.c_sigma
+        h_sig = (ops.to_float(ps_norm) / math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
+                 < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n)
+        # h_sigma gates through a coefficient that is zero when it is off: a
+        # zero product adds nothing, in float and in fixed point alike
+        self.path_c = ops.add(ops.mul(self.one_minus_cc, self.path_c),
+                              ops.mul(self.coef_c if h_sig else self.zero, y_w))
+        rank1 = ops.add(ops.mul(self.path_c[:, None], self.path_c[None, :]),
+                        ops.mul(self.zero if h_sig else self.hsig_coef, self.cov))
 
-        h_sig = 1.0 if (
-            ps_norm / math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
-            < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
-        ) else 0.0
-        c_c = params.c_c
-        self.path_c = (1.0 - c_c) * self.path_c + h_sig * math.sqrt(
-            c_c * (2.0 - c_c) * params.mu_eff
-        ) * y_w
-
-        rank_mu = (y_parents * w[:, None]).T @ y_parents
-        cov = (
-            (1.0 - params.c_1 - params.c_mu) * self.cov
-            + params.c_1
-            * (
-                np.outer(self.path_c, self.path_c)
-                + (1.0 - h_sig) * c_c * (2.0 - c_c) * self.cov
-            )
-            + params.c_mu * rank_mu
-        )
-        self.cov = (cov + cov.T) / 2.0
+        cov = ops.add(ops.add(ops.mul(self.base_coef, self.cov), ops.mul(self.c1, rank1)),
+                      ops.mul(self.cmu, ops.rank_mu(self.w, y)))
+        cov = ops.halve(ops.add(cov, cov.T))
+        if not np.array_equal(cov, self.cov):
+            self.decomposition = None
+        self.cov = cov
         self.generation = gen1
-        self.decomposition = None
         self._candidates = None
 
 

@@ -1,57 +1,55 @@
 """Quantized adaptation support: the fixed-point register kernel and the 1-bit
 and fixed-point search machines.
 
-Both machines run under :func:`latentadapt.cmaes.search`. The 1-bit machine
-collapses each float candidate to a single magnitude with per-element signs,
-so the search reduces to flipping k switches. The fixed-point machine re-runs
-the CMA-ES update equations with every state component held in signed
-two's-complement fixed-point arithmetic: round-to-nearest-even everywhere,
-saturating (never wrapping) on overflow. :class:`_FixedOps` is the one
-implementation of that arithmetic; it works on raw int64 registers, scalars
-or arrays, of one :class:`FixedPointFormat`. Sampling noise stays in floating
-point and is quantized on arrival; scalar transcendentals (sqrt, exp) are
-evaluated in float on the fixed-point operand and requantized, standing in
-for the lookup tables real hardware would use.
+Both machines are :class:`latentadapt.cmaes.CmaEs` and run under
+:func:`latentadapt.cmaes.search`. The 1-bit machine collapses each float
+candidate to a single magnitude with per-element signs, so the search
+reduces to flipping k switches. The fixed-point machine is the same machine
+over :class:`_FixedOps`, which holds every state component and strategy
+constant in signed two's-complement fixed-point arithmetic:
+round-to-nearest-even everywhere, saturating (never wrapping) on overflow.
+:class:`_FixedOps` is the one implementation of that arithmetic; it works on
+raw int64 registers, scalars or arrays, of one :class:`FixedPointFormat`.
+Sampling noise stays in floating point and is quantized on arrival; scalar
+transcendentals (sqrt, exp) are evaluated in float on the fixed-point
+operand and requantized, standing in for the lookup tables real hardware
+would use.
 
 The register arithmetic is vectorized without changing a bit of it. A sum of
 many terms (the weighted mean step, the C^(-1/2) matvec, the squared path
 length, the rank-mu update) is defined as saturating adds from zero in index
 order; it is computed as int64 prefix sums, which are exact because every
 term fits in 32 bits, and the adds are replayed one at a time only where a
-prefix leaves the range, since saturating addition is not associative.
-Element-wise products with the same rounding and saturation run as one
-stacked product: the mean step with both path decays, the outer products of
-p_c and of each parent step, and the three covariance terms. The same ops
-take the scalar registers of a generation (the path length, sigma and the
-h_sigma test) as Python ints, which agree with int64 because no product or
-shifted numerator of a format of at most 32 bits exceeds 2^62 in magnitude.
+prefix leaves the range, since saturating addition is not associative. The
+same ops take the scalar registers of a generation (the path length, sigma
+and the h_sigma test) as Python ints, which agree with int64 because no
+product or shifted numerator of a format of at most 32 bits exceeds 2^62 in
+magnitude. A zero register times anything is 0, and adding 0 neither
+changes a register nor counts a saturation, so the zero coefficients of the
+h_sigma gate give the bits of skipping its terms.
 
-The covariance register is decomposed through the protocol of
-:mod:`latentadapt.cmaes`, and the machine keeps what it derives from it while
-the register stays unchanged bit for bit, as in every generation when c_1
-and c_mu round to 0 and 1-c_1-c_mu to 1. The starting registers are built
-once per shared :class:`~latentadapt.cmaes.CmaEsParams` and format.
+The decomposition of the covariance register clamps its eigenvalues up to
+the resolution and tabulates C^(-1/2); the machine keeps it while the
+register stays unchanged bit for bit, as in every generation when c_1 and
+c_mu round to 0 and 1-c_1-c_mu to 1.
 
 A result already in range is returned without clipping, which gives the same
 bits and counts. Division is only ever by one positive register (sigma,
 clamped to at least 1, and chi), so it has no sign flip or zero guard and
-refuses any other denominator. Each generation's candidates are sampled as
-stacked matrix-vector products, one gemv per row, as in the float machine.
+refuses any other denominator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .cmaes import CmaEs, CmaEsParams, decomposition_of, fitness_order
+from .cmaes import _CONSTANTS, CmaEs, CmaEsParams, Decomposition
 from .errors import ContractViolation
-from .rng import Xoshiro256pp
 
 _FMT_RE = re.compile(r"^(\d+)b(\d+)$")
 
@@ -178,14 +176,17 @@ class _FixedOps:
         return clipped
 
     def quantize(self, x):
-        """Round onto the grid, ties to even, then saturate (+-inf too); NaN is refused."""
+        """Round onto the grid, ties to even, then saturate (+-inf too); NaN is
+        refused. A scalar gives a Python int register."""
         scaled = np.rint(np.multiply(x, self._scale, dtype=np.float64))
         # NaN fails the range test too, so the common case pays no separate scan
         if self._in_range(scaled):
-            return scaled.astype(np.int64)
-        if np.isnan(scaled).any():
+            raw = scaled.astype(np.int64)
+        elif np.isnan(scaled).any():
             raise ContractViolation("cannot quantize NaN")
-        return self._sat(scaled).astype(np.int64)
+        else:
+            raw = self._sat(scaled).astype(np.int64)
+        return int(raw) if raw.ndim == 0 else raw
 
     def to_float(self, raw):
         return np.multiply(raw, self.fmt.resolution, dtype=np.float64)
@@ -268,103 +269,54 @@ class _FixedOps:
         # clipped to just past the range first, so +-inf saturate like any other value
         return self._sat(round(min(max(x, self._lo - 1.0), self._hi + 1.0)))
 
+    def exp(self, raw: int) -> int:
+        return self.apply_float(raw, np.exp)
 
-# strategy constants held in registers: (attribute, label, value from params)
-_CONSTANTS = (
-    ("cs_over_ds", "c_sigma/d_sigma", lambda p: p.c_sigma / p.d_sigma),
-    ("one_minus_cs", "1-c_sigma", lambda p: 1.0 - p.c_sigma),
-    ("coef_sigma", "sqrt(c_sigma(2-c_sigma)mu_eff)",
-     lambda p: math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)),
-    ("one_minus_cc", "1-c_c", lambda p: 1.0 - p.c_c),
-    ("coef_c", "sqrt(c_c(2-c_c)mu_eff)",
-     lambda p: math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_eff)),
-    ("c1", "c_1", lambda p: p.c_1),
-    ("cmu", "c_mu", lambda p: p.c_mu),
-    ("base_coef", "1-c_1-c_mu", lambda p: 1.0 - p.c_1 - p.c_mu),
-    ("hsig_coef", "c_c(2-c_c)", lambda p: p.c_c * (2.0 - p.c_c)),
-)
+    def norm(self, v) -> int:
+        """The length of a register vector: its squared length summed in the
+        format, then a float square root requantized."""
+        return self.apply_float(int(self.sum(self.mul(v, v))), np.sqrt)
 
+    def weighted_sum(self, w, y):
+        """sum_i w_i y_i, one rounded product per element, summed in order."""
+        return self.sum(self.mul(w[:, None], y))
 
-class _Decomposition(NamedTuple):
-    """What the machine keeps of the eigen-decomposition of its covariance register."""
+    def rank_mu(self, w, y):
+        """sum_i w_i y_i y_i^T, each outer product and its weighting rounded."""
+        return self.sum(self.mul(w[:, None, None], self.mul(y[:, :, None], y[:, None, :])))
 
-    vectors: np.ndarray        # shared by the machines with this register
-    scale: np.ndarray          # square roots of the eigenvalues, clamped up to the resolution
-    clamps: int                # eigenvalues clamped
-    invsqrt: np.ndarray        # C^(-1/2), tabulated in float and quantized
-    invsqrt_saturations: int   # the table's, counted again by every tell that uses it
+    def invsqrt_times(self, dec: Decomposition, v):
+        """C^(-1/2) v as a fixed matvec on the decomposition's table, whose
+        saturations count again on every use."""
+        self.saturations += dec.invsqrt_saturations
+        return self.sum(self.mul(dec.invsqrt, v), axis=1)
 
+    def floor_sigma(self, sigma: int) -> tuple[int, bool]:
+        """Sigma clamped up to 1 raw, and whether it was clamped."""
+        return (1, True) if sigma <= 0 else (sigma, False)
 
-class _Start:
-    """The registers a fresh machine starts from, with the saturations and
-    sigma clamps of quantizing them. Machines copy the arrays, which stay
-    read-only here."""
-
-    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat):
-        ops = _FixedOps(fmt)
-        self.sigma = int(ops.quantize(params.initial_sigma))
-        self.sigma_clamps = 0
-        if self.sigma <= 0:
-            self.sigma = 1
-            self.sigma_clamps = 1
-        self.cov = ops.quantize(np.eye(params.dim))
-        self.w = ops.quantize(params.recombination_weights)
-        self.cov.flags.writeable = self.w.flags.writeable = False
-        self.constants = {"one": int(ops.quantize(1.0)), "chi": int(ops.quantize(params.chi_n))}
-        for attr, _, value in _CONSTANTS:
-            self.constants[attr] = int(ops.quantize(value(params)))
-        self.cov_coefs = np.array([self.constants[attr] for attr in ("base_coef", "c1", "cmu")],
-                                  dtype=np.int64).reshape(3, 1, 1)
-        self.cov_coefs.flags.writeable = False
-        self.saturations = ops.saturations
+    def decomposition(self, values, vectors) -> Decomposition:
+        """The eigenvalues clamped up to the resolution, and C^(-1/2)
+        tabulated in float from them and quantized."""
+        table = _FixedOps(self.fmt)  # counts the table's saturations alone
+        floor = self.fmt.resolution
+        scale = np.sqrt(np.maximum(values, floor))
+        invsqrt = table.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
+        return Decomposition(vectors, scale, int(np.count_nonzero(values < floor)),
+                             invsqrt, table.saturations)
 
 
-_start = functools.lru_cache(maxsize=64)(_Start)  # (params, format) -> its _Start
+class FixedCmaes(CmaEs):
+    """CMA-ES carried entirely in fixed-point registers: :class:`CmaEs` over
+    :class:`_FixedOps` of ``fmt``.
 
-
-class FixedCmaes:
-    """CMA-ES state machine carried entirely in fixed-point registers.
-
-    A search machine for :func:`latentadapt.cmaes.search`: the baseline is
-    quantized onto the grid, and each candidate is evaluated at its exact
-    fixed-point value as a float.
+    The baseline is quantized onto the grid, and each candidate is evaluated
+    at its exact fixed-point value as a float. ``quant_warnings`` holds the
+    saturation, sigma-clamp and eigenvalue-clamp counts.
     """
 
     def __init__(self, params: CmaEsParams, fmt: FixedPointFormat, seed: int):
-        self.params = params
-        start = _start(params, fmt)
-        self._start = start
-        self.ops = _FixedOps(fmt)
-        self.ops.saturations = start.saturations
-        self.rng = Xoshiro256pp(seed)
-        self._raw: Optional[np.ndarray] = None  # asked, not yet told
-        self.generation = 0
-        self.sigma = start.sigma
-        self.sigma_clamps = start.sigma_clamps
-        self.eig_clamps = 0
-
-        k = params.dim
-        self.mean = np.zeros(k, dtype=np.int64)
-        self.cov = start.cov.copy()
-        self.decomposition: Optional[_Decomposition] = None  # of cov, None while stale
-        self.path_sigma = np.zeros(k, dtype=np.int64)
-        self.path_c = np.zeros(k, dtype=np.int64)
-        # strategy constants, quantized once per configuration
-        self.w = start.w.copy()
-        for attr, raw in start.constants.items():
-            setattr(self, attr, raw)
-
-    def float_cov(self) -> np.ndarray:
-        return self.ops.to_float(self.cov)
-
-    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
-        """Keep the eigenvectors of :meth:`float_cov` and derive the rest of a _Decomposition."""
-        ops = _FixedOps(self.ops.fmt)  # counts the table's saturations alone
-        floor = ops.fmt.resolution
-        scale = np.sqrt(np.maximum(values, floor))
-        invsqrt = ops.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
-        self.decomposition = _Decomposition(vectors, scale, int(np.count_nonzero(values < floor)),
-                                            invsqrt, ops.saturations)
+        super().__init__(params, seed, _FixedOps(fmt))
 
     @property
     def quant_warnings(self) -> dict:
@@ -373,82 +325,6 @@ class FixedCmaes:
             "sigma_clamps": self.sigma_clamps,
             "eig_clamps": self.eig_clamps,
         }
-
-    def start(self, baseline: np.ndarray) -> np.ndarray:
-        return self.ops.to_float(self.ops.quantize(baseline))
-
-    def ask(self) -> np.ndarray:
-        """Sample lambda candidates; keep the raw registers, return floats."""
-        dec = decomposition_of(self)
-        self.eig_clamps += dec.clamps  # once per generation, reused or not
-        ops = self.ops
-        lam, k = self.params.population, self.params.dim
-        noise = self.rng.normals(lam * k).reshape(lam, k)
-        # stacked matvecs (gemv per row); one (lam, k) x (k, k) gemm may round differently
-        steps = np.matmul(dec.vectors, (dec.scale * noise)[:, :, None])[:, :, 0]
-        sigma_f = self.sigma * ops.fmt.resolution
-        self._raw = ops.quantize(ops.to_float(self.mean) + sigma_f * steps)
-        return ops.to_float(self._raw)
-
-    def tell(self, fitnesses: list[float]) -> None:
-        params = self.params
-        ops = self.ops
-        order = fitness_order(fitnesses, params.population, self._raw)
-        parents = self._raw[order[: params.parent_count]]
-        dec = decomposition_of(self)
-
-        # normalized parent steps y_i = (x_i - m) / sigma
-        y = ops.div(ops.sub(parents, self.mean), self.sigma)
-        y_w = ops.sum(ops.mul(self.w[:, None], y))
-        # the mean step and both path decays: one product of stacked rows
-        step, ps_decayed, pc_decayed = ops.mul(
-            np.array([[self.sigma], [self.one_minus_cs], [self.one_minus_cc]]),
-            np.array([y_w, self.path_sigma, self.path_c]),
-        )
-        self.mean = ops.add(self.mean, step)
-
-        # C^(-1/2) y_w: the table kept with the decomposition, then a fixed matvec
-        ops.saturations += dec.invsqrt_saturations
-        invsqrt_yw = ops.sum(ops.mul(dec.invsqrt, y_w), axis=1)
-        self.path_sigma = ops.add(ps_decayed, ops.mul(self.coef_sigma, invsqrt_yw))
-
-        # sigma and the h_sigma test on scalar registers, as Python ints
-        total = int(ops.sum(ops.mul(self.path_sigma, self.path_sigma)))
-        ps_norm = ops.apply_float(total, np.sqrt)
-        ratio = ops.div(ps_norm, self.chi)
-        factor = ops.apply_float(ops.mul(self.cs_over_ds, ops.sub(ratio, self.one)), np.exp)
-        new_sigma = ops.mul(self.sigma, factor)
-        if new_sigma <= 0:
-            new_sigma = 1
-            self.sigma_clamps += 1
-        self.sigma = new_sigma
-
-        gen1 = self.generation + 1
-        c_s = params.c_sigma
-        denom = math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
-        h_sig = (ps_norm * ops.fmt.resolution / denom
-                 < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n)
-
-        self.path_c = ops.add(pc_decayed, ops.mul(self.coef_c, y_w)) if h_sig else pc_decayed
-
-        # the outer products of p_c and of each y_i: one stacked product
-        rows = np.concatenate([self.path_c[None, :], y])
-        outers = ops.mul(rows[:, :, None], rows[:, None, :])
-        rank1 = outers[0]
-        if not h_sig:
-            rank1 = ops.add(rank1, ops.mul(self.hsig_coef, self.cov))
-        rank_mu = ops.sum(ops.mul(self.w[:, None, None], outers[1:]))
-
-        # (1-c_1-c_mu) C, c_1 rank1 and c_mu rank_mu as one stacked product
-        kept, rank1, rank_mu = ops.mul(self._start.cov_coefs,
-                                       np.array([self.cov, rank1, rank_mu]))
-        cov = ops.add(ops.add(kept, rank1), rank_mu)
-        cov = ops.halve(ops.add(cov, cov.T))
-        if not np.array_equal(cov, self.cov):
-            self.decomposition = None
-        self.cov = cov
-        self.generation = gen1
-        self._raw = None
 
 
 def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
@@ -461,17 +337,16 @@ def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:
     not sum to 1, the covariance shrinks or grows with no adaptation at all,
     and their sum is appended.
     """
-    ops = _FixedOps(fmt)
+    machine = FixedCmaes(params, fmt, 0)  # the registers every machine starts from
     unit = 1 << fmt.frac_bits  # raw value of exactly 1 (out of range if no integer bits)
     degenerate = []
-    for _, label, value in _CONSTANTS:
-        real = value(params)
-        raw = int(ops.quantize(real))
+    for attr, label, value in _CONSTANTS:
+        real, raw = value(params), getattr(machine, attr)
         if raw in (0, unit) and real != raw / unit:
             degenerate.append(f"{label}->{raw // unit}")
-    weight_sum = float(np.sum(ops.to_float(ops.quantize(params.recombination_weights))))
+    weight_sum = float(np.sum(machine.ops.to_float(machine.w)))
     sums = [f"recombination weight sum: {weight_sum:g}"]
-    coef_sum = int(_start(params, fmt).cov_coefs.sum())  # the machine's own registers
+    coef_sum = machine.base_coef + machine.c1 + machine.cmu
     if coef_sum != unit:
         sums.append(f"covariance coefficient sum: {coef_sum / unit:g}")
     return f"strategy constants at 0 or 1: {', '.join(degenerate) or 'none'} ({'; '.join(sums)})"

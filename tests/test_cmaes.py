@@ -357,8 +357,7 @@ def test_stacked_matmul_equals_one_matvec_per_row(k, lam, seed, eigenvectors):
 def _ask_one_row_at_a_time(machine):
     """The float ask as one normals draw and one matvec per candidate."""
     cmaes.decompose_stale([machine])
-    values, vectors = machine.decomposition
-    scale = np.sqrt(values)
+    vectors, scale = machine.decomposition.vectors, machine.decomposition.scale
     rng = machine.rng.clone()
     candidates = []
     for _ in range(machine.params.population):

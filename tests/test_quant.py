@@ -645,7 +645,7 @@ def test_int_ops_refuse_what_the_kernel_refuses():
 
 
 def _registers(machine):
-    constants = {attr: getattr(machine, attr) for attr, _, _ in quant._CONSTANTS}
+    constants = {attr: getattr(machine, attr) for attr, _, _ in cmaes._CONSTANTS}
     return (machine.sigma, machine.one, machine.chi, constants, machine.cov.tolist(),
             machine.w.tolist(), machine.ops.saturations, machine.sigma_clamps)
 
@@ -654,7 +654,7 @@ def _registers_from_scratch(params, fmt):
     """What a machine starts from, quantized here without the shared template."""
     ops = _FixedOps(fmt)
     sigma = int(ops.quantize(params.initial_sigma))
-    constants = {attr: int(ops.quantize(value(params))) for attr, _, value in quant._CONSTANTS}
+    constants = {attr: int(ops.quantize(value(params))) for attr, _, value in cmaes._CONSTANTS}
     one, chi = int(ops.quantize(1.0)), int(ops.quantize(params.chi_n))
     cov, w = ops.quantize(np.eye(params.dim)).tolist(), ops.quantize(
         params.recombination_weights).tolist()

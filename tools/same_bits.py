@@ -4,8 +4,10 @@
     python3 tools/same_bits.py PARENT CHANGE --small  # a 4-class task, k=4, n=3
 
 In each checkout, with its own ``src`` on the import path, runs ``gen``,
-``fit`` and then ``adapt`` in the modes none, ted, qted-v1, fixed 8b4 and
-fixed 16b8, each in a fresh temporary directory. Exits 0 only when every
+``fit`` and then ``adapt`` in the modes none, ted, qted-v1, qted-v1 with
+``--binary-feedback --alpha 0.5`` (the snapped points are the candidates
+``tell`` ranks), fixed 8b4 and fixed 16b8, each in a fresh temporary
+directory. Exits 0 only when every
 ``gen`` file and ``model.lama`` are byte-identical and every report and its
 summary match by ``tools/compare_reports.py`` (all but the wall-clock
 column and line); exits 1 and prints the first difference otherwise; exits
@@ -31,6 +33,7 @@ SMALL = {"gen": ["--classes", "4", "--dim", "16", "--per-class", "40",
                  "--target-per-class", "10", "--severity", "1.0", "--seed", "14"],
          "fit": ["--k", "4"], "adapt": ["--n", "3", "--seed", "14"]}
 MODES = {"none": ["none"], "ted": ["ted"], "qted-v1": ["qted-v1"],
+         "qted-v1-feedback": ["qted-v1", "--binary-feedback", "--alpha", "0.5"],
          "fixed-8b4": ["fixed", "--fmt", "8b4"], "fixed-16b8": ["fixed", "--fmt", "16b8"]}
 
 # runs the CLI of the checkout whose src is argv[1], refusing any other copy
