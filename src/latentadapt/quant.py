@@ -177,16 +177,20 @@ class _FixedOps:
 
     def quantize(self, x):
         """Round onto the grid, ties to even, then saturate (+-inf too); NaN is
-        refused. A scalar gives a Python int register."""
+        refused. A float gives a Python int register, rounded by ``round``."""
+        if isinstance(x, float):  # numpy's float64 scalars too
+            scaled = float(x) * self._scale
+            if math.isnan(scaled):
+                raise ContractViolation("cannot quantize NaN")
+            # clipped to just past the range first, so +-inf saturate like any other value
+            return self._sat(round(min(max(scaled, self._lo - 1.0), self._hi + 1.0)))
         scaled = np.rint(np.multiply(x, self._scale, dtype=np.float64))
         # NaN fails the range test too, so the common case pays no separate scan
         if self._in_range(scaled):
-            raw = scaled.astype(np.int64)
-        elif np.isnan(scaled).any():
+            return scaled.astype(np.int64)
+        if np.isnan(scaled).any():
             raise ContractViolation("cannot quantize NaN")
-        else:
-            raw = self._sat(scaled).astype(np.int64)
-        return int(raw) if raw.ndim == 0 else raw
+        return self._sat(scaled).astype(np.int64)
 
     def to_float(self, raw):
         return np.multiply(raw, self.fmt.resolution, dtype=np.float64)
@@ -262,12 +266,8 @@ class _FixedOps:
 
     def apply_float(self, raw: int, fn: Callable[[float], float]) -> int:
         """Evaluate ``fn`` in float on the register's value and requantize it
-        as :meth:`quantize` does, to a Python int."""
-        x = float(fn(raw * self.fmt.resolution)) * self._scale
-        if math.isnan(x):
-            raise ContractViolation("cannot quantize NaN")
-        # clipped to just past the range first, so +-inf saturate like any other value
-        return self._sat(round(min(max(x, self._lo - 1.0), self._hi + 1.0)))
+        to a Python int."""
+        return self.quantize(float(fn(raw * self.fmt.resolution)))
 
     def exp(self, raw: int) -> int:
         return self.apply_float(raw, np.exp)

@@ -618,11 +618,12 @@ def test_int_ops_equal_the_kernel_on_0d_registers(case):
             (lambda: ints.add(a, b), lambda: arrays.add(a0, b0)),
             (lambda: ints.sub(a, b), lambda: arrays.sub(a0, b0)),
             (lambda: ints.div(a, den), lambda: arrays.div(a0, den0)),
-            (lambda: ints.apply_float(0, lambda _: x), lambda: arrays.quantize(x)),
+            (lambda: ints.apply_float(0, lambda _: x),
+             lambda: arrays.quantize(np.array([x]))[0]),
             (lambda: ints.apply_float(root, np.sqrt),
-             lambda: arrays.quantize(np.sqrt(arrays.to_float(np.array(root))))),
+             lambda: arrays.quantize(np.sqrt(arrays.to_float(np.array([root]))))[0]),
             (lambda: ints.apply_float(a, np.exp),
-             lambda: arrays.quantize(np.exp(arrays.to_float(a0)))),
+             lambda: arrays.quantize(np.exp(arrays.to_float(a0[None])))[0]),
         ]
         for int_op, array_op in pairs:
             got, want = int_op(), array_op()
