@@ -331,8 +331,9 @@ class CmaEs:
         c_s = params.c_sigma
         h_sig = (ops.to_float(ps_norm) / math.sqrt(1.0 - (1.0 - c_s) ** (2.0 * gen1))
                  < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n)
-        # h_sigma gates through a coefficient that is zero when it is off: a
-        # zero product adds nothing, in float and in fixed point alike
+        # h_sigma picks coefficients, not branches: the path term's is zero
+        # when it is off, the rank-1 correction's when it is on, and a zero
+        # product adds nothing, in float and in fixed point alike
         self.path_c = ops.add(ops.mul(self.one_minus_cc, self.path_c),
                               ops.mul(self.coef_c if h_sig else self.zero, y_w))
         rank1 = ops.add(ops.mul(self.path_c[:, None], self.path_c[None, :]),
