@@ -13,9 +13,13 @@ subspace is ever modified.
 each row's search advances one generation at a time, and before each
 generation the stale covariances of all live searches, in every mode, are
 decomposed together by :func:`cmaes.decompose_stale`, each distinct matrix
-once. Each row's ask, evaluation and tell stay its own, so a row's result
-does not depend on the batch it ran in. :func:`adapt` is the same runner, on
-one row or on one chunk of a batch.
+once, and the generation's search noise of all live rows is drawn in one
+:func:`rng.normals_many` call, which steps their streams in lockstep from
+``rng._LANES_MIN`` rows on and draws each alone below that, with the same
+bits either way. Each row's ask, evaluation and tell stay its own, so a
+row's result does not depend on the batch it ran in. :func:`adapt` is the
+same runner, on one row or on one chunk of a batch; on one row it draws by
+the scalar loop.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, decode, fitness
 from .errors import ContractViolation, ConvergenceFailure
 from .quant import FixedPointFormat
-from .rng import derive_seed
+from .rng import derive_seed, normals_many
 from .subspace import PrincipalSubspace, apply_correction
 
 MODES = ("none", "ted", "qted-v1", "fixed")
@@ -201,7 +205,8 @@ def adapt_batch(
     by one :func:`adapt` call. A row that raises ContractViolation
     or ConvergenceFailure is recorded as failed; any other exception
     propagates. Each row's wall time is the time spent on that row alone
-    plus an equal share of each joint decomposition it took part in.
+    plus an equal share of each joint decomposition it took part in and of
+    each lockstep draw of search noise.
     """
     z_rows, indices = _checked_batch(z_rows, indices)
     n_rows = z_rows.shape[0]
@@ -260,14 +265,22 @@ def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationCo
         if row is not None:
             rows[i] = row
     for _ in range(0 if cfg.mode == "none" else cfg.n):
+        if not rows:
+            break
         live = list(rows)
+        machines = [rows[i][0].machine for i in live]
         start = time.perf_counter()
-        joined = cmaes.decompose_stale([rows[i][0].machine for i in live])
+        joined = cmaes.decompose_stale(machines)
         share = (time.perf_counter() - start) / max(len(joined), 1)
         for j in joined:  # a row whose matrix failed raises it from its own ask
             wall[live[j]] += share
-        for i in list(rows):
-            timed(i, rows[i][0].step)
+        params = machines[0].params
+        start = time.perf_counter()
+        noise = normals_many([m.rng for m in machines], params.population * params.dim)
+        share = (time.perf_counter() - start) / len(live)
+        for i, row_noise in zip(live, noise):
+            wall[i] += share
+            timed(i, rows[i][0].step, row_noise)
     results: list[Optional[AdaptationResult]] = [None] * n_rows
     for i, (run, z_t) in list(rows.items()):
         results[i] = timed(i, _finish_row, run, z_t, decoder, s)

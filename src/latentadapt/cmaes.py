@@ -12,10 +12,13 @@ equations in the same order; h_sigma gates its two terms through a
 coefficient that is zero when it is off. The covariance is decomposed with
 the package's own deterministic eigensolver and all noise comes from the
 package PRNG, so runs replay bit for bit from the seed. A generation's noise
-is drawn in one call, and its candidates are computed as stacked
-matrix-vector products (``np.matmul(B, x[:, :, None])``): each row still
-goes through gemv, bit for bit like ``B @ x``, whereas one matrix-matrix
-product may round differently.
+is drawn in one call of :func:`latentadapt.rng.normals_many`: by ``ask``
+itself on the machine's own stream, or beforehand for all the live machines
+of a batch at once and handed to ``ask(noise)`` (``Search.step(noise)``
+passes it on), which gives the same bits. Its candidates are computed as
+stacked matrix-vector products (``np.matmul(B, x[:, :, None])``): each row
+still goes through gemv, bit for bit like ``B @ x``, whereas one
+matrix-matrix product may round differently.
 
 Every search machine, this one and the 1-bit and fixed-point machines in
 :mod:`latentadapt.quant`, has the same interface: ``ask()`` returns the
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolation, ConvergenceFailure
-from .rng import Xoshiro256pp
+from .rng import Xoshiro256pp, normals_many
 
 
 def default_lambda(k: int) -> int:
@@ -287,12 +290,22 @@ class CmaEs:
     def start(self, baseline: np.ndarray) -> np.ndarray:
         return self.ops.to_float(self.ops.quantize(baseline))
 
-    def ask(self) -> np.ndarray:
-        """Sample one population of candidates; advances only the RNG state."""
+    def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sample one population of candidates; advances only the RNG state.
+
+        ``noise`` is the generation's population * dim normals from this
+        machine's stream, as a lockstep draw of :func:`normals_many` gives
+        them; when None, the machine draws them itself.
+        """
         params, ops = self.params, self.ops
+        size = params.population * params.dim
+        if noise is not None and np.shape(noise) != (size,):
+            raise ContractViolation(f"noise must have shape ({size},), got {np.shape(noise)}")
         dec = decomposition_of(self)
         self.eig_clamps += dec.clamps  # once per generation, reused or not
-        noise = self.rng.normals(params.population * params.dim).reshape(params.population, -1)
+        if noise is None:
+            noise = normals_many([self.rng], size)[0]
+        noise = np.reshape(noise, (params.population, -1))
         # stacked matvecs: each row still goes through gemv, like ``vectors @ row``,
         # where one (population, dim) x (dim, dim) gemm may round differently
         y = np.matmul(dec.vectors, (dec.scale * noise)[:, :, None])[:, :, 0]
@@ -426,8 +439,9 @@ class Search:
             return math.inf
         return value
 
-    def step(self) -> None:
-        points = self.machine.ask()
+    def step(self, noise: Optional[np.ndarray] = None) -> None:
+        """One generation, on ``noise`` for the machine's ``ask`` if given."""
+        points = self.machine.ask() if noise is None else self.machine.ask(noise)
         fits = [self._evaluate(point) for point in points]
         for point, f in zip(points, fits):
             if self.best_p is None or f < self.best_f:

@@ -130,8 +130,8 @@ class BinaryCmaes(CmaEs):
         self.alpha = alpha
         self.feedback = feedback
 
-    def ask(self) -> np.ndarray:
-        raw = super().ask()
+    def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
+        raw = super().ask(noise)
         points = quantize_binary(raw, self.alpha if self.alpha is not None else self.sigma)
         if self.feedback:
             self._candidates = points

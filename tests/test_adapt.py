@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentadapt import datagen, linalg
+from latentadapt import cmaes, datagen, linalg, rng
 from latentadapt.adapt import MODES, AdaptationConfig, adapt, adapt_batch
 from latentadapt.decoder import LinearDecoder, decode
 from latentadapt.errors import ContractViolation, ConvergenceFailure
@@ -403,15 +403,28 @@ def _composition_rows(seed):
     return rows[: 2 * linalg._STACK_MIN + 3], sub, dec
 
 
+def _lockstep_draws(monkeypatch) -> list:
+    """Draw the noise of two rows or more by the lane kernel, a single row's
+    by the scalar loop, and log the lane count of each lockstep draw."""
+    lanes, draw_lanes = [], rng._draw_lanes
+    monkeypatch.setattr(rng, "_LANES_MIN", 2)
+    monkeypatch.setattr(rng, "_draw_lanes",
+                        lambda gens, out: lanes.append(len(gens)) or draw_lanes(gens, out))
+    return lanes
+
+
 @pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES, ids=["none", "ted", "qted-v1", "8b4", "16b8"])
 def test_batch_composition_does_not_change_a_row(monkeypatch, mode, fmt):
     # all rows at once decompose the float covariances in stacked calls, 7-row
-    # shards and single rows one matrix at a time
+    # shards and single rows one matrix at a time; the noise of the batch and
+    # of its shards is drawn in lockstep, a single row's alone
     adapt_module = importlib.import_module("latentadapt.adapt")
+    lanes = _lockstep_draws(monkeypatch)
     rows, sub, dec = _composition_rows(seed=22)
     cfg = AdaptationConfig(k=4, n=3, seed=17, mode=mode, fixed_format=fmt)
     whole = adapt_batch(rows, dec, sub, cfg)
     assert not whole.errors
+    assert lanes == ([] if mode == "none" else [len(rows)] * cfg.n)
     expected = [_row_bits(r) for r in whole.results]
     for start in range(0, len(rows), 7):
         shard = np.arange(start, min(start + 7, len(rows)))
@@ -451,6 +464,7 @@ def test_batch_composition_does_not_change_a_row(monkeypatch, mode, fmt):
 
 @pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES[1:], ids=["ted", "qted-v1", "8b4", "16b8"])
 def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mode, fmt):
+    lanes = _lockstep_draws(monkeypatch)
     rows, sub, dec = _composition_rows(seed=23)
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     cfg = AdaptationConfig(k=4, n=3, seed=19, mode=mode, fixed_format=fmt)
@@ -460,6 +474,7 @@ def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mod
     # every float row fails; a fixed-point register may stay diagonal
     assert {0, 1, len(rows), len(rows) + 1} <= set(whole.errors)
     assert mode == "fixed" or set(whole.errors) == set(range(len(indices)))
+    assert lanes[0] == len(indices)
     for i, index in enumerate(indices):
         single = adapt_batch(rows[index:index + 1], dec, sub, cfg, indices=[index])
         if i in whole.errors:
@@ -468,6 +483,37 @@ def test_a_failed_stacked_decomposition_fails_each_row_as_alone(monkeypatch, mod
         else:
             assert not single.errors
             assert _row_bits(single.results[0]) == _row_bits(whole.results[i])
+
+
+@pytest.mark.parametrize("mode, fmt", _COMPOSITION_MODES[1:], ids=["ted", "qted-v1", "8b4", "16b8"])
+def test_a_row_leaving_the_lockstep_draw_shifts_no_other_row(monkeypatch, mode, fmt):
+    # k = 3 and population 7 draw 21 normals a generation, so every row carries
+    # a spare into the next; one row fails at its second generation, after
+    # its noise was drawn, and the others draw on without it
+    lanes = _lockstep_draws(monkeypatch)
+    rows, sub, dec = _composition_rows(seed=24)
+    sub = sub.truncated(3)
+    cfg = AdaptationConfig(k=3, n=3, population=7, seed=21, mode=mode, fixed_format=fmt)
+    alone = [_row_bits(adapt_batch(rows[i:i + 1], dec, sub, cfg, indices=[i]).results[0])
+             for i in range(len(rows))]
+    whole = adapt_batch(rows, dec, sub, cfg)
+    assert [_row_bits(r) for r in whole.results] == alone
+
+    leaving = len(rows) // 2
+    real_step = cmaes.Search.step
+
+    def step(run, noise=None):
+        if len(run.trace) == 1 and np.array_equal(run.objective.args[2], rows[leaving]):
+            raise ConvergenceFailure("left mid-search")
+        return real_step(run, noise)
+
+    monkeypatch.setattr(cmaes.Search, "step", step)
+    lanes.clear()
+    left = adapt_batch(rows, dec, sub, cfg)
+    assert lanes == [len(rows), len(rows), len(rows) - 1]
+    assert list(left.errors) == [leaving] and str(left.errors[leaving]) == "left mid-search"
+    assert [_row_bits(r) for i, r in enumerate(left.results) if i != leaving] == \
+        alone[:leaving] + alone[leaving + 1:]
 
 
 def test_an_8b4_batch_and_single_rows_after_it_make_one_eigensolve(monkeypatch):

@@ -380,6 +380,25 @@ def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
         machine.tell([rosenbrock(c) for c in got])
 
 
+@pytest.mark.parametrize("make", [
+    cmaes.CmaEs,
+    quant.BinaryCmaes,
+    lambda params, seed: quant.FixedCmaes(params, quant.FixedPointFormat(16, 8), seed),
+], ids=["float", "binary", "16b8"])
+def test_ask_on_the_machine_s_own_noise_equals_drawing_it(make):
+    # 5 x 7 normals a generation: every other generation starts on a spare
+    params = cmaes.CmaEsParams.defaults(5, population=7)
+    own, given = make(params, 3), make(params, 3)
+    for _ in range(3):
+        got = given.ask(given.rng.normals(35))
+        assert got.tobytes() == own.ask().tobytes()
+        assert given.rng.state() == own.rng.state()
+        for machine in (own, given):
+            machine.tell([rosenbrock(c) for c in got])
+    with pytest.raises(ContractViolation, match=r"noise must have shape \(35,\)"):
+        given.ask(np.zeros((7, 5)))
+
+
 def _ask(machine):
     """The machine's candidates and the error its ask raised, one of them None."""
     try:

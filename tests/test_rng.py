@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt.rng import Xoshiro256pp, derive_seed, splitmix64_at
+from latentadapt import rng
+from latentadapt.errors import ContractViolation
+from latentadapt.rng import Xoshiro256pp, derive_seed, normals_many, splitmix64_at
 
 
 def test_splitmix_outputs_are_64_bit_and_deterministic():
@@ -95,3 +99,49 @@ def test_normals_equal_sequential_normal_calls(seed, warmup, a, b):
     assert got.dtype == np.float64 and got.shape == (a + b,)
     assert got.tobytes() == want.tobytes()
     assert batched.state() == single.state()
+
+
+@pytest.mark.parametrize("kernel", ["lanes", "loop"])
+@pytest.mark.parametrize("count", [0, 1, rng._LANES_MIN - 1, rng._LANES_MIN, 200])
+@settings(max_examples=8, deadline=None)
+@given(master=st.integers(0, 2 ** 64 - 1),
+       sizes=st.lists(st.sampled_from([0, 1, 2, 21, 192]), min_size=1, max_size=4))
+def test_normals_many_equals_each_generator_drawing_alone(kernel, count, master, sizes):
+    # each kernel at every lane count: the count only picks the faster one;
+    # repeated odd sizes carry a spare from one call into the next
+    gens = [Xoshiro256pp(derive_seed(master, i)) for i in range(count)]
+    alone = [g.clone() for g in gens]
+    lanes, draw_lanes = [], rng._draw_lanes
+    with mock.patch.object(rng, "_LANES_MIN", 1 if kernel == "lanes" else count + 1), \
+            mock.patch.object(rng, "_draw_lanes",
+                              lambda g, out: lanes.append(len(g)) or draw_lanes(g, out)):
+        for n in sizes:
+            got = normals_many(gens, n)
+            want = np.array([g.normals(n) for g in alone]).reshape(count, n)
+            assert got.dtype == np.float64 and got.shape == (count, n)
+            assert got.tobytes() == want.tobytes()
+            states = [g.state() for g in gens]
+            assert states == [g.state() for g in alone]
+            assert all(type(spare) in (float, type(None)) for _, spare in states)
+    drew = count > 0 and any(sizes)
+    assert lanes == ([count] * sum(n > 0 for n in sizes) if kernel == "lanes" and drew else [])
+
+
+@pytest.mark.parametrize("lanes_min", [1, 3])
+def test_normals_many_refuses_generators_of_mixed_spare_parity(lanes_min):
+    gens = [Xoshiro256pp(seed) for seed in range(2)]
+    gens[0].normal()  # leaves a spare pending in the first generator only
+    before = [g.state() for g in gens]
+    with mock.patch.object(rng, "_LANES_MIN", lanes_min), pytest.raises(ContractViolation):
+        normals_many(gens, 4)
+    assert [g.state() for g in gens] == before
+
+
+def test_a_long_lockstep_draw_runs_in_chunks_of_rounds_and_equals_each_stream():
+    # 667 pairs a lane take about 849 rounds, more than one chunk holds
+    gens = [Xoshiro256pp(derive_seed(8, i)) for i in range(rng._LANES_MIN)]
+    alone = [g.clone() for g in gens]
+    for n in (1333, 1333):
+        got = normals_many(gens, n)
+        assert got.tobytes() == np.array([g.normals(n) for g in alone]).tobytes()
+        assert [g.state() for g in gens] == [g.state() for g in alone]

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import shutil
 import subprocess
@@ -20,7 +21,7 @@ def test_a_checkout_has_the_same_bits_as_itself():
     done = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--small"],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.startswith("same bits:")
+    assert done.stdout.startswith("same bits:") and "and 7 reports" in done.stdout
 
 
 def test_a_changed_output_is_a_difference(monkeypatch, tmp_path):
@@ -28,6 +29,10 @@ def test_a_changed_output_is_a_difference(monkeypatch, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     same_bits.run_checkout(ROOT, a, same_bits.SMALL)
+    assert sorted(p.stem for p in a.glob("*.csv")) == sorted(same_bits.MODES)
+    # ted-odd draws 3 x 7 = 21 normals a generation: n * 7 + 1 evaluations a row
+    with open(a / "ted-odd.csv", newline="") as fh:
+        assert {row["evaluations"] for row in csv.DictReader(fh)} == {"22"}
     shutil.copytree(a, b)
     assert same_bits.difference(a, b) is None
 

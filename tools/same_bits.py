@@ -4,15 +4,16 @@
     python3 tools/same_bits.py PARENT CHANGE --small  # a 4-class task, k=4, n=3
 
 In each checkout, with its own ``src`` on the import path, runs ``gen``,
-``fit`` and then ``adapt`` in the modes none, ted, qted-v1, qted-v1 with
-``--binary-feedback --alpha 0.5`` (the snapped points are the candidates
-``tell`` ranks), fixed 8b4 and fixed 16b8, each in a fresh temporary
-directory. Exits 0 only when every
-``gen`` file and ``model.lama`` are byte-identical and every report and its
-summary match by ``tools/compare_reports.py`` (all but the wall-clock
-column and line); exits 1 and prints the first difference otherwise; exits
-2 when a command fails in either checkout. Standard library only, so it
-runs against any checkout.
+``fit`` and then ``adapt`` in the modes none, ted, ted at ``--k 3 --lambda
+7`` (21 normals a generation, so that a spare carries from one generation
+into the next), qted-v1, qted-v1 with ``--binary-feedback --alpha 0.5``
+(the snapped points are the candidates ``tell`` ranks), fixed 8b4 and fixed
+16b8, each in a fresh temporary directory. Exits 0 only when every ``gen``
+file and ``model.lama`` are byte-identical and every report and its summary
+match by ``tools/compare_reports.py`` (all but the wall-clock column and
+line); exits 1 and prints the first difference otherwise; exits 2 when a
+command fails in either checkout. Standard library only, so it runs against
+any checkout.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ HARNESS = {"gen": ["--classes", "10", "--dim", "64", "--per-class", "200",
 SMALL = {"gen": ["--classes", "4", "--dim", "16", "--per-class", "40",
                  "--target-per-class", "10", "--severity", "1.0", "--seed", "14"],
          "fit": ["--k", "4"], "adapt": ["--n", "3", "--seed", "14"]}
-MODES = {"none": ["none"], "ted": ["ted"], "qted-v1": ["qted-v1"],
+MODES = {"none": ["none"], "ted": ["ted"], "ted-odd": ["ted", "--k", "3", "--lambda", "7"],
+         "qted-v1": ["qted-v1"],
          "qted-v1-feedback": ["qted-v1", "--binary-feedback", "--alpha", "0.5"],
          "fixed-8b4": ["fixed", "--fmt", "8b4"], "fixed-16b8": ["fixed", "--fmt", "16b8"]}
 
