@@ -6,20 +6,15 @@ mode picks the search machine: ``ted`` searches in float, ``qted-v1`` with
 1-bit corrections and ``fixed`` in fixed-point registers, while ``none``
 evaluates the baseline alone. The no-correction point competes in the
 selection, so an adapted prediction can never be less confident than the
-unadapted one. Nothing in the decoder or
-subspace is ever modified.
+unadapted one. Nothing in the decoder or subspace is ever modified.
 
-:func:`adapt_batch` runs its rows in lockstep, ``_LOCKSTEP_ROWS`` at a time:
-each row's search advances one generation at a time, and before each
-generation the stale covariances of all live searches, in every mode, are
-decomposed together by :func:`cmaes.decompose_stale`, each distinct matrix
-once, and the generation's search noise of all live rows is drawn in one
-:func:`rng.normals_many` call, which steps their streams in lockstep from
-``rng._LANES_MIN`` rows on and draws each alone below that, with the same
-bits either way. Each row's ask, evaluation and tell stay its own, so a
-row's result does not depend on the batch it ran in. :func:`adapt` is the
-same runner, on one row or on one chunk of a batch; on one row it draws by
-the scalar loop.
+:func:`adapt_batch` runs its rows in lockstep, ``_LOCKSTEP_ROWS`` at a time,
+as the rows of one search machine driven by one :class:`cmaes.Search`: each
+generation is one :func:`cmaes.decompose_stale`, one noise draw, one
+``ask`` and one ``tell`` for all live rows, and one :func:`decoder.fitness`
+call per candidate. A row that fails is dropped and the others go on with
+the same bits, so a row's result does not depend on its batch. :func:`adapt`
+is the same runner, on one row or on one chunk of a batch.
 """
 
 from __future__ import annotations
@@ -36,13 +31,13 @@ from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, decode, fitness
 from .errors import ContractViolation, ConvergenceFailure
 from .quant import FixedPointFormat
-from .rng import derive_seed, normals_many
+from .rng import derive_seed
 from .subspace import PrincipalSubspace, apply_correction
 
 MODES = ("none", "ted", "qted-v1", "fixed")
 # a batch runs in lockstep this many rows at a time: each live row holds its
-# search state (about 20 KB at k = 16), and the stacked decomposition gains
-# little beyond a few hundred matrices
+# search state (about 20 KB at k = 16), and the stacked decomposition and
+# update gain little beyond a few hundred rows
 _LOCKSTEP_ROWS = 256
 
 
@@ -114,13 +109,10 @@ def adapt(
     correction coordinates (none in mode ``none``), with the zero correction
     evaluated first as the baseline. The winner is the lowest-entropy point
     over every evaluation. This is the batch runner on one row, seeded with
-    ``cfg.seed`` itself.
-
-    Given ``indices``, ``z_t`` is instead a chunk of rows, row ``i`` seeded
-    from ``indices[i]`` as :func:`adapt_batch` checks and seeds it, and the
-    chunk's :class:`BatchResult` is returned. :func:`adapt_batch` runs each of
-    its chunks this way, so every search runs inside an ``adapt`` call, where
-    profiles of the package (``bench/spans.py``) look for it.
+    ``cfg.seed`` itself. Given ``indices``, ``z_t`` is instead a chunk of
+    rows, checked and seeded as :func:`adapt_batch` does, and the chunk's
+    :class:`BatchResult` is returned: :func:`adapt_batch` runs each chunk so,
+    inside an ``adapt`` call, where profiles (``bench/spans.py``) look.
     """
     if indices is not None:
         z_rows, indices = _checked_batch(z_t, indices)
@@ -132,10 +124,8 @@ def adapt(
 
 
 def _start_row(z_t, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
-               index: Optional[int]) -> tuple[cmaes.Search, np.ndarray]:
-    """One row's search, its baseline evaluated, and the row's latent. The
-    machine is seeded from ``index``, or with ``cfg.seed`` itself when it is
-    None."""
+               index: Optional[int]) -> tuple[int, np.ndarray]:
+    """One row's seed, from ``index`` or else ``cfg.seed``, and its checked latent."""
     seed = cfg.seed if index is None else derive_seed(cfg.seed, int(index))
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.shape != (s.dim,):
@@ -146,23 +136,21 @@ def _start_row(z_t, decoder: LinearDecoder, s: PrincipalSubspace, cfg: Adaptatio
         raise ContractViolation(f"config k={cfg.k} does not match subspace k={s.k}")
     if decoder.dim != s.dim:
         raise ContractViolation("decoder and subspace dimensions differ")
+    return seed, z_t
 
+
+def _machine(cfg: AdaptationConfig, seeds: list[int]):
+    """The mode's search machine, one row per seed."""
     params = cmaes.CmaEsParams.defaults(cfg.k, cfg.population, cfg.sigma0)
     if cfg.mode == "fixed":
-        machine = quant.FixedCmaes(params, cfg.fixed_format, seed)
-    elif cfg.mode == "qted-v1":
-        machine = quant.BinaryCmaes(params, seed, cfg.binary_alpha, cfg.binary_feedback)
-    else:
-        machine = cmaes.CmaEs(params, seed)
-    # every machine starts from the zero correction, +0.0 in each coordinate
-    run = cmaes.Search(machine, functools.partial(fitness, decoder, s, z_t),
-                       baseline=np.zeros(cfg.k))
-    return run, z_t
+        return quant.FixedCmaes(params, cfg.fixed_format, seeds)
+    if cfg.mode == "qted-v1":
+        return quant.BinaryCmaes(params, seeds, cfg.binary_alpha, cfg.binary_feedback)
+    return cmaes.CmaEs(params, seeds)
 
 
-def _finish_row(run: cmaes.Search, z_t: np.ndarray, decoder: LinearDecoder,
+def _finish_row(result: cmaes.MinimizeResult, z_t: np.ndarray, decoder: LinearDecoder,
                 s: PrincipalSubspace) -> AdaptationResult:
-    result = run.result()
     p_star = result.best_p
     z_adapted = apply_correction(s, z_t, p_star)
     baseline_prediction = decode(decoder, apply_correction(s, z_t, np.zeros(s.k)))
@@ -205,8 +193,8 @@ def adapt_batch(
     by one :func:`adapt` call. A row that raises ContractViolation
     or ConvergenceFailure is recorded as failed; any other exception
     propagates. Each row's wall time is the time spent on that row alone
-    plus an equal share of each joint decomposition it took part in and of
-    each lockstep draw of search noise.
+    (its checks, evaluations and result) plus an equal share of the rest of
+    each generation it took part in.
     """
     z_rows, indices = _checked_batch(z_rows, indices)
     n_rows = z_rows.shape[0]
@@ -247,7 +235,7 @@ def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationCo
     n_rows = len(z_rows)
     wall = [0.0] * n_rows
     errors: dict[int, Exception] = {}
-    rows: dict[int, tuple[cmaes.Search, np.ndarray]] = {}
+    results: list[Optional[AdaptationResult]] = [None] * n_rows
 
     def timed(i: int, step, *args):
         start = time.perf_counter()
@@ -255,34 +243,23 @@ def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationCo
             return step(*args)
         except (ContractViolation, ConvergenceFailure) as exc:
             errors[i] = exc
-            rows.pop(i, None)
         finally:
             wall[i] += time.perf_counter() - start
 
-    for i in range(n_rows):
-        row = timed(i, _start_row, z_rows[i], decoder, s, cfg,
-                    None if indices is None else indices[i])
-        if row is not None:
-            rows[i] = row
+    started = {i: timed(i, _start_row, z_rows[i], decoder, s, cfg,
+                        None if indices is None else indices[i]) for i in range(n_rows)}
+    started = {i: row for i, row in started.items() if row is not None}
+    ids = list(started)
+    # every row starts from the zero correction, +0.0 in each coordinate
+    run = cmaes.Search(_machine(cfg, [seed for seed, _ in started.values()]),
+                       [functools.partial(fitness, decoder, s, z_t) for _, z_t in started.values()],
+                       np.zeros(cfg.k))
     for _ in range(0 if cfg.mode == "none" else cfg.n):
-        if not rows:
-            break
-        live = list(rows)
-        machines = [rows[i][0].machine for i in live]
-        start = time.perf_counter()
-        joined = cmaes.decompose_stale(machines)
-        share = (time.perf_counter() - start) / max(len(joined), 1)
-        for j in joined:  # a row whose matrix failed raises it from its own ask
-            wall[live[j]] += share
-        params = machines[0].params
-        start = time.perf_counter()
-        noise = normals_many([m.rng for m in machines], params.population * params.dim)
-        share = (time.perf_counter() - start) / len(live)
-        for i, row_noise in zip(live, noise):
-            wall[i] += share
-            timed(i, rows[i][0].step, row_noise)
-    results: list[Optional[AdaptationResult]] = [None] * n_rows
-    for i, (run, z_t) in list(rows.items()):
-        results[i] = timed(i, _finish_row, run, z_t, decoder, s)
+        run.step()
+    errors.update((ids[j], exc) for j, exc in run.errors.items())
+    for j, i in enumerate(ids):
+        wall[i] += float(run.seconds[j])
+    for j in run.rows.tolist():
+        results[ids[j]] = timed(ids[j], _finish_row, run.result(j), started[ids[j]][1], decoder, s)
     return BatchResult(results=results, errors=dict(sorted(errors.items())),
                        wall_ms=[w * 1e3 for w in wall])

@@ -2,45 +2,35 @@
 
 :class:`CmaEs` draws candidates from N(mean, sigma^2 * C). Ranked fitnesses
 drive weighted recombination of the mean, cumulative step-size adaptation of
-sigma, and a rank-1 plus rank-mu update of the covariance. Strategy constants
-follow the standard tutorial defaults. The machine holds its state and its
-constants (one table, ``_CONSTANTS``) in a number system ``ops``:
-:class:`FloatOps`, whose primitives are plain numpy expressions, or the
-fixed-point registers of :mod:`latentadapt.quant`. ``ask`` and ``tell`` are
-written once over those primitives, so both number systems run the same
-equations in the same order; h_sigma gates its two terms through a
-coefficient that is zero when it is off. The covariance is decomposed with
-the package's own deterministic eigensolver and all noise comes from the
-package PRNG, so runs replay bit for bit from the seed. A generation's noise
-is drawn in one call of :func:`latentadapt.rng.normals_many`: by ``ask``
-itself on the machine's own stream, or beforehand for all the live machines
-of a batch at once and handed to ``ask(noise)`` (``Search.step(noise)``
-passes it on), which gives the same bits. Its candidates are computed as
-stacked matrix-vector products (``np.matmul(B, x[:, :, None])``): each row
-still goes through gemv, bit for bit like ``B @ x``, whereas one
-matrix-matrix product may round differently.
+sigma, and a rank-1 plus rank-mu update of the covariance, with the standard
+tutorial constants. The machine holds its state and constants (one table,
+``_CONSTANTS``) in a number system ``ops``, :class:`FloatOps` or the
+fixed-point registers of :mod:`latentadapt.quant`, and writes ``ask`` and
+``tell`` once over its primitives; h_sigma gates its two terms through a
+coefficient that is zero when it is off.
 
-Every search machine, this one and the 1-bit and fixed-point machines in
-:mod:`latentadapt.quant`, has the same interface: ``ask()`` returns the
-generation's candidates as a (population, dim) array, and ``tell(fitnesses)``
-ranks the machine's own last candidates after :func:`fitness_order` has
-checked the one fitness contract. :class:`Search` is the one
-ask/evaluate/tell driver, one generation per ``step``; :func:`search` runs
-it for a number of generations, and :class:`MinimizeResult` is its one
-result type, with the quantized machines' saturation and clamp counts as
-``quant_warnings``. Each machine keeps its covariance's :class:`Decomposition`
-in ``decomposition``, None while stale, derived by its number system from
-the eigenpairs of its ``float_cov()`` handed to ``take_decomposition``.
-:func:`decompose_stale`, the one caller of the eigensolver on the search
-path, decomposes one machine or a whole lockstep batch alike, solving each
-distinct matrix of the call once; it keeps nothing from one call to the next.
+A machine holds B independent searches, its rows, as stacks: mean and paths
+(B, k), sigma (B,), covariance (B, k, k), the decomposition with a per-row
+stale mask, and one xoshiro256++ stream per row. A generation is one ``ask``
+for all rows, their noise drawn by one :func:`latentadapt.rng.normals_many`
+call, and one ``tell``. Each row gets the bits it gets alone: every float
+product is a stacked ``np.matmul``, which runs each row through the BLAS
+call of the row alone (gemv for a matrix-vector product, ddot for the
+squared path length, then its square root, where ``np.linalg.norm(axis=)``
+and ``einsum`` round differently); the step-size factor is ``math.exp`` per
+row, as ``np.exp`` may differ from it in the last bit; and fixed-point
+registers are exact integers. :func:`decompose_stale` solves the stale rows'
+matrices, each distinct one once, and keeps nothing between calls.
+:class:`Search` drives all rows of a machine, :func:`search` one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -147,24 +137,6 @@ def _defaults(cls, dim: int, lam: int, initial_sigma: float) -> CmaEsParams:
     )
 
 
-def fitness_order(fitnesses, population: int, candidates) -> np.ndarray:
-    """The contract of every machine's ``tell``: one ``tell`` per ``ask``
-    (``candidates`` is None when nothing is asked), and exactly one finite
-    float per candidate, else :class:`ContractViolation`. Returns the
-    candidate indices ranked ascending by fitness, ties in candidate order."""
-    if candidates is None:
-        raise ContractViolation("tell needs an ask first, and pairs with one ask only")
-    try:
-        fit = np.asarray(fitnesses, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation("fitnesses must be floats") from exc
-    if fit.shape != (population,):
-        raise ContractViolation(f"expected {population} fitnesses, got shape {fit.shape}")
-    if not np.isfinite(fit).all():
-        raise ContractViolation("fitnesses must be finite")
-    return np.argsort(fit, kind="stable")
-
-
 # strategy constants held in the machine's number system: (attribute, label, value)
 _CONSTANTS = (
     ("cs_over_ds", "c_sigma/d_sigma", lambda p: p.c_sigma / p.d_sigma),
@@ -182,7 +154,8 @@ _CONSTANTS = (
 
 
 class Decomposition(NamedTuple):
-    """What a machine keeps of the eigen-decomposition of its covariance."""
+    """What a machine keeps of the eigen-decomposition of a row's covariance;
+    the machine holds one of stacks, one entry per row."""
 
     vectors: np.ndarray                    # eigenvectors, by descending eigenvalue
     scale: np.ndarray                      # square roots of the eigenvalues
@@ -191,27 +164,23 @@ class Decomposition(NamedTuple):
     invsqrt_saturations: int = 0           # the table's, counted again by every tell that uses it
 
 
+def _matvec(a, x):
+    """a @ x for stacked matrices and vectors, each pair by its own gemv."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 class FloatOps:
-    """The float number system of :class:`CmaEs`. Each primitive is the numpy
-    expression the float update equations are written with, so the float
-    machine's bits are those of the equations written out."""
+    """The float number system of :class:`CmaEs`: each primitive is a numpy
+    expression stacked over the rows, each row getting its bits alone."""
 
     def quantize(self, x):
         return x
 
     to_float = quantize  # a float is its own value
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
 
     def halve(self, x):
         return x / 2.0
@@ -220,117 +189,136 @@ class FloatOps:
         return w @ y
 
     def rank_mu(self, w, y):
-        return (y * w[:, None]).T @ y
+        return np.swapaxes(y * w[:, None], 1, 2) @ y
 
     def norm(self, v):
-        return float(np.linalg.norm(v))
+        return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
-    exp = staticmethod(math.exp)
+    def exp(self, x):
+        return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
 
     def invsqrt_times(self, dec: Decomposition, v):
         """C^(-1/2) v through the eigenpairs."""
-        return dec.vectors @ ((dec.vectors.T @ v) / dec.scale)
+        return _matvec(dec.vectors, _matvec(np.swapaxes(dec.vectors, 1, 2), v) / dec.scale)
 
     def floor_sigma(self, sigma):
-        """Sigma as it is, and that it was not clamped."""
-        return sigma, False
+        """Sigma as it is, and that no row was clamped."""
+        return sigma, np.zeros(len(sigma), dtype=bool)
 
     def decomposition(self, values, vectors) -> Decomposition:
         if values[-1] <= 0.0:
             raise ConvergenceFailure(
                 f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
             )
-        return Decomposition(vectors, np.sqrt(values))
+        return Decomposition(vectors, np.sqrt(values), 0)
 
 
 class CmaEs:
-    """CMA-ES as a search machine for :func:`search`, over a number system.
+    """CMA-ES as a search machine for :class:`Search`, over a number system.
 
-    A machine holds its ``params`` and a noise stream seeded by ``seed``,
-    proposes the points to evaluate (``ask``, a (population, dim) float
-    array), takes back their fitnesses in the same order (``tell``, once per
-    ``ask``) and maps the baseline onto the point it stands for in its number
-    system (``start``). Its state, strategy constants and arithmetic live in
-    ``ops``: :class:`FloatOps` by default, fixed-point registers for
-    :class:`latentadapt.quant.FixedCmaes`. It starts at zero mean, identity
-    covariance and zeroed paths. Single-owner: drive from one thread only.
+    A machine holds its ``params`` and one row per seed (``seed`` is one int
+    or a sequence of them), each an independent search on its own noise
+    stream, starting at zero mean, identity covariance and zeroed paths. It
+    proposes the points to evaluate (``ask``, a (B, population, dim) float
+    array), takes back their fitnesses (``tell``) and drops rows (``keep``).
+    Single-owner: drive from one thread only.
     """
 
     quant_warnings: Optional[dict] = None  # counts kept by quantized machines
 
-    def __init__(self, params: CmaEsParams, seed: int, ops=None):
+    def __init__(self, params: CmaEsParams, seed, ops=None):
         self.params = params
         self.ops = ops = FloatOps() if ops is None else ops
-        k = params.dim
-        self.mean = ops.quantize(np.zeros(k))
-        self.sigma, clamped = ops.floor_sigma(ops.quantize(params.initial_sigma))
-        self.sigma_clamps = int(clamped)
-        self.eig_clamps = 0
-        self.cov = ops.quantize(np.eye(k))
-        self.path_sigma = ops.quantize(np.zeros(k))
-        self.path_c = ops.quantize(np.zeros(k))
+        # one int seed is one row; numpy would round seeds of 2^63 and up
+        self.rngs = [Xoshiro256pp(int(s)) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+        b, k = len(self.rngs), params.dim
+        self.mean = ops.quantize(np.zeros((b, k)))
+        self.sigma, clamped = ops.floor_sigma(ops.quantize(np.full(b, params.initial_sigma)))
+        self.sigma_clamps = clamped.astype(np.int64)
+        self.eig_clamps = np.zeros(b, dtype=np.int64)
+        self.cov = ops.quantize(np.tile(np.eye(k), (b, 1, 1)))
+        self.path_sigma = ops.quantize(np.zeros((b, k)))
+        self.path_c = ops.quantize(np.zeros((b, k)))
         self.generation = 0
-        self.rng = Xoshiro256pp(seed)
         self._candidates = None  # asked, not yet told
-        self.decomposition: Optional[Decomposition] = None  # of cov, None while stale
-        # strategy constants, quantized once per machine
-        self.w = ops.quantize(params.recombination_weights)
+        # the identity's eigenpairs, a placeholder until each stale row is decomposed
+        self.decomposition = Decomposition(*(None if f is None else np.array([f] * b)
+                                             for f in ops.decomposition(np.ones(k), np.eye(k))))
+        self.stale = np.ones(b, dtype=bool)
+        # strategy constants, quantized once per machine and shared by its rows;
+        # the weights as one row, so that a saturation counts for every row
+        self.w = ops.quantize(params.recombination_weights[None])[0]
         self.zero, self.one, self.chi = (ops.quantize(x) for x in (0.0, 1.0, params.chi_n))
         for attr, _, value in _CONSTANTS:
             setattr(self, attr, ops.quantize(value(params)))
 
-    def float_cov(self) -> np.ndarray:
-        return self.ops.to_float(self.cov)
+    def prepare(self) -> dict[int, Optional[Exception]]:
+        """Make every row ready to ask; the outcome of :func:`decompose_stale`."""
+        return decompose_stale(self)
 
-    def take_decomposition(self, values: np.ndarray, vectors: np.ndarray) -> None:
-        """Keep what the number system derives from the eigenpairs of
-        :meth:`float_cov`; the float one refuses a non-positive eigenvalue."""
-        self.decomposition = self.ops.decomposition(values, vectors)
-
-    def start(self, baseline: np.ndarray) -> np.ndarray:
-        return self.ops.to_float(self.ops.quantize(baseline))
+    def keep(self, rows) -> None:
+        """Keep only ``rows`` (a mask or positions), in order, dropping the rest."""
+        for name in ("mean", "sigma", "cov", "path_sigma", "path_c", "stale", "sigma_clamps",
+                     "eig_clamps", "_candidates"):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[rows])
+        self.decomposition = Decomposition(*(f if f is None else f[rows]
+                                             for f in self.decomposition))
+        self.rngs = [self.rngs[i] for i in np.arange(len(self.rngs))[rows]]
 
     def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sample one population of candidates; advances only the RNG state.
-
-        ``noise`` is the generation's population * dim normals from this
-        machine's stream, as a lockstep draw of :func:`normals_many` gives
-        them; when None, the machine draws them itself.
-        """
+        """Sample one population of candidates for every row; advances only
+        the RNG states, and raises the first error of :meth:`prepare`.
+        ``noise`` is each row's population * dim normals from its stream, as
+        (B, population * dim); when None, the machine draws them itself."""
         params, ops = self.params, self.ops
-        size = params.population * params.dim
-        if noise is not None and np.shape(noise) != (size,):
-            raise ContractViolation(f"noise must have shape ({size},), got {np.shape(noise)}")
-        dec = decomposition_of(self)
+        b, size = len(self.rngs), params.population * params.dim
+        if noise is not None and np.shape(noise) != (b, size):
+            raise ContractViolation(f"noise must have shape ({b}, {size}), got {np.shape(noise)}")
+        for error in self.prepare().values():
+            if error is not None:
+                raise error
+        dec = self.decomposition
         self.eig_clamps += dec.clamps  # once per generation, reused or not
         if noise is None:
-            noise = normals_many([self.rng], size)[0]
-        noise = np.reshape(noise, (params.population, -1))
-        # stacked matvecs: each row still goes through gemv, like ``vectors @ row``,
-        # where one (population, dim) x (dim, dim) gemm may round differently
-        y = np.matmul(dec.vectors, (dec.scale * noise)[:, :, None])[:, :, 0]
-        self._candidates = ops.quantize(ops.to_float(self.mean) + ops.to_float(self.sigma) * y)
+            noise = normals_many(self.rngs, size)
+        noise = np.reshape(noise, (b, params.population, params.dim))
+        # one gemv per candidate, like ``vectors @ row``, where one
+        # (population, dim) x (dim, dim) gemm may round differently
+        y = _matvec(dec.vectors[:, None], dec.scale[:, None] * noise)
+        self._candidates = ops.quantize(ops.to_float(self.mean)[:, None]
+                                        + ops.to_float(self.sigma)[:, None, None] * y)
         return ops.to_float(self._candidates)
 
-    def tell(self, fitnesses: list[float]) -> None:
-        """Rank the last candidates ascending by fitness and update the search
-        distribution.
-
-        Ties rank by candidate index. The mean moves to the weighted
-        recombination of the top parents, sigma follows cumulative step-size
-        adaptation, and the covariance gets the rank-1 plus rank-mu update
-        followed by explicit re-symmetrization. The decomposition goes stale
-        only when the covariance changes.
+    def tell(self, fitnesses) -> None:
+        """Rank each row's last candidates ascending by fitness, ties by
+        index, and update its search distribution: one ``tell`` per ``ask``,
+        one finite float per candidate as a (B, population) array, else
+        :class:`ContractViolation` and no change. The mean moves to the
+        weighted recombination of the top parents, sigma follows cumulative
+        step-size adaptation, and the covariance gets the rank-1 plus rank-mu
+        update, then re-symmetrization; a row's decomposition goes stale only
+        when its covariance changes.
         """
-        params, ops = self.params, self.ops
-        order = fitness_order(fitnesses, params.population, self._candidates)
-        dec = decomposition_of(self)
-        parents = self._candidates[order[: params.parent_count]]
+        params, ops, shape = self.params, self.ops, (len(self.rngs), self.params.population)
+        if self._candidates is None:
+            raise ContractViolation("tell needs an ask first, and pairs with one ask only")
+        try:
+            fit = np.asarray(fitnesses, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation("fitnesses must be floats") from exc
+        if fit.shape != shape:
+            raise ContractViolation(f"expected fitnesses of shape {shape}, got {fit.shape}")
+        if not np.isfinite(fit).all():
+            raise ContractViolation("fitnesses must be finite")
+        order = np.argsort(fit, axis=1, kind="stable")
+        dec = self.decomposition
+        parents = np.take_along_axis(self._candidates, order[:, :params.parent_count, None], 1)
 
         # normalized parent steps y_i = (x_i - m) / sigma
-        y = ops.div(ops.sub(parents, self.mean), self.sigma)
+        y = ops.div(ops.sub(parents, self.mean[:, None]), self.sigma[:, None, None])
         y_w = ops.weighted_sum(self.w, y)
-        self.mean = ops.add(self.mean, ops.mul(self.sigma, y_w))
+        self.mean = ops.add(self.mean, ops.mul(self.sigma[:, None], y_w))
 
         self.path_sigma = ops.add(ops.mul(self.one_minus_cs, self.path_sigma),
                                   ops.mul(self.coef_sigma, ops.invsqrt_times(dec, y_w)))
@@ -348,54 +336,46 @@ class CmaEs:
         # when it is off, the rank-1 correction's when it is on, and a zero
         # product adds nothing, in float and in fixed point alike
         self.path_c = ops.add(ops.mul(self.one_minus_cc, self.path_c),
-                              ops.mul(self.coef_c if h_sig else self.zero, y_w))
-        rank1 = ops.add(ops.mul(self.path_c[:, None], self.path_c[None, :]),
-                        ops.mul(self.zero if h_sig else self.hsig_coef, self.cov))
+                              ops.mul(np.where(h_sig, self.coef_c, self.zero)[:, None], y_w))
+        rank1 = ops.add(ops.mul(self.path_c[:, :, None], self.path_c[:, None, :]),
+                        ops.mul(np.where(h_sig, self.zero, self.hsig_coef)[:, None, None],
+                                self.cov))
 
         cov = ops.add(ops.add(ops.mul(self.base_coef, self.cov), ops.mul(self.c1, rank1)),
                       ops.mul(self.cmu, ops.rank_mu(self.w, y)))
-        cov = ops.halve(ops.add(cov, cov.T))
-        if not np.array_equal(cov, self.cov):
-            self.decomposition = None
+        cov = ops.halve(ops.add(cov, np.swapaxes(cov, 1, 2)))
+        self.stale |= (cov != self.cov).any(axis=(1, 2))
         self.cov = cov
         self.generation = gen1
         self._candidates = None
 
 
-def decompose_stale(machines: list) -> dict[int, Optional[Exception]]:
-    """Decompose the matrix of every machine in ``machines`` (all of one
-    dimension) whose decomposition is stale, and hand it its eigenpairs: one
+def decompose_stale(machine) -> dict[int, Optional[Exception]]:
+    """Decompose the covariance of every stale row of ``machine`` and keep
+    what its number system derives from the eigenpairs: one
     :func:`linalg.sym_eig_many` call, which solves each distinct matrix once.
-
-    Returns the positions of the machines that took part, each mapped to
-    None when the machine now holds its decomposition, or else to the
-    exception its own ``ask`` would have raised.
+    Returns the rows that took part, each mapped to None, or to the
+    exception that stops it; a failed row stays stale.
     """
-    stale = [i for i, m in enumerate(machines) if m.decomposition is None]
+    stale = np.flatnonzero(machine.stale).tolist()
     if not stale:
         return {}
-    matrices = {i: machines[i].float_cov() for i in stale}
-    keys = {i: matrix.tobytes() for i, matrix in matrices.items()}
-    distinct = {keys[i]: matrices[i] for i in stale}
-    solved = linalg.sym_eig_many(list(distinct.values()), machines[stale[0]].params.dim)
-    found = dict(zip(distinct, solved))
+    matrices = machine.ops.to_float(machine.cov[stale])
+    keys = dict(zip(stale, (matrix.tobytes() for matrix in matrices)))
+    distinct = dict(zip(keys.values(), matrices))
+    found = dict(zip(distinct, linalg.sym_eig_many(list(distinct.values()), machine.params.dim)))
     outcome: dict[int, Optional[Exception]] = {}
     for i, key in keys.items():
-        outcome[i] = found[key] if isinstance(found[key], Exception) else None
-        if outcome[i] is None:
-            try:
-                machines[i].take_decomposition(*found[key])
-            except (ContractViolation, ConvergenceFailure) as exc:
-                outcome[i] = exc
+        try:
+            if isinstance(found[key], Exception):
+                raise found[key]
+            for whole, part in zip(machine.decomposition, machine.ops.decomposition(*found[key])):
+                if whole is not None:
+                    whole[i] = part
+            machine.stale[i], outcome[i] = False, None
+        except (ContractViolation, ConvergenceFailure) as exc:
+            outcome[i] = exc
     return outcome
-
-
-def decomposition_of(machine):
-    """The machine's decomposition, made by :func:`decompose_stale` if stale."""
-    error = decompose_stale([machine]).get(0)
-    if error is not None:
-        raise error
-    return machine.decomposition
 
 
 @dataclass(frozen=True)
@@ -409,63 +389,111 @@ class MinimizeResult:
 
 
 class Search:
-    """One machine's run of :func:`search`: the baseline, if any, is
-    evaluated on construction, each :meth:`step` is one ask/evaluate/tell
-    generation and :meth:`result` the outcome so far. A batch runner
-    advances many of them together."""
+    """The run of every row of one machine, each scored by its objective
+    (``objectives`` has one per row, or is one for all): the baseline, if
+    any, is evaluated on construction, each :meth:`step` is one generation
+    of all live rows and :meth:`result` a row's outcome so far. Rows are
+    named by position at construction. A row whose evaluation raises
+    :class:`ContractViolation` or :class:`ConvergenceFailure`, or whose
+    :meth:`CmaEs.prepare` fails, goes to ``errors`` and leaves ``rows``, the
+    live ones; the rest go on with the same bits. ``seconds`` holds each
+    row's own evaluation time plus an equal share of the rest of each step.
+    """
 
-    def __init__(self, machine, objective: Callable[[np.ndarray], float],
-                 baseline: Optional[np.ndarray] = None):
+    def __init__(self, machine, objectives, baseline: Optional[np.ndarray] = None):
+        count = len(machine.rngs)
         self.machine = machine
-        self.objective = objective
+        self.objectives = [objectives] * count if callable(objectives) else list(objectives)
+        if len(self.objectives) != count:
+            raise ContractViolation("need one objective per row")
+        self.rows = np.arange(count)
+        self.errors: dict[int, Exception] = {}
+        self.seconds = np.zeros(count)
         self.evaluations = 0
-        self.nonfinite = 0
+        self.nonfinite = np.zeros(count, dtype=np.int64)
         self.best_p: Optional[np.ndarray] = None
-        self.best_f = math.inf
-        self.trace: list[float] = []
+        self.best_f = np.full(count, math.inf)
+        self.trace = np.empty((count, 0))  # each row's running best after each generation
         if baseline is not None:
             baseline = np.asarray(baseline, dtype=np.float64)
             if baseline.shape != (machine.params.dim,):
                 raise ContractViolation("baseline must have the search dimension")
-            point = machine.start(baseline)
-            self.best_f = self._evaluate(point)
-            self.best_p = point.copy()
+            point = machine.ops.to_float(machine.ops.quantize(baseline))  # in its number system
+            fits, _ = self._evaluate(np.broadcast_to(point, (count, 1, point.size)))
+            self.best_f[self.rows] = fits[:, 0]
+            self.best_p = np.tile(point, (count, 1))
 
-    def _evaluate(self, point: np.ndarray) -> float:
-        value = float(self.objective(point))
-        self.evaluations += 1
-        if not math.isfinite(value):
-            self.nonfinite += 1
-            return math.inf
-        return value
+    def _drop(self, failed: dict) -> np.ndarray:
+        """Record and drop the rows of ``failed``; the mask of live rows kept."""
+        self.errors.update(failed)
+        kept = ~np.isin(self.rows, list(failed))
+        if failed:
+            self.machine.keep(kept)
+            self.rows = self.rows[kept]
+        return kept
 
-    def step(self, noise: Optional[np.ndarray] = None) -> None:
-        """One generation, on ``noise`` for the machine's ``ask`` if given."""
-        points = self.machine.ask() if noise is None else self.machine.ask(noise)
-        fits = [self._evaluate(point) for point in points]
-        for point, f in zip(points, fits):
-            if self.best_p is None or f < self.best_f:
-                self.best_f = f
-                self.best_p = point.copy()
-        if any(math.isinf(f) for f in fits):
-            finite = [f for f in fits if math.isfinite(f)]
-            worst = max(finite) if finite else 0.0
-            # above worst also where adding 1 rounds back to it (|worst| >= 2^53);
-            # the largest float has nothing finite above it, and ties instead
-            sentinel = min(max(worst + 1.0, math.nextafter(worst, math.inf)), sys.float_info.max)
-            fits = [f if math.isfinite(f) else sentinel for f in fits]
-        self.machine.tell(fits)
-        self.trace.append(self.best_f)
+    def _evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each live row's objective on its points, one timed call each; a
+        non-finite value counts and becomes +inf. Drops the rows that fail;
+        returns the others' fitnesses and the mask kept."""
+        fits = np.empty(points.shape[:2])
+        failed = {}
+        for j, row in enumerate(self.rows.tolist()):
+            start = time.perf_counter()
+            try:
+                fits[j] = [self.objectives[row](point) for point in points[j]]
+            except (ContractViolation, ConvergenceFailure) as exc:
+                failed[row] = exc
+            self.seconds[row] += time.perf_counter() - start
+        self.evaluations += points.shape[1]
+        kept = self._drop(failed)
+        fits = fits[kept]
+        nonfinite = ~np.isfinite(fits)
+        self.nonfinite[self.rows] += nonfinite.sum(axis=1)
+        fits[nonfinite] = math.inf
+        return fits, kept
 
-    def result(self) -> MinimizeResult:
+    def step(self) -> None:
+        """One generation of every live row."""
+        start, rows, own = time.perf_counter(), self.rows, self.seconds.sum()
+        self._drop({int(rows[j]): exc for j, exc in self.machine.prepare().items()
+                    if exc is not None})
+        if self.rows.size:
+            points = np.asarray(self.machine.ask())
+            fits, kept = self._evaluate(points)
+            points, live = points[kept], self.rows
+            best = fits.argmin(axis=1)  # the first minimum, as a scan in candidate order keeps
+            low = fits[np.arange(len(best)), best]
+            better = (low < self.best_f[live]) | (self.best_p is None)
+            if self.best_p is None:
+                self.best_p = np.zeros((len(self.objectives), points.shape[2]))
+            self.best_f[live[better]] = low[better]
+            self.best_p[live[better]] = points[better, best[better]]
+            # a non-finite value is told as above its row's worst finite one (0 when
+            # none is), also where adding 1 rounds back to it (|worst| >= 2^53);
+            # nothing finite lies above the largest float, which ties instead
+            finite = np.isfinite(fits)
+            worst = np.where(finite.any(axis=1), np.where(finite, fits, -math.inf).max(axis=1), 0.0)
+            with np.errstate(over="ignore"):
+                above = np.maximum(worst + 1.0, np.nextafter(worst, math.inf))[:, None]
+            self.machine.tell(np.where(finite, fits, np.minimum(above, sys.float_info.max)))
+            self.trace = np.column_stack([self.trace, self.best_f])
+        rest = time.perf_counter() - start - (self.seconds.sum() - own)  # less the evaluations
+        self.seconds[rows] += rest / max(len(rows), 1)
+
+    def result(self, row: int = 0) -> MinimizeResult:
+        """The outcome so far of live row ``row``."""
         assert self.best_p is not None  # a baseline or a step guarantees evaluations
+        warnings = self.machine.quant_warnings
+        at = self.rows.tolist().index(row)  # its position in the machine
         return MinimizeResult(
-            best_p=self.best_p,
-            best_fitness=self.best_f,
-            trace=self.trace,
+            best_p=self.best_p[row].copy(),
+            best_fitness=float(self.best_f[row]),
+            trace=self.trace[row].tolist(),
             evaluations=self.evaluations,
-            nonfinite_count=self.nonfinite,
-            quant_warnings=self.machine.quant_warnings,
+            nonfinite_count=int(self.nonfinite[row]),
+            quant_warnings=None if warnings is None else {
+                name: int(counts[at]) for name, counts in warnings.items()},
         )
 
 
@@ -475,8 +503,8 @@ def search(
     iterations: int,
     baseline: Optional[np.ndarray] = None,
 ) -> MinimizeResult:
-    """Run ``iterations`` ask/evaluate/tell generations of ``machine`` and
-    return the best point over every evaluation made.
+    """Run ``iterations`` ask/evaluate/tell generations of a one-row
+    ``machine`` and return the best point over every evaluation made.
 
     The optional ``baseline`` is evaluated first and competes with the
     machine's points, so the result can never be worse than it; with a
@@ -487,7 +515,11 @@ def search(
     """
     if iterations < 0 or (iterations == 0 and baseline is None):
         raise ContractViolation("iterations must be >= 1, or 0 with a baseline")
+    if len(machine.rngs) != 1:
+        raise ContractViolation("search runs a one-row machine")
     run = Search(machine, objective, baseline)
     for _ in range(iterations):
         run.step()
+    for error in run.errors.values():
+        raise error
     return run.result()

@@ -1,42 +1,31 @@
 """Quantized adaptation support: the fixed-point register kernel and the 1-bit
 and fixed-point search machines.
 
-Both machines are :class:`latentadapt.cmaes.CmaEs` and run under
-:func:`latentadapt.cmaes.search`. The 1-bit machine collapses each float
-candidate to a single magnitude with per-element signs, so the search
-reduces to flipping k switches. The fixed-point machine is the same machine
-over :class:`_FixedOps`, which holds every state component and strategy
-constant in signed two's-complement fixed-point arithmetic:
-round-to-nearest-even everywhere, saturating (never wrapping) on overflow.
-:class:`_FixedOps` is the one implementation of that arithmetic; it works on
-raw int64 registers, scalars or arrays, of one :class:`FixedPointFormat`.
-Sampling noise stays in floating point and is quantized on arrival; scalar
-transcendentals (sqrt, exp) are evaluated in float on the fixed-point
-operand and requantized, standing in for the lookup tables real hardware
-would use.
+Both machines are :class:`latentadapt.cmaes.CmaEs`. The 1-bit machine
+collapses each float candidate to a single magnitude with per-element signs,
+so the search reduces to flipping k switches. The fixed-point machine runs
+over :class:`_FixedOps`, the one implementation of signed two's-complement
+fixed-point arithmetic: round-to-nearest-even everywhere, saturating (never
+wrapping) on overflow, on int64 register stacks of one
+:class:`FixedPointFormat` whose leading axis is the machine's rows, each
+row's saturations counted apart. Noise is quantized on arrival; sqrt and exp
+are taken in float on each row's register and requantized, standing in for
+hardware lookup tables.
 
-The register arithmetic is vectorized without changing a bit of it. A sum of
-many terms (the weighted mean step, the C^(-1/2) matvec, the squared path
-length, the rank-mu update) is defined as saturating adds from zero in index
-order; it is computed as int64 prefix sums, which are exact because every
-term fits in 32 bits, and the adds are replayed one at a time only where a
-prefix leaves the range, since saturating addition is not associative. The
-same ops take the scalar registers of a generation (the path length, sigma
-and the h_sigma test) as Python ints, which agree with int64 because no
-product or shifted numerator of a format of at most 32 bits exceeds 2^62 in
+A sum of many terms (the mean step, the C^(-1/2) matvec, the squared path
+length, the rank-mu update) is saturating adds from zero in index order,
+computed as int64 prefix sums (exact, every term fitting in 32 bits) and
+replayed one term at a time, for all its sums at once, only when a prefix
+leaves the range. No product or shifted numerator exceeds 2^62 in
 magnitude. A zero register times anything is 0, and adding 0 neither
 changes a register nor counts a saturation, so the zero coefficients of the
-h_sigma gate give the bits of skipping its terms.
+h_sigma gate give the bits of skipping its terms. Division is only by
+positive registers (each row's sigma, clamped to at least 1, and chi).
 
-The decomposition of the covariance register clamps its eigenvalues up to
-the resolution and tabulates C^(-1/2); the machine keeps it while the
-register stays unchanged bit for bit, as in every generation when c_1 and
-c_mu round to 0 and 1-c_1-c_mu to 1.
-
-A result already in range is returned without clipping, which gives the same
-bits and counts. Division is only ever by one positive register (sigma,
-clamped to at least 1, and chi), so it has no sign flip or zero guard and
-refuses any other denominator.
+A row's covariance decomposition clamps its eigenvalues up to the
+resolution and tabulates C^(-1/2); the row keeps it while its register stays
+unchanged bit for bit, as always when c_1 and c_mu round to 0 and
+1-c_1-c_mu to 1.
 """
 
 from __future__ import annotations
@@ -44,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -108,9 +97,12 @@ class FixedPointFormat:
         return self.raw_max * self.resolution
 
 
-def quantize_binary(p: np.ndarray, magnitude: float) -> np.ndarray:
-    """Collapse each element to +magnitude or -magnitude by sign (0 maps to +)."""
-    if not (math.isfinite(magnitude) and magnitude > 0.0):
+def quantize_binary(p: np.ndarray, magnitude) -> np.ndarray:
+    """Collapse each element to +magnitude or -magnitude by sign (0 maps to +).
+    ``magnitude`` is a float, or an array that broadcasts against ``p``, such
+    as one magnitude per row."""
+    magnitude = np.asarray(magnitude, dtype=np.float64)
+    if not (np.isfinite(magnitude).all() and (magnitude > 0.0).all()):
         raise ContractViolation("magnitude must be finite and > 0")
     p = np.asarray(p, dtype=np.float64)
     return np.where(p >= 0.0, magnitude, -magnitude)
@@ -120,19 +112,27 @@ class BinaryCmaes(CmaEs):
     """Float CMA-ES whose candidates are snapped to 1-bit corrections.
 
     Each candidate collapses to ``alpha`` times its signs, with ``alpha``
-    the step size at ask time unless pinned. The optimizer ranks the raw
-    candidates, or the snapped ones with ``feedback``.
+    the row's step size at ask time unless pinned. The optimizer ranks the
+    raw candidates, or the snapped ones with ``feedback``.
     """
 
-    def __init__(self, params: CmaEsParams, seed: int, alpha: Optional[float] = None,
+    def __init__(self, params: CmaEsParams, seed, alpha: Optional[float] = None,
                  feedback: bool = False):
         super().__init__(params, seed)
         self.alpha = alpha
         self.feedback = feedback
 
+    def prepare(self) -> dict:
+        """Also refuses each row whose magnitude is not finite and positive."""
+        outcome = super().prepare()
+        for i in np.flatnonzero(~(np.isfinite(self.sigma) & (self.sigma > 0.0))).tolist():
+            if self.alpha is None and outcome.get(i) is None:
+                outcome[i] = ContractViolation("magnitude must be finite and > 0")
+        return outcome
+
     def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
-        raw = super().ask(noise)
-        points = quantize_binary(raw, self.alpha if self.alpha is not None else self.sigma)
+        alpha = self.sigma[:, None, None] if self.alpha is None else self.alpha
+        points = quantize_binary(super().ask(noise), alpha)
         if self.feedback:
             self._candidates = points
         return points
@@ -141,49 +141,44 @@ class BinaryCmaes(CmaEs):
 class _FixedOps:
     """Raw-integer fixed-point arithmetic with saturation counting.
 
-    Raw values are Python ints or int64 scalars or arrays; every result is
-    saturated back to the format range, and each clipped element increments
-    ``saturations``.
+    Raw values are int64 scalars or arrays; every result is saturated back
+    to the format range. ``saturations`` holds one count per row: a clipped
+    element of a result whose leading axis is the ``rows`` counts for its
+    row, and of any other result (a constant all rows share) for every row.
     """
 
-    def __init__(self, fmt: FixedPointFormat):
+    def __init__(self, fmt: FixedPointFormat, rows: int = 1):
         self.fmt = fmt
         self.f = fmt.frac_bits
-        self.saturations = 0
+        self.saturations = np.zeros(rows, dtype=np.int64)
         self._lo = fmt.raw_min
         self._hi = fmt.raw_max
         self._scale = float(1 << self.f)
         self._round = (1 << (self.f - 1)) - 1 if self.f > 0 else 0
 
+    def _count(self, hits) -> None:
+        """Add ``hits``, clipped elements or counts shaped like a result."""
+        if np.ndim(hits) and len(hits) == len(self.saturations):
+            self.saturations += hits.reshape(len(hits), -1).sum(axis=1)
+        else:
+            self.saturations += np.sum(hits)
+
     def _in_range(self, raw) -> bool:
-        if raw.ndim == 0:
-            return bool(self._lo <= raw <= self._hi)
         # positional axis and no ``initial``: the reductions' fastest call
         return raw.size == 0 or bool(np.minimum.reduce(raw, None) >= self._lo
                                      and np.maximum.reduce(raw, None) <= self._hi)
 
     def _sat(self, raw):
-        if type(raw) is int:
-            if self._lo <= raw <= self._hi:
-                return raw
-            self.saturations += 1
-            return self._lo if raw < self._lo else self._hi
         # every caller passes a fresh array, so an in-range one is returned as is
         if self._in_range(raw):
             return raw
         clipped = np.minimum(np.maximum(raw, self._lo), self._hi)
-        self.saturations += int(np.count_nonzero(clipped != raw))
+        self._count(clipped != raw)
         return clipped
 
     def quantize(self, x):
         """Round onto the grid, ties to even, then saturate (+-inf too); NaN is
-        refused. A float gives a Python int register, rounded by ``round``."""
-        if isinstance(x, float):  # numpy's float64 scalars too
-            scaled = float(x) * self._scale
-            if math.isnan(scaled):
-                raise ContractViolation("cannot quantize NaN")
-            # clipped to just past the range first, so +-inf saturate like any other value
-            return self._sat(round(min(max(scaled, self._lo - 1.0), self._hi + 1.0)))
+        refused."""
         scaled = np.rint(np.multiply(x, self._scale, dtype=np.float64))
         # NaN fails the range test too, so the common case pays no separate scan
         if self._in_range(scaled):
@@ -199,23 +194,23 @@ class _FixedOps:
         return self._sat(a + b)
 
     def sum(self, terms, axis=0):
-        """Saturating running sum from zero: one :meth:`add` per term, in order.
+        """Saturating running sum from zero along ``axis``: one :meth:`add`
+        per term, in order.
 
         Every term is in range, so the int64 prefix sums cannot overflow. When
         no prefix leaves the range, the last one is exactly what the
         sequential adds give, with no saturation. Otherwise the adds are
-        replayed one at a time, since saturating addition is not associative:
-        as Python ints when they sum to one register, else one :meth:`add`
-        of all the lanes per term.
+        replayed one term at a time, for all the sums at once, since
+        saturating addition is not associative.
         """
         terms = np.asarray(terms, dtype=np.int64)
         prefix = terms.cumsum(axis=axis)
         if self._in_range(prefix):
-            return prefix[(slice(None),) * axis + (-1,)]  # a view of the fresh prefix
+            return np.moveaxis(prefix, axis, 0)[-1]  # a view of the fresh prefix
         total = 0
-        for term in terms.tolist() if terms.ndim == 1 else np.moveaxis(terms, axis, 0):
+        for term in np.moveaxis(terms, axis, 0):
             total = self.add(total, term)
-        return np.int64(total) if terms.ndim == 1 else total
+        return total
 
     def sub(self, a, b):
         return self._sat(a - b)
@@ -223,8 +218,8 @@ class _FixedOps:
     def _rhe_shift(self, p):
         """p / 2^f rounded to nearest, ties to even: adding 2^(f-1) - 1 plus
         the quotient's low bit carries into the quotient exactly when the
-        remainder is above half, or is half and the quotient is odd. Takes an
-        int or an int64 array, and leaves ``p`` as it is."""
+        remainder is above half, or is half and the quotient is odd. Leaves
+        ``p`` as it is."""
         if self.f == 0:
             return p
         q = p >> self.f
@@ -237,23 +232,18 @@ class _FixedOps:
     def mul(self, a, b):
         return self._sat(self._rhe_shift(a * b))
 
-    @staticmethod
-    def _rhe_div(num, b):
-        """num / b for b > 0 rounded to nearest, ties to even: the quotient
-        goes up when twice the remainder plus the quotient's low bit exceeds
-        b. Takes an int or an int64 array."""
-        q, r = divmod(num, b)
+    def div(self, a, b):
+        """a / b in the format, for positive registers b that broadcast
+        against a (the machine divides only by each row's sigma, clamped to
+        at least 1, and by chi), rounded to nearest, ties to even: the
+        quotient goes up when twice the remainder plus its low bit exceeds b."""
+        if not np.all(np.greater(b, 0)):
+            raise ContractViolation("fixed-point division needs positive registers")
+        q, r = divmod(a << self.f, b)
         r <<= 1
         r += q & 1
         q += r > b
-        return q
-
-    def div(self, a, b):
-        """a / b in the format, for one positive register b (the machine
-        divides only by sigma, clamped to at least 1, and by chi)."""
-        if not (np.ndim(b) == 0 and b > 0):
-            raise ContractViolation("fixed-point division needs one positive register")
-        return self._sat(self._rhe_div(a << self.f, b))
+        return self._sat(q)
 
     def halve(self, raw):
         """Divide by two with round-to-nearest-even (cannot saturate): the
@@ -264,36 +254,36 @@ class _FixedOps:
         q >>= 1
         return q
 
-    def apply_float(self, raw: int, fn: Callable[[float], float]) -> int:
-        """Evaluate ``fn`` in float on the register's value and requantize it
-        to a Python int."""
-        return self.quantize(float(fn(raw * self.fmt.resolution)))
+    def exp(self, raw):
+        """exp in float on each register's value, requantized."""
+        return self.quantize(np.exp(self.to_float(raw)))
 
-    def exp(self, raw: int) -> int:
-        return self.apply_float(raw, np.exp)
-
-    def norm(self, v) -> int:
-        """The length of a register vector: its squared length summed in the
-        format, then a float square root requantized."""
-        return self.apply_float(int(self.sum(self.mul(v, v))), np.sqrt)
+    def norm(self, v):
+        """The length of each row's register vector: its squared length
+        summed in the format, then a float square root requantized."""
+        return self.quantize(np.sqrt(self.to_float(self.sum(self.mul(v, v), axis=-1))))
 
     def weighted_sum(self, w, y):
-        """sum_i w_i y_i, one rounded product per element, summed in order."""
-        return self.sum(self.mul(w[:, None], y))
+        """sum_i w_i y_i of each row, one rounded product per element, summed
+        in order."""
+        return self.sum(self.mul(w[:, None], y), axis=1)
 
     def rank_mu(self, w, y):
-        """sum_i w_i y_i y_i^T, each outer product and its weighting rounded."""
-        return self.sum(self.mul(w[:, None, None], self.mul(y[:, :, None], y[:, None, :])))
+        """sum_i w_i y_i y_i^T of each row, each outer product and its
+        weighting rounded."""
+        return self.sum(self.mul(w[:, None, None], self.mul(y[..., None], y[:, :, None])),
+                        axis=1)
 
     def invsqrt_times(self, dec: Decomposition, v):
-        """C^(-1/2) v as a fixed matvec on the decomposition's table, whose
-        saturations count again on every use."""
-        self.saturations += dec.invsqrt_saturations
-        return self.sum(self.mul(dec.invsqrt, v), axis=1)
+        """C^(-1/2) v as a fixed matvec on each row's table, whose saturations
+        count again on every use."""
+        self._count(dec.invsqrt_saturations)
+        return self.sum(self.mul(dec.invsqrt, v[:, None, :]), axis=2)
 
-    def floor_sigma(self, sigma: int) -> tuple[int, bool]:
-        """Sigma clamped up to 1 raw, and whether it was clamped."""
-        return (1, True) if sigma <= 0 else (sigma, False)
+    def floor_sigma(self, sigma):
+        """Each row's sigma clamped up to 1 raw, and whether it was clamped."""
+        clamped = sigma <= 0
+        return np.where(clamped, 1, sigma), clamped
 
     def decomposition(self, values, vectors) -> Decomposition:
         """The eigenvalues clamped up to the resolution, and C^(-1/2)
@@ -303,7 +293,7 @@ class _FixedOps:
         scale = np.sqrt(np.maximum(values, floor))
         invsqrt = table.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
         return Decomposition(vectors, scale, int(np.count_nonzero(values < floor)),
-                             invsqrt, table.saturations)
+                             invsqrt, int(table.saturations[0]))
 
 
 class FixedCmaes(CmaEs):
@@ -311,20 +301,21 @@ class FixedCmaes(CmaEs):
     :class:`_FixedOps` of ``fmt``.
 
     The baseline is quantized onto the grid, and each candidate is evaluated
-    at its exact fixed-point value as a float. ``quant_warnings`` holds the
-    saturation, sigma-clamp and eigenvalue-clamp counts.
+    at its exact fixed-point value as a float. ``quant_warnings`` holds each
+    row's saturation, sigma-clamp and eigenvalue-clamp counts.
     """
 
-    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat, seed: int):
-        super().__init__(params, seed, _FixedOps(fmt))
+    def __init__(self, params: CmaEsParams, fmt: FixedPointFormat, seed):
+        super().__init__(params, seed, _FixedOps(fmt, np.size(seed)))
+
+    def keep(self, rows) -> None:
+        super().keep(rows)
+        self.ops.saturations = self.ops.saturations[rows]
 
     @property
     def quant_warnings(self) -> dict:
-        return {
-            "saturations": self.ops.saturations,
-            "sigma_clamps": self.sigma_clamps,
-            "eig_clamps": self.eig_clamps,
-        }
+        return {"saturations": self.ops.saturations.copy(),
+                "sigma_clamps": self.sigma_clamps.copy(), "eig_clamps": self.eig_clamps.copy()}
 
 
 def quantization_health(params: CmaEsParams, fmt: FixedPointFormat) -> str:

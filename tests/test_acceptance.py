@@ -220,6 +220,30 @@ def test_criterion_5_end_to_end_adaptation_gain(harness):
     )
 
 
+def test_harness_shift_is_undone_inside_the_source_subspace(harness):
+    # the paper's premise, held by the harness: the target's shift is a
+    # distortion of the coordinates inside the source subspace. Row i of a
+    # target file is row i of source_test shifted, so the in-subspace oracle
+    # z_t + U U^T (z_src - z_t) classifies within 1 point of the unshifted
+    # twin z_src itself (99.5 against 99.0 at seed 14)
+    _, data, art = harness
+    model = fileio.read_artifact(art)
+    source, labels = fileio.read_features(data / "source_test.latf")
+    target, target_labels = fileio.read_features(data / "target_combined.latf")
+    np.testing.assert_array_equal(labels, target_labels)
+    basis = model.subspace.basis
+
+    def accuracy(rows):
+        return 100.0 * np.mean([decode(model.decoder, z).predicted_class == y
+                                for z, y in zip(rows, labels)])
+
+    oracle = [apply_correction(model.subspace, z_t, basis.T @ (z_src - z_t))
+              for z_src, z_t in zip(source.astype(np.float64), target.astype(np.float64))]
+    acc_oracle, acc_twin, acc_target = accuracy(oracle), accuracy(source), accuracy(target)
+    assert abs(acc_oracle - acc_twin) <= 1.0, (acc_oracle, acc_twin)
+    assert acc_oracle > acc_target + 10.0, (acc_oracle, acc_target)  # the shift costs accuracy
+
+
 def test_criterion_6_forgetting_free_and_budget():
     started = time.perf_counter()
     task = datagen.make_task(class_count=4, dim=16, seed=6)

@@ -397,10 +397,10 @@ def _row_bits(result):
             result.nonfinite_count, result.quant_warnings)
 
 
-def _composition_rows(seed):
+def _composition_rows(seed, per_class=linalg._STACK_MIN, count=2 * linalg._STACK_MIN + 3):
     task, sub, dec = _small_setup(seed=seed)
-    rows, _ = datagen.gen_source(task, linalg._STACK_MIN, stream=9)
-    return rows[: 2 * linalg._STACK_MIN + 3], sub, dec
+    rows, _ = datagen.gen_source(task, per_class, stream=9)
+    return rows[:count], sub, dec
 
 
 def _lockstep_draws(monkeypatch) -> list:
@@ -443,6 +443,14 @@ def test_batch_composition_does_not_change_a_row(monkeypatch, mode, fmt):
     assert [_row_bits(r) for i, r in enumerate(mixed.results) if i != middle] == \
         expected[:middle] + expected[middle + 1:]
     assert len(mixed.wall_ms) == len(rows) and all(ms >= 0.0 for ms in mixed.wall_ms)
+
+    # 200 rows run as machines of 1, 7 and 200 rows give every row the same bytes
+    many, _, _ = _composition_rows(seed=22, per_class=50, count=200)
+    by_size = {}
+    for size in (1, 7, 200):
+        monkeypatch.setattr(adapt_module, "_LOCKSTEP_ROWS", size)
+        by_size[size] = [_row_bits(r) for r in adapt_batch(many, dec, sub, cfg).results]
+    assert by_size[1] == by_size[7] == by_size[200]
 
     # in lockstep chunks, each chunk is one adapt call
     chunks = []
@@ -490,6 +498,7 @@ def test_a_row_leaving_the_lockstep_draw_shifts_no_other_row(monkeypatch, mode, 
     # k = 3 and population 7 draw 21 normals a generation, so every row carries
     # a spare into the next; one row fails at its second generation, after
     # its noise was drawn, and the others draw on without it
+    adapt_module = importlib.import_module("latentadapt.adapt")
     lanes = _lockstep_draws(monkeypatch)
     rows, sub, dec = _composition_rows(seed=24)
     sub = sub.truncated(3)
@@ -500,14 +509,19 @@ def test_a_row_leaving_the_lockstep_draw_shifts_no_other_row(monkeypatch, mode, 
     assert [_row_bits(r) for r in whole.results] == alone
 
     leaving = len(rows) // 2
-    real_step = cmaes.Search.step
+    real_fitness = adapt_module.fitness
+    calls = []
 
-    def step(run, noise=None):
-        if len(run.trace) == 1 and np.array_equal(run.objective.args[2], rows[leaving]):
-            raise ConvergenceFailure("left mid-search")
-        return real_step(run, noise)
+    def fitness(d, s, z_t, p):
+        # the leaving row's baseline and first generation, then its second's
+        # first candidate fails
+        if np.array_equal(z_t, rows[leaving]):
+            calls.append(p)
+            if len(calls) == 1 + cfg.population + 1:
+                raise ConvergenceFailure("left mid-search")
+        return real_fitness(d, s, z_t, p)
 
-    monkeypatch.setattr(cmaes.Search, "step", step)
+    monkeypatch.setattr(adapt_module, "fitness", fitness)
     lanes.clear()
     left = adapt_batch(rows, dec, sub, cfg)
     assert lanes == [len(rows), len(rows), len(rows) - 1]

@@ -79,12 +79,13 @@ def test_params_refuse_an_initial_sigma_not_finite_and_positive(sigma):
 
 def test_init_contract():
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 0)
-    np.testing.assert_array_equal(machine.mean, [0.0, 0.0])
-    assert machine.sigma == 1.0
-    np.testing.assert_array_equal(machine.cov, np.eye(2))
-    np.testing.assert_array_equal(machine.path_sigma, [0.0, 0.0])
-    np.testing.assert_array_equal(machine.path_c, [0.0, 0.0])
+    np.testing.assert_array_equal(machine.mean, [[0.0, 0.0]])
+    np.testing.assert_array_equal(machine.sigma, [1.0])
+    np.testing.assert_array_equal(machine.cov, [np.eye(2)])
+    np.testing.assert_array_equal(machine.path_sigma, [[0.0, 0.0]])
+    np.testing.assert_array_equal(machine.path_c, [[0.0, 0.0]])
     assert machine.generation == 0
+    assert machine.stale.tolist() == [True]
 
 
 def test_init_bit_identical_for_equal_seeds():
@@ -92,19 +93,19 @@ def test_init_bit_identical_for_equal_seeds():
     b = cmaes.CmaEs(cmaes.CmaEsParams.defaults(3), 77)
     assert a.mean.tobytes() == b.mean.tobytes()
     assert a.cov.tobytes() == b.cov.tobytes()
-    assert a.rng.state() == b.rng.state()
+    assert [g.state() for g in a.rngs] == [g.state() for g in b.rngs]
 
 
 def test_ask_matches_golden_fixture():
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 42)
-    candidates = np.array(machine.ask())
-    np.testing.assert_array_equal(candidates, GOLDEN_ASK_K2_SEED42)
+    candidates = machine.ask()
+    np.testing.assert_array_equal(candidates, GOLDEN_ASK_K2_SEED42[None])
 
 
 def test_ask_degenerate_sigma_collapses_to_mean():
     params = cmaes.CmaEsParams.defaults(3, initial_sigma=1e-300)
     machine = cmaes.CmaEs(params, 5)
-    for c in machine.ask():
+    for c in machine.ask()[0]:
         assert np.max(np.abs(c)) < 1e-290
 
 
@@ -113,7 +114,7 @@ def test_ask_monte_carlo_identity_covariance():
     machine = cmaes.CmaEs(params, 9)
     draws = []
     while len(draws) < 100_000:
-        draws.extend(machine.ask())
+        draws.extend(machine.ask()[0])
     xs = np.array(draws[:100_000])
     assert np.max(np.abs(xs.mean(axis=0))) < 0.02
     cov = np.cov(xs.T)
@@ -123,10 +124,10 @@ def test_ask_monte_carlo_identity_covariance():
 def test_ask_monte_carlo_anisotropic_covariance():
     params = cmaes.CmaEsParams.defaults(2)
     machine = cmaes.CmaEs(params, 10)
-    machine.cov = np.diag([4.0, 1.0])
+    machine.cov[0] = np.diag([4.0, 1.0])
     draws = []
     while len(draws) < 40_000:
-        draws.extend(machine.ask())
+        draws.extend(machine.ask()[0])
     xs = np.array(draws)
     ratio = xs[:, 0].var() / xs[:, 1].var()
     assert abs(ratio - 4.0) < 0.4
@@ -137,17 +138,17 @@ def test_tell_tie_breaking_uses_candidate_order():
 
     class Given(cmaes.CmaEs):
         def ask(self):
-            self._candidates = candidates
-            return candidates
+            self._candidates = candidates[None]
+            return self._candidates
 
     params = cmaes.CmaEsParams.defaults(2, population=6)
     machine = Given(params, 1)
     machine.ask()
-    machine.tell([7.0] * 6)
+    machine.tell([[7.0] * 6])
     expected = np.zeros(2)
     for i in range(params.parent_count):
         expected += params.recombination_weights[i] * candidates[i]
-    np.testing.assert_allclose(machine.mean, expected, atol=1e-12)
+    np.testing.assert_allclose(machine.mean[0], expected, atol=1e-12)
     assert machine.generation == 1
 
 
@@ -156,15 +157,17 @@ def test_tell_validates_inputs():
     machine = cmaes.CmaEs(params, 2)
     machine.ask()
     with pytest.raises(ContractViolation):
-        machine.tell([0.0] * (params.population - 1))
+        machine.tell([[0.0] * (params.population - 1)])
     with pytest.raises(ContractViolation):
-        machine.tell([math.nan] * params.population)
+        machine.tell([[math.nan] * params.population])
+    with pytest.raises(ContractViolation):
+        machine.tell([0.0] * params.population)  # one row's fitnesses, not a (1, lambda) array
 
 
 def _machine_state(machine):
     return (machine.generation, machine.mean.tobytes(), repr(machine.sigma),
             machine.cov.tobytes(), machine.path_sigma.tobytes(), machine.path_c.tobytes(),
-            machine.rng.state(), machine.quant_warnings)
+            [g.state() for g in machine.rngs], repr(machine.quant_warnings))
 
 
 @pytest.mark.parametrize("make, warnings", [
@@ -173,30 +176,30 @@ def _machine_state(machine):
     (lambda params: quant.FixedCmaes(params, quant.FixedPointFormat.parse("8b4"), 21), dict),
 ], ids=["float", "binary", "fixed8b4"])
 def test_machine_protocol(make, warnings):
-    # every machine asks a (lambda, k) float array and holds tell to one
+    # every machine asks a (rows, lambda, k) float array and holds tell to one
     # finite fitness per candidate and to one tell per ask, leaving its
     # state alone when refused
     params = cmaes.CmaEsParams.defaults(4)
     machine = make(params)
     with pytest.raises(ContractViolation):
-        machine.tell([0.0] * params.population)  # nothing asked yet
+        machine.tell([[0.0] * params.population])  # nothing asked yet
     assert machine.generation == 0
     points = machine.ask()
     assert isinstance(points, np.ndarray)
-    assert points.dtype == np.float64 and points.shape == (params.population, 4)
-    fits = [sphere(p) for p in points]
-    for bad in (fits[:-1], fits + [0.0], fits[:-1] + [math.nan]):
+    assert points.dtype == np.float64 and points.shape == (1, params.population, 4)
+    fits = [sphere(p) for p in points[0]]
+    for bad in ([fits[:-1]], [fits + [0.0]], [fits[:-1] + [math.nan]], fits, [fits, fits]):
         with pytest.raises(ContractViolation):
             machine.tell(bad)
         assert machine.generation == 0
-    machine.tell(fits)
+    machine.tell([fits])
     told = _machine_state(machine)
     with pytest.raises(ContractViolation):
-        machine.tell(fits)  # the same candidates told twice
+        machine.tell([fits])  # the same candidates told twice
     assert _machine_state(machine) == told
     fresh = make(params)
     fresh.ask()
-    fresh.tell(fits)
+    fresh.tell([fits])
     assert machine.generation == 1
     assert machine.mean.tobytes() == fresh.mean.tobytes()
     assert isinstance(machine.quant_warnings, warnings)
@@ -206,9 +209,9 @@ def test_covariance_stays_symmetric_pd_across_generations():
     params = cmaes.CmaEsParams.defaults(4)
     machine = cmaes.CmaEs(params, 3)
     for _ in range(60):
-        cands = machine.ask()
-        machine.tell([rosenbrock(c) for c in cands])
-        c = machine.cov
+        cands = machine.ask()[0]
+        machine.tell([[rosenbrock(c) for c in cands]])
+        c = machine.cov[0]
         assert np.max(np.abs(c - c.T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(c)) > 0.0
 
@@ -300,14 +303,14 @@ def test_a_nonfinite_value_reaches_tell_above_every_finite_one(worst):
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(4), 1)
     told = []
     real_tell = machine.tell
-    machine.tell = lambda fits: told.append(list(fits)) or real_tell(fits)
+    machine.tell = lambda fits: told.append(list(fits[0])) or real_tell(fits)
     run = cmaes.Search(machine, lambda p: math.nan if p[0] < 0.0 else worst)
     run.step()
     fits = told[0]
-    assert 0 < run.nonfinite < len(fits)
+    assert 0 < run.nonfinite[0] < len(fits)
     above = [f for f in fits if f != worst]
     if worst < sys.float_info.max:
-        assert len(above) == run.nonfinite and min(above) > worst
+        assert len(above) == run.nonfinite[0] and min(above) > worst
         assert set(above) == {max(worst + 1.0, math.nextafter(worst, math.inf))}
     else:  # nothing finite lies above the largest float: a tie, not an error
         assert not above
@@ -354,15 +357,40 @@ def test_stacked_matmul_equals_one_matvec_per_row(k, lam, seed, eigenvectors):
     assert stacked.tobytes() == rows.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 7, 200]), st.integers(1, 12).map(lambda h: 2 * h + 1),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_stacked_float_primitives_equal_the_per_row_expressions(rows, lam, k, seed):
+    # the stacked float machine relies on this: each primitive gives every row
+    # the bits of the per-row numpy expression, whatever BLAS numpy is built on
+    rng = np.random.default_rng(seed)
+    mu = lam // 2
+    w = rng.uniform(0.1, 1.0, mu)
+    y = rng.standard_normal((rows, mu, k)) * rng.uniform(0.1, 10.0, (rows, 1, k))
+    v = rng.standard_normal((rows, k)) * 3.0
+    vectors = np.linalg.qr(rng.standard_normal((rows, k, k)))[0]
+    dec = cmaes.Decomposition(vectors, rng.uniform(0.1, 3.0, (rows, k)), np.zeros(rows, int))
+    x = rng.standard_normal(rows) * 5.0
+    ops = cmaes.FloatOps()
+    stacked = [ops.weighted_sum(w, y), ops.rank_mu(w, y), ops.invsqrt_times(dec, v),
+               ops.norm(v), ops.exp(x)]
+    for i in range(rows):
+        alone = [w @ y[i], (y[i] * w[:, None]).T @ y[i],
+                 vectors[i] @ ((vectors[i].T @ v[i]) / dec.scale[i]),
+                 float(np.linalg.norm(v[i])), math.exp(x[i])]
+        for got, want in zip(stacked, alone):
+            assert np.asarray(got[i]).tobytes() == np.asarray(want).tobytes()
+
+
 def _ask_one_row_at_a_time(machine):
     """The float ask as one normals draw and one matvec per candidate."""
-    cmaes.decompose_stale([machine])
-    vectors, scale = machine.decomposition.vectors, machine.decomposition.scale
-    rng = machine.rng.clone()
+    cmaes.decompose_stale(machine)
+    vectors, scale = machine.decomposition.vectors[0], machine.decomposition.scale[0]
+    rng = machine.rngs[0].clone()
     candidates = []
     for _ in range(machine.params.population):
         n = rng.normals(machine.params.dim)
-        candidates.append(machine.mean + machine.sigma * (vectors @ (scale * n)))
+        candidates.append(machine.mean[0] + machine.sigma[0] * (vectors @ (scale * n)))
     return candidates, rng.state()
 
 
@@ -372,12 +400,12 @@ def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(dim, population=population), seed)
     for _ in range(4):
         want, rng_state = _ask_one_row_at_a_time(machine)
-        got = machine.ask()
+        got = machine.ask()[0]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        assert machine.rng.state() == rng_state
-        machine.tell([rosenbrock(c) for c in got])
+        assert machine.rngs[0].state() == rng_state
+        machine.tell([[rosenbrock(c) for c in got]])
 
 
 @pytest.mark.parametrize("make", [
@@ -390,13 +418,21 @@ def test_ask_on_the_machine_s_own_noise_equals_drawing_it(make):
     params = cmaes.CmaEsParams.defaults(5, population=7)
     own, given = make(params, 3), make(params, 3)
     for _ in range(3):
-        got = given.ask(given.rng.normals(35))
+        got = given.ask(given.rngs[0].normals(35)[None])
         assert got.tobytes() == own.ask().tobytes()
-        assert given.rng.state() == own.rng.state()
+        assert given.rngs[0].state() == own.rngs[0].state()
         for machine in (own, given):
-            machine.tell([rosenbrock(c) for c in got])
-    with pytest.raises(ContractViolation, match=r"noise must have shape \(35,\)"):
-        given.ask(np.zeros((7, 5)))
+            machine.tell([[rosenbrock(c) for c in got[0]]])
+    with pytest.raises(ContractViolation, match=r"noise must have shape \(1, 35\)"):
+        given.ask(np.zeros(35))
+
+
+_STACKED_MACHINES = [
+    cmaes.CmaEs,
+    quant.BinaryCmaes,
+    lambda params, seed: quant.FixedCmaes(params, quant.FixedPointFormat(8, 4), seed),
+    lambda params, seed: quant.FixedCmaes(params, quant.FixedPointFormat(4, 2), seed),
+]
 
 
 def _ask(machine):
@@ -407,61 +443,123 @@ def _ask(machine):
         return None, exc
 
 
+def _told(machine):
+    """The machine after one generation of every row on the sphere."""
+    machine.tell([[sphere(p) for p in points] for points in machine.ask()])
+    return machine
+
+
 @pytest.mark.parametrize("count", [4, linalg._STACK_MIN + 2])
-def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(count):
-    # float machines, an 8b4 machine with a clamped eigenvalue and two 16b8
-    # machines with one matrix, each with a twin that decomposes alone
+def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(monkeypatch, count):
+    # a machine of float rows, an 8b4 row with a clamped eigenvalue and two
+    # 16b8 rows with one matrix, each row with a twin that decomposes alone
     params = cmaes.CmaEsParams.defaults(6)
-    machines, twins = [], []
-    for seed in range(count):
-        pair = [cmaes.CmaEs(params, seed), cmaes.CmaEs(params, seed)]
-        for m in pair:
-            m.tell([sphere(p) for p in m.ask()])  # a covariance that is not diagonal
-        machines.append(pair[0])
-        twins.append(pair[1])
-    for fmt in ("8b4", "16b8", "16b8"):
-        pair = [quant.FixedCmaes(params, quant.FixedPointFormat.parse(fmt), 5) for _ in range(2)]
-        for m in pair:
-            m.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
-            if fmt == "16b8":
-                m.tell([sphere(p) for p in m.ask()])  # a register that is not diagonal
-        machines.append(pair[0])
-        twins.append(pair[1])
+    machines = [_told(cmaes.CmaEs(params, range(count)))]  # covariances that are not diagonal
+    twins = [[_told(cmaes.CmaEs(params, seed)) for seed in range(count)]]
+    for fmt, seeds in (("8b4", [5]), ("16b8", [5, 5])):
+        fmt = quant.FixedPointFormat.parse(fmt)
+        group = [quant.FixedCmaes(params, fmt, seeds)] + [quant.FixedCmaes(params, fmt, seed)
+                                                           for seed in seeds]
+        for m in group:
+            m.cov[:, 0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+            if len(seeds) == 2:
+                _told(m)  # a register that is not diagonal
+        machines.append(group[0])
+        twins.append(group[1:])
     bad = {0: np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]), 1: np.full((6, 6), np.nan),
            2: np.triu(np.ones((6, 6)))}
     for i, cov in bad.items():
-        machines[i].cov = twins[i].cov = cov
-    cmaes.decomposition_of(machines[3])  # fresh: takes no part
+        machines[0].cov[i] = twins[0][i].cov[0] = cov
 
-    outcome = cmaes.decompose_stale(machines)
-    assert set(outcome) == set(range(len(machines))) - {3}
-    for i, (machine, twin) in enumerate(zip(machines, twins)):
-        want, alone = _ask(twin)
-        if i in bad:
-            assert type(outcome[i]) is type(alone) and str(outcome[i]) == str(alone)
-            assert machine.decomposition is None
-        else:
-            assert alone is None and outcome.get(i) is None
+    solved = []
+    real = linalg.sym_eig_many
+    monkeypatch.setattr(linalg, "sym_eig_many",
+                        lambda mats, k: solved.append(len(mats)) or real(mats, k))
+    outcomes = [cmaes.decompose_stale(machine) for machine in machines]
+    assert solved == [count, 1, 1]  # the two 16b8 rows share one matrix
+    monkeypatch.setattr(linalg, "sym_eig_many", real)
+    wants = []
+    for machine, outcome, alone in zip(machines, outcomes, twins):
+        assert set(outcome) == set(range(len(alone)))
+        for i, twin in enumerate(alone):
+            want, error = _ask(twin)
+            wants.append(want)
+            if i in bad and machine is machines[0]:
+                assert type(outcome[i]) is type(error) and str(outcome[i]) == str(error)
+                assert machine.stale[i]
+                continue
+            assert error is None and outcome[i] is None and not machine.stale[i]
             for got, expected in zip(machine.decomposition, twin.decomposition):
-                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-            assert machine.ask().tobytes() == want.tobytes()
-            assert machine.quant_warnings == twin.quant_warnings
-    assert "positive definiteness" in str(outcome[0])
-    assert isinstance(outcome[2], ContractViolation)
-    assert machines[-2].float_cov().tobytes() == machines[-1].float_cov().tobytes()
-    assert machines[-3].eig_clamps == 1 and machines[-2].eig_clamps == 2  # clamps in play
+                if got is not None:
+                    assert np.asarray(got[i]).tobytes() == np.asarray(expected[0]).tobytes()
+    assert "positive definiteness" in str(outcomes[0][0])
+    assert isinstance(outcomes[0][2], ContractViolation)
+    # a failed row stays stale, and a decomposed one takes no part again
+    assert set(cmaes.decompose_stale(machines[0])) == set(bad)
+    machines[0].keep(~machines[0].stale)
+    del twins[0][:len(bad)], wants[:len(bad)]
+    for machine, alone in zip(machines, twins):
+        got = machine.ask()
+        for i, twin in enumerate(alone):
+            assert got[i].tobytes() == wants.pop(0)[0].tobytes()
+            if twin.quant_warnings is not None:
+                assert {name: counts[i] for name, counts in machine.quant_warnings.items()} \
+                    == twin.quant_warnings
+    assert machines[2].cov[0].tobytes() == machines[2].cov[1].tobytes()
+    assert machines[1].eig_clamps.tolist() == [1] and machines[2].eig_clamps.tolist() == [2, 2]
+
+
+def _registers(machine, i):
+    """Row ``i``'s state, stream and counts, as bytes and ints."""
+    warnings = machine.quant_warnings
+    return ([np.asarray(getattr(machine, name)[i]).tobytes()
+             for name in ("mean", "sigma", "cov", "path_sigma", "path_c")],
+            machine.rngs[i].state(),
+            None if warnings is None else {name: int(c[i]) for name, c in warnings.items()})
+
+
+@pytest.mark.parametrize("make", _STACKED_MACHINES, ids=["float", "binary", "8b4", "4b2"])
+def test_a_dropped_row_changes_no_other_row_s_registers(make):
+    # rows 2 and 4 fail at their second generation: the search drops them and
+    # every other row ends where it ends alone, register for register
+    params = cmaes.CmaEsParams.defaults(5, population=7)
+    seeds = [3, 1, 4, 1, 5, 9, 2]
+    calls = {}
+
+    def objective(row):
+        def value(p):
+            calls[row] = calls.get(row, 0) + 1
+            if row in (2, 4) and calls[row] == 1 + params.population + 1:
+                raise ConvergenceFailure(f"row {row} left")
+            return rosenbrock(p)
+        return value
+
+    run = cmaes.Search(make(params, seeds), [objective(r) for r in range(len(seeds))],
+                       np.zeros(5))
+    for _ in range(4):
+        run.step()
+    assert run.rows.tolist() == [0, 1, 3, 5, 6] and sorted(run.errors) == [2, 4]
+    assert str(run.errors[2]) == "row 2 left"
+    for position, row in enumerate(run.rows.tolist()):
+        twin = make(params, seeds[row])
+        alone = cmaes.search(twin, rosenbrock, 4, np.zeros(5))
+        assert _registers(run.machine, position) == _registers(twin, 0)
+        got = run.result(row)
+        assert got.best_p.tobytes() == alone.best_p.tobytes() and got.trace == alone.trace
+        assert got.quant_warnings == alone.quant_warnings
 
 
 def test_a_failed_decomposition_is_not_kept(monkeypatch):
     # a failure under a lowered sweep cap must not outlive the cap
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(6), 0)
-    machine.tell([sphere(p) for p in machine.ask()])  # a covariance that is not diagonal
+    _told(machine)  # a covariance that is not diagonal
     cap = linalg._MAX_SWEEPS
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure, match="sweep cap"):
         machine.ask()
+    assert machine.stale.tolist() == [True]
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", cap)
-    assert machine.ask().shape == (machine.params.population, 6)
+    assert machine.ask().shape == (1, machine.params.population, 6)
 
 
 # ---------------------------------------------------------------- float golden runs
@@ -504,7 +602,7 @@ _MACHINES = {
 def _hsig_off(machine):
     """Whether the last tell switched h_sigma off, from the state it left."""
     params = machine.params
-    ps_norm = float(np.linalg.norm(machine.path_sigma))
+    ps_norm = float(np.linalg.norm(machine.path_sigma[0]))
     denom = math.sqrt(1.0 - (1.0 - params.c_sigma) ** (2.0 * machine.generation))
     return not ps_norm / denom < (1.4 + 2.0 / (params.dim + 1.0)) * params.chi_n
 
@@ -515,8 +613,8 @@ def _run_digest(machine, res):
     h.update(struct.pack("<d", res.best_fitness))
     h.update(struct.pack(f"<{len(res.trace)}d", *res.trace))
     h.update(struct.pack("<2q", res.evaluations, res.nonfinite_count))
-    h.update(struct.pack("<d", machine.sigma))
-    for state in (machine.mean, machine.cov, machine.path_sigma, machine.path_c):
+    h.update(struct.pack("<d", machine.sigma[0]))
+    for state in (machine.mean[0], machine.cov[0], machine.path_sigma[0], machine.path_c[0]):
         h.update(np.ascontiguousarray(state, dtype=np.float64).tobytes())
     return h.hexdigest()
 

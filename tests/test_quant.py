@@ -227,28 +227,28 @@ def test_binary_machine_snaps_with_the_step_size_at_ask_time():
     machine = BinaryCmaes(params, 13)
     sigmas = set()
     for _ in range(4):
-        sigma = machine.sigma
+        sigma = machine.sigma[0]
         sigmas.add(sigma)
-        points = machine.ask()
+        points = machine.ask()[0]
         assert all(set(np.abs(p)) == {sigma} for p in points)
-        machine.tell([sphere(p) for p in points])
+        machine.tell([[sphere(p) for p in points]])
     assert len(sigmas) == 4
     pinned = BinaryCmaes(params, 13, alpha=0.5)
-    assert all(set(np.abs(p)) == {0.5} for p in pinned.ask())
+    assert all(set(np.abs(p)) == {0.5} for p in pinned.ask()[0])
 
 
 def test_binary_machine_feedback_tells_the_snapped_points():
     params = cmaes.CmaEsParams.defaults(3)
     for feedback in (False, True):
         machine = BinaryCmaes(params, 14, alpha=0.5, feedback=feedback)
-        points = machine.ask()
-        raw = machine._candidates
+        points = machine.ask()[0]
+        raw = machine._candidates[0]
         # every snapped point has the same sphere value: parents are the first mu
-        machine.tell([sphere(p) for p in points])
+        machine.tell([[sphere(p) for p in points]])
         told = points if feedback else raw
         w = params.recombination_weights
         expected = w @ np.asarray(told[: params.parent_count])
-        np.testing.assert_allclose(machine.mean, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(machine.mean[0], expected, rtol=0, atol=1e-12)
 
 
 def test_fixed_cmaes_wide_format_tracks_float():
@@ -448,8 +448,8 @@ def _format_and_pair(draw):
     raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0]),
                     st.integers(fmt.raw_min, fmt.raw_max))
     shape = draw(st.sampled_from([None, (3,), (2, 2)]))
-    if shape is None:  # the scalar registers, as Python ints
-        return fmt, draw(raw), draw(raw)
+    if shape is None:  # a constant register, an int64 scalar
+        return fmt, np.int64(draw(raw)), np.int64(draw(raw))
     size = math.prod(shape)
     pair = [np.array(draw(st.lists(raw, min_size=size, max_size=size)),
                      dtype=np.int64).reshape(shape) for _ in range(2)]
@@ -486,10 +486,10 @@ def _run_generations(monkeypatch, fmt, generations):
     solved = []
     monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
     machine = FixedCmaes(cmaes.CmaEsParams.defaults(16), fmt, 3)
-    machine.cov[0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+    machine.cov[0, 0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
     start = machine.cov.copy()
     for _ in range(generations):
-        machine.tell([sphere(p) for p in machine.ask()])
+        machine.tell([[sphere(p) for p in machine.ask()[0]]])
     return machine, start, len(solved)
 
 
@@ -498,17 +498,17 @@ def test_unchanged_covariance_reuses_decomposition_and_counts_clamps(monkeypatch
     machine, start, eig_calls = _run_generations(monkeypatch, F8B4, 6)
     np.testing.assert_array_equal(machine.cov, start)
     assert eig_calls == 1
-    assert machine.eig_clamps == 6  # once per generation, as when recomputed
+    assert machine.eig_clamps.tolist() == [6]  # once per generation, as when recomputed
     kept = machine.decomposition
-    machine.tell([sphere(p) for p in machine.ask()])
-    assert machine.decomposition is kept
+    machine.tell([[sphere(p) for p in machine.ask()[0]]])
+    assert machine.decomposition is kept and not machine.stale.any()
 
 
 def test_changed_covariance_is_decomposed_every_generation(monkeypatch):
     machine, start, eig_calls = _run_generations(monkeypatch, FixedPointFormat(32, 8), 6)
     assert not np.array_equal(machine.cov, start)
     assert eig_calls == 6
-    assert machine.decomposition is None  # stale until the next ask
+    assert machine.stale.tolist() == [True]  # stale until the next ask
 
 
 def test_quantization_health_at_harness_settings():
@@ -574,72 +574,84 @@ def test_div_by_a_positive_scalar_equals_the_general_path(case):
     assert short.saturations == general.saturations
 
 
-@pytest.mark.parametrize("den", [np.int64(0), np.int64(-3), np.array([2, 3], dtype=np.int64)])
+@pytest.mark.parametrize("den", [np.int64(0), np.int64(-3), np.array([2, 0], dtype=np.int64)])
 def test_div_refuses_all_but_one_positive_register(den):
+    # a register per row is divided by that row's sigma: each must be positive
     with pytest.raises(ContractViolation):
         _FixedOps(F8B4).div(np.array([1, 2], dtype=np.int64), den)
 
 
-# ---------------------------------------------------------------- scalar path
+# ---------------------------------------------------------------- register stacks
+
+_STACK_FORMATS = [FixedPointFormat.parse(text) for text in ("4b2", "8b4", "16b8", "32b16")]
 
 
 @st.composite
-def _format_and_scalars(draw):
-    total_bits = draw(st.integers(4, 32))
-    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
-    # extremes over-weighted: raw_min * raw_min is the largest product, and
-    # division by 1 and by raw_max the widest quotients
+def _format_and_stacks(draw):
+    fmt = draw(st.sampled_from(_STACK_FORMATS))
+    rows = draw(st.integers(1, 5))
+    shape = (rows,) + draw(st.sampled_from([(), (3,), (2, 3), (3, 2, 2)]))
+    size = math.prod(shape)
+    # extremes over-weighted, so that products and prefix sums leave the range
     raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0, 1, -1]),
                     st.integers(fmt.raw_min, fmt.raw_max))
-    den = st.one_of(st.sampled_from([1, fmt.raw_max]), st.integers(1, fmt.raw_max))
+    a, b = (np.array(draw(st.lists(raw, min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(shape) for _ in range(2))
+    sigma = np.array(draw(st.lists(st.one_of(st.sampled_from([1, fmt.raw_max]),
+                                             st.integers(1, fmt.raw_max)),
+                                   min_size=rows, max_size=rows)), dtype=np.int64)
     # half steps hit the rounding ties; +-inf and huge values saturate
-    value = st.one_of(
-        st.integers(2 * fmt.raw_min - 4, 2 * fmt.raw_max + 4).map(
-            lambda h: h * fmt.resolution / 2),
-        st.floats(allow_nan=False),
-    )
-    return fmt, draw(raw), draw(raw), draw(den), draw(value)
+    value = st.one_of(st.integers(2 * fmt.raw_min - 4, 2 * fmt.raw_max + 4).map(
+        lambda h: h * fmt.resolution / 2), st.floats(allow_nan=False))
+    x = np.array(draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+    quiet = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    return fmt, a, b, sigma, x, quiet, draw(value)
 
 
-@settings(max_examples=500, deadline=None)
-@given(_format_and_scalars())
-def test_int_ops_equal_the_kernel_on_0d_registers(case):
-    # the machine's scalar registers are Python ints: each op on them gives
-    # what the same op gives on 0-d int64 registers, in value and count
-    fmt, a, b, den, x = case
-    ints, arrays = _FixedOps(fmt), _FixedOps(fmt)
-    a0, b0, den0 = (np.array(v, dtype=np.int64) for v in (a, b, den))
-    root = a if a >= 0 else -(a + 1)  # a non-negative register for sqrt
-    with np.errstate(over="ignore"):  # exp of a large register is +inf, then saturates
-        pairs = [
-            (lambda: ints.mul(a, b), lambda: arrays.mul(a0, b0)),
-            (lambda: ints.mul(fmt.raw_min, fmt.raw_min),
-             lambda: arrays.mul(np.array(fmt.raw_min), np.array(fmt.raw_min))),
-            (lambda: ints.add(a, b), lambda: arrays.add(a0, b0)),
-            (lambda: ints.sub(a, b), lambda: arrays.sub(a0, b0)),
-            (lambda: ints.div(a, den), lambda: arrays.div(a0, den0)),
-            (lambda: ints.apply_float(0, lambda _: x),
-             lambda: arrays.quantize(np.array([x]))[0]),
-            (lambda: ints.apply_float(root, np.sqrt),
-             lambda: arrays.quantize(np.sqrt(arrays.to_float(np.array([root]))))[0]),
-            (lambda: ints.apply_float(a, np.exp),
-             lambda: arrays.quantize(np.exp(arrays.to_float(a0[None])))[0]),
-        ]
-        for int_op, array_op in pairs:
-            got, want = int_op(), array_op()
-            assert type(got) is int
-            assert got == int(want)
-            assert ints.saturations == arrays.saturations
-
-
-def test_int_ops_refuse_what_the_kernel_refuses():
-    ops = _FixedOps(F8B4)
-    with pytest.raises(ContractViolation):
-        ops.apply_float(0, lambda _: float("nan"))
+@settings(max_examples=300, deadline=None)
+@given(_format_and_stacks())
+def test_stacked_ops_give_each_row_its_own_value_and_count(case):
+    # an op on a (rows, ...) register stack gives each row the value and the
+    # saturation count that the same op gives on that row alone
+    fmt, a, b, sigma, x, quiet, constant = case
+    rows, inner = len(a), a.ndim - 1
+    per_row = sigma.reshape((rows,) + (1,) * inner)
+    ops = [
+        ("mul", lambda o, i: o.mul(a if i is None else a[i], b if i is None else b[i])),
+        ("add", lambda o, i: o.add(a if i is None else a[i], b if i is None else b[i])),
+        ("sub", lambda o, i: o.sub(a if i is None else a[i], b if i is None else b[i])),
+        ("halve", lambda o, i: o.halve(a if i is None else a[i])),
+        ("quantize", lambda o, i: o.quantize(x if i is None else x[i])),
+        ("div", lambda o, i: o.div(a, per_row) if i is None else o.div(a[i], sigma[i])),
+        # a constant shared by every row counts its saturation for every row
+        ("constant", lambda o, i: o.quantize(constant)),
+    ]
+    for axis in range(1, a.ndim):
+        # quiet rows' terms are small enough that no prefix leaves the range
+        n = a.shape[axis]
+        small = np.sign(a) * (np.abs(a) // (n + 1))
+        terms = np.where(quiet.reshape((rows,) + (1,) * inner), small, a)
+        ops.append((f"sum{axis}", lambda o, i, t=terms, j=axis:
+                    o.sum(t, axis=j) if i is None else o.sum(t[i], axis=j - 1)))
+    for name, op in ops:
+        stacked = _FixedOps(fmt, rows)
+        with np.errstate(over="ignore"):  # a huge float scales to +-inf, then saturates
+            got = op(stacked, None)
+        for i in range(rows):
+            alone = _FixedOps(fmt)
+            with np.errstate(over="ignore"):
+                want = op(alone, i)
+            assert np.asarray(got[i] if name != "constant" else got).tobytes() == \
+                np.asarray(want).tobytes(), (name, i)
+            assert stacked.saturations[i] == alone.saturations[0], (name, i)
+    # what the kernel refuses on any row, it refuses on the stack, counting nothing
+    stacked = _FixedOps(fmt, rows)
+    with pytest.raises(ContractViolation), np.errstate(over="ignore"):
+        stacked.quantize(np.where(np.arange(rows) == rows - 1, np.nan, x.reshape(rows, -1)[:, 0]))
     for den in (0, -3):
         with pytest.raises(ContractViolation):
-            ops.div(8, den)
-    assert ops.saturations == 0
+            stacked.div(a, np.where(np.arange(rows) == rows - 1, den, sigma))
+    assert stacked.saturations.tolist() == [0] * rows
 
 
 # ---------------------------------------------------------------- starting registers
@@ -647,8 +659,8 @@ def test_int_ops_refuse_what_the_kernel_refuses():
 
 def _registers(machine):
     constants = {attr: getattr(machine, attr) for attr, _, _ in cmaes._CONSTANTS}
-    return (machine.sigma, machine.one, machine.chi, constants, machine.cov.tolist(),
-            machine.w.tolist(), machine.ops.saturations, machine.sigma_clamps)
+    return (machine.sigma.tolist(), machine.one, machine.chi, constants, machine.cov[0].tolist(),
+            machine.w.tolist(), machine.ops.saturations.tolist(), machine.sigma_clamps.tolist())
 
 
 def _registers_from_scratch(params, fmt):
@@ -659,17 +671,18 @@ def _registers_from_scratch(params, fmt):
     one, chi = int(ops.quantize(1.0)), int(ops.quantize(params.chi_n))
     cov, w = ops.quantize(np.eye(params.dim)).tolist(), ops.quantize(
         params.recombination_weights).tolist()
-    return (max(sigma, 1), one, chi, constants, cov, w, ops.saturations, int(sigma <= 0))
+    return ([max(sigma, 1)], one, chi, constants, cov, w, ops.saturations.tolist(),
+            [int(sigma <= 0)])
 
 
 def test_a_machine_starts_from_registers_no_earlier_machine_changed():
     params = cmaes.CmaEsParams.defaults(16)
     first = FixedCmaes(params, F8B4, 4)
-    first.cov[0, 0] = 0  # as _run_generations does: an eigenvalue of 0, clamped
+    first.cov[0, 0, 0] = 0  # as _run_generations does: an eigenvalue of 0, clamped
     first.w[0] = 0
     for _ in range(3):
-        first.tell([sphere(p) for p in first.ask()])
-    assert first.eig_clamps == 3
+        first.tell([[sphere(p) for p in first.ask()[0]]])
+    assert first.eig_clamps.tolist() == [3]
     second = FixedCmaes(params, F8B4, 4)
     assert _registers(second) == _registers_from_scratch(params, F8B4)
     assert not np.shares_memory(second.cov, first.cov)
