@@ -109,10 +109,10 @@ def adapt(
     correction coordinates (none in mode ``none``), with the zero correction
     evaluated first as the baseline. The winner is the lowest-entropy point
     over every evaluation. This is the batch runner on one row, seeded with
-    ``cfg.seed`` itself. Given ``indices``, ``z_t`` is instead a chunk of
-    rows, checked and seeded as :func:`adapt_batch` does, and the chunk's
-    :class:`BatchResult` is returned: :func:`adapt_batch` runs each chunk so,
-    inside an ``adapt`` call, where profiles (``bench/spans.py``) look.
+    ``cfg.seed`` itself. Given ``indices``, ``z_t`` is a chunk of rows,
+    checked and seeded as :func:`adapt_batch` does, and the chunk's
+    :class:`BatchResult` is returned; :func:`adapt_batch` runs every chunk so,
+    and profiles (``bench/spans.py``) find all searches inside ``adapt``.
     """
     if indices is not None:
         z_rows, indices = _checked_batch(z_t, indices)

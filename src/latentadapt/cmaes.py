@@ -266,23 +266,18 @@ class CmaEs:
                                              for f in self.decomposition))
         self.rngs = [self.rngs[i] for i in np.arange(len(self.rngs))[rows]]
 
-    def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sample one population of candidates for every row; advances only
-        the RNG states, and raises the first error of :meth:`prepare`.
-        ``noise`` is each row's population * dim normals from its stream, as
-        (B, population * dim); when None, the machine draws them itself."""
+    def ask(self) -> np.ndarray:
+        """Sample one population of candidates for every row, each from its
+        own stream, all drawn in one :func:`normals_many` call; advances only
+        the RNG states, and raises the first error of :meth:`prepare`."""
         params, ops = self.params, self.ops
-        b, size = len(self.rngs), params.population * params.dim
-        if noise is not None and np.shape(noise) != (b, size):
-            raise ContractViolation(f"noise must have shape ({b}, {size}), got {np.shape(noise)}")
         for error in self.prepare().values():
             if error is not None:
                 raise error
         dec = self.decomposition
         self.eig_clamps += dec.clamps  # once per generation, reused or not
-        if noise is None:
-            noise = normals_many(self.rngs, size)
-        noise = np.reshape(noise, (b, params.population, params.dim))
+        noise = normals_many(self.rngs, params.population * params.dim)
+        noise = noise.reshape(len(self.rngs), params.population, params.dim)
         # one gemv per candidate, like ``vectors @ row``, where one
         # (population, dim) x (dim, dim) gemm may round differently
         y = _matvec(dec.vectors[:, None], dec.scale[:, None] * noise)

@@ -30,7 +30,6 @@ unchanged bit for bit, as always when c_1 and c_mu round to 0 and
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -130,9 +129,9 @@ class BinaryCmaes(CmaEs):
                 outcome[i] = ContractViolation("magnitude must be finite and > 0")
         return outcome
 
-    def ask(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
+    def ask(self) -> np.ndarray:
         alpha = self.sigma[:, None, None] if self.alpha is None else self.alpha
-        points = quantize_binary(super().ask(noise), alpha)
+        points = quantize_binary(super().ask(), alpha)
         if self.feedback:
             self._candidates = points
         return points
@@ -159,7 +158,7 @@ class _FixedOps:
     def _count(self, hits) -> None:
         """Add ``hits``, clipped elements or counts shaped like a result."""
         if np.ndim(hits) and len(hits) == len(self.saturations):
-            self.saturations += hits.reshape(len(hits), -1).sum(axis=1)
+            self.saturations += hits.sum(axis=tuple(range(1, hits.ndim)))
         else:
             self.saturations += np.sum(hits)
 

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentadapt import cmaes, datagen, linalg, rng
+from latentadapt import datagen, linalg, rng
 from latentadapt.adapt import MODES, AdaptationConfig, adapt, adapt_batch
 from latentadapt.decoder import LinearDecoder, decode
 from latentadapt.errors import ContractViolation, ConvergenceFailure

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt import cmaes, linalg, quant
+from latentadapt import cmaes, linalg, quant, rng
 from latentadapt.errors import ContractViolation, ConvergenceFailure
 
 # frozen regression fixture: first population for dimension 2, seed 42
@@ -413,18 +413,23 @@ def test_ask_equals_one_candidate_at_a_time(dim, population, seed):
     quant.BinaryCmaes,
     lambda params, seed: quant.FixedCmaes(params, quant.FixedPointFormat(16, 8), seed),
 ], ids=["float", "binary", "16b8"])
-def test_ask_on_the_machine_s_own_noise_equals_drawing_it(make):
-    # 5 x 7 normals a generation: every other generation starts on a spare
+def test_ask_on_the_machine_s_own_noise_equals_drawing_it(monkeypatch, make):
+    # 5 x 7 normals a generation: every other generation starts on a spare;
+    # each row of a stacked machine draws from its own stream, in lockstep
+    # lanes or alone, and gets the candidates and stream it gets alone
     params = cmaes.CmaEsParams.defaults(5, population=7)
-    own, given = make(params, 3), make(params, 3)
-    for _ in range(3):
-        got = given.ask(given.rngs[0].normals(35)[None])
-        assert got.tobytes() == own.ask().tobytes()
-        assert given.rngs[0].state() == own.rngs[0].state()
-        for machine in (own, given):
-            machine.tell([[rosenbrock(c) for c in got[0]]])
-    with pytest.raises(ContractViolation, match=r"noise must have shape \(1, 35\)"):
-        given.ask(np.zeros(35))
+    seeds = [3, 4, 3]
+    for lanes_min in (2, 10):
+        monkeypatch.setattr(rng, "_LANES_MIN", lanes_min)
+        stacked, alone = make(params, seeds), [make(params, seed) for seed in seeds]
+        for _ in range(3):
+            got = stacked.ask()
+            for i, machine in enumerate(alone):
+                assert got[i].tobytes() == machine.ask()[0].tobytes()
+                assert stacked.rngs[i].state() == machine.rngs[0].state()
+                machine.tell([[rosenbrock(c) for c in got[i]]])
+            stacked.tell([[rosenbrock(c) for c in points] for points in got])
+        assert got[0].tobytes() == got[2].tobytes()
 
 
 _STACKED_MACHINES = [
@@ -547,6 +552,26 @@ def test_a_dropped_row_changes_no_other_row_s_registers(make):
         got = run.result(row)
         assert got.best_p.tobytes() == alone.best_p.tobytes() and got.trace == alone.trace
         assert got.quant_warnings == alone.quant_warnings
+
+
+@pytest.mark.parametrize("make", _STACKED_MACHINES, ids=["float", "binary", "8b4", "4b2"])
+def test_a_search_whose_last_row_fails_raises_its_error(make):
+    # the failing row is dropped before its tell, which then has no rows
+    params = cmaes.CmaEsParams.defaults(4)
+    calls = []
+
+    def failing(p):
+        calls.append(p)
+        if len(calls) > params.population + 3:
+            raise ContractViolation("objective refused")
+        return sphere(p)
+
+    with pytest.raises(ContractViolation, match="objective refused"):
+        cmaes.search(make(params, 1), failing, 3, np.zeros(4))
+    run = cmaes.Search(make(params, [1, 2]), failing, np.zeros(4))
+    run.step()
+    assert run.rows.size == 0 and sorted(run.errors) == [0, 1]
+    run.step()  # nothing left to run
 
 
 def test_a_failed_decomposition_is_not_kept(monkeypatch):
