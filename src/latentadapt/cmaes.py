@@ -308,7 +308,7 @@ class CmaEs:
             raise ContractViolation("fitnesses must be finite")
         order = np.argsort(fit, axis=1, kind="stable")
         dec = self.decomposition
-        parents = np.take_along_axis(self._candidates, order[:, :params.parent_count, None], 1)
+        parents = self._candidates[np.arange(len(order))[:, None], order[:, :params.parent_count]]
 
         # normalized parent steps y_i = (x_i - m) / sigma
         y = ops.div(ops.sub(parents, self.mean[:, None]), self.sigma[:, None, None])
@@ -352,9 +352,9 @@ def decompose_stale(machine) -> dict[int, Optional[Exception]]:
     Returns the rows that took part, each mapped to None, or to the
     exception that stops it; a failed row stays stale.
     """
-    stale = np.flatnonzero(machine.stale).tolist()
-    if not stale:
+    if not machine.stale.any():
         return {}
+    stale = np.flatnonzero(machine.stale).tolist()
     matrices = machine.ops.to_float(machine.cov[stale])
     keys = dict(zip(stale, (matrix.tobytes() for matrix in matrices)))
     distinct = dict(zip(keys.values(), matrices))
@@ -408,7 +408,7 @@ class Search:
         self.nonfinite = np.zeros(count, dtype=np.int64)
         self.best_p: Optional[np.ndarray] = None
         self.best_f = np.full(count, math.inf)
-        self.trace = np.empty((count, 0))  # each row's running best after each generation
+        self.trace: list[np.ndarray] = []  # every row's running best after each generation
         if baseline is not None:
             baseline = np.asarray(baseline, dtype=np.float64)
             if baseline.shape != (machine.params.dim,):
@@ -418,16 +418,17 @@ class Search:
             self.best_f[self.rows] = fits[:, 0]
             self.best_p = np.tile(point, (count, 1))
 
-    def _drop(self, failed: dict) -> np.ndarray:
-        """Record and drop the rows of ``failed``; the mask of live rows kept."""
+    def _drop(self, failed: dict):
+        """Record and drop the rows of ``failed``; the live rows kept, as an index."""
+        if not failed:
+            return slice(None)
         self.errors.update(failed)
         kept = ~np.isin(self.rows, list(failed))
-        if failed:
-            self.machine.keep(kept)
-            self.rows = self.rows[kept]
+        self.machine.keep(kept)
+        self.rows = self.rows[kept]
         return kept
 
-    def _evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, points: np.ndarray) -> tuple:
         """Each live row's objective on its points, one timed call each; a
         non-finite value counts and becomes +inf. Drops the rows that fail;
         returns the others' fitnesses and the mask kept."""
@@ -444,8 +445,9 @@ class Search:
         kept = self._drop(failed)
         fits = fits[kept]
         nonfinite = ~np.isfinite(fits)
-        self.nonfinite[self.rows] += nonfinite.sum(axis=1)
-        fits[nonfinite] = math.inf
+        if nonfinite.any():
+            self.nonfinite[self.rows] += nonfinite.sum(axis=1)
+            fits[nonfinite] = math.inf
         return fits, kept
 
     def step(self) -> None:
@@ -467,12 +469,14 @@ class Search:
             # a non-finite value is told as above its row's worst finite one (0 when
             # none is), also where adding 1 rounds back to it (|worst| >= 2^53);
             # nothing finite lies above the largest float, which ties instead
-            finite = np.isfinite(fits)
-            worst = np.where(finite.any(axis=1), np.where(finite, fits, -math.inf).max(axis=1), 0.0)
-            with np.errstate(over="ignore"):
-                above = np.maximum(worst + 1.0, np.nextafter(worst, math.inf))[:, None]
-            self.machine.tell(np.where(finite, fits, np.minimum(above, sys.float_info.max)))
-            self.trace = np.column_stack([self.trace, self.best_f])
+            finite = fits < math.inf
+            if not finite.all():
+                worst = np.where(finite.any(axis=1), np.where(finite, fits, -math.inf).max(1), 0.0)
+                with np.errstate(over="ignore"):
+                    above = np.maximum(worst + 1.0, np.nextafter(worst, math.inf))[:, None]
+                fits = np.where(finite, fits, np.minimum(above, sys.float_info.max))
+            self.machine.tell(fits)
+            self.trace.append(self.best_f.copy())
         rest = time.perf_counter() - start - (self.seconds.sum() - own)  # less the evaluations
         self.seconds[rows] += rest / max(len(rows), 1)
 
@@ -484,7 +488,7 @@ class Search:
         return MinimizeResult(
             best_p=self.best_p[row].copy(),
             best_fitness=float(self.best_f[row]),
-            trace=self.trace[row].tolist(),
+            trace=[float(best[row]) for best in self.trace],
             evaluations=self.evaluations,
             nonfinite_count=int(self.nonfinite[row]),
             quant_warnings=None if warnings is None else {

@@ -158,7 +158,7 @@ class _FixedOps:
     def _count(self, hits) -> None:
         """Add ``hits``, clipped elements or counts shaped like a result."""
         if np.ndim(hits) and len(hits) == len(self.saturations):
-            self.saturations += hits.sum(axis=tuple(range(1, hits.ndim)))
+            self.saturations += hits.reshape(len(hits), -1).sum(axis=1)
         else:
             self.saturations += np.sum(hits)
 
@@ -205,7 +205,8 @@ class _FixedOps:
         terms = np.asarray(terms, dtype=np.int64)
         prefix = terms.cumsum(axis=axis)
         if self._in_range(prefix):
-            return np.moveaxis(prefix, axis, 0)[-1]  # a view of the fresh prefix
+            # a view of the fresh prefix
+            return prefix[(slice(None),) * (axis % terms.ndim) + (-1,)]
         total = 0
         for term in np.moveaxis(terms, axis, 0):
             total = self.add(total, term)
@@ -236,7 +237,7 @@ class _FixedOps:
         against a (the machine divides only by each row's sigma, clamped to
         at least 1, and by chi), rounded to nearest, ties to even: the
         quotient goes up when twice the remainder plus its low bit exceeds b."""
-        if not np.all(np.greater(b, 0)):
+        if not np.greater(b, 0).all():
             raise ContractViolation("fixed-point division needs positive registers")
         q, r = divmod(a << self.f, b)
         r <<= 1
@@ -276,7 +277,7 @@ class _FixedOps:
     def invsqrt_times(self, dec: Decomposition, v):
         """C^(-1/2) v as a fixed matvec on each row's table, whose saturations
         count again on every use."""
-        self._count(dec.invsqrt_saturations)
+        self.saturations += dec.invsqrt_saturations
         return self.sum(self.mul(dec.invsqrt, v[:, None, :]), axis=2)
 
     def floor_sigma(self, sigma):
