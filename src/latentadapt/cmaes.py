@@ -245,12 +245,13 @@ class CmaEs:
         self.decomposition = Decomposition(*(None if f is None else np.array([f] * b)
                                              for f in ops.decomposition(np.ones(k), np.eye(k))))
         self.stale = np.ones(b, dtype=bool)
-        # strategy constants, quantized once per machine and shared by its rows;
-        # the weights as one row, so that a saturation counts for every row
-        self.w = ops.quantize(params.recombination_weights[None])[0]
-        self.zero, self.one, self.chi = (ops.quantize(x) for x in (0.0, 1.0, params.chi_n))
-        for attr, _, value in _CONSTANTS:
-            setattr(self, attr, ops.quantize(value(params)))
+        # strategy constants, quantized once per machine and shared by its rows:
+        # in one row, so that a saturation counts for every row
+        shared = ops.quantize(np.concatenate([params.recombination_weights, [0.0, 1.0, params.chi_n],
+                                              [value(params) for _, _, value in _CONSTANTS]])[None])[0]
+        self.w, mu = shared[:params.parent_count], params.parent_count
+        for attr, register in zip(["zero", "one", "chi"] + [c[0] for c in _CONSTANTS], shared[mu:]):
+            setattr(self, attr, register)
 
     def prepare(self) -> dict[int, Optional[Exception]]:
         """Make every row ready to ask; the outcome of :func:`decompose_stale`."""
@@ -459,8 +460,7 @@ class Search:
             points = np.asarray(self.machine.ask())
             fits, kept = self._evaluate(points)
             points, live = points[kept], self.rows
-            best = fits.argmin(axis=1)  # the first minimum, as a scan in candidate order keeps
-            low = fits[np.arange(len(best)), best]
+            best, low = fits.argmin(axis=1), fits.min(axis=1)  # the first minimum wins
             better = (low < self.best_f[live]) | (self.best_p is None)
             if self.best_p is None:
                 self.best_p = np.zeros((len(self.objectives), points.shape[2]))
