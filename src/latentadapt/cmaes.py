@@ -234,8 +234,7 @@ class CmaEs:
         b, k = len(self.rngs), params.dim
         self.mean = ops.quantize(np.zeros((b, k)))
         self.sigma, clamped = ops.floor_sigma(ops.quantize(np.full(b, params.initial_sigma)))
-        self.sigma_clamps = clamped.astype(np.int64)
-        self.eig_clamps = np.zeros(b, dtype=np.int64)
+        self.sigma_clamps, self.eig_clamps = clamped.astype(np.int64), np.zeros(b, dtype=np.int64)
         self.cov = ops.quantize(np.tile(np.eye(k), (b, 1, 1)))
         self.path_sigma = ops.quantize(np.zeros((b, k)))
         self.path_c = ops.quantize(np.zeros((b, k)))
@@ -247,8 +246,8 @@ class CmaEs:
         self.stale = np.ones(b, dtype=bool)
         # strategy constants, quantized once per machine and shared by its rows:
         # in one row, so that a saturation counts for every row
-        shared = ops.quantize(np.concatenate([params.recombination_weights, [0.0, 1.0, params.chi_n],
-                                              [value(params) for _, _, value in _CONSTANTS]])[None])[0]
+        values = [0.0, 1.0, params.chi_n] + [value(params) for _, _, value in _CONSTANTS]
+        shared = ops.quantize(np.concatenate([params.recombination_weights, values])[None])[0]
         self.w, mu = shared[:params.parent_count], params.parent_count
         for attr, register in zip(["zero", "one", "chi"] + [c[0] for c in _CONSTANTS], shared[mu:]):
             setattr(self, attr, register)
@@ -433,8 +432,7 @@ class Search:
         """Each live row's objective on its points, one timed call each; a
         non-finite value counts and becomes +inf. Drops the rows that fail;
         returns the others' fitnesses and the mask kept."""
-        fits = np.empty(points.shape[:2])
-        failed = {}
+        fits, failed = np.empty(points.shape[:2]), {}
         for j, row in enumerate(self.rows.tolist()):
             start = time.perf_counter()
             try:

@@ -138,13 +138,11 @@ class BinaryCmaes(CmaEs):
 
 
 class _FixedOps:
-    """Raw-integer fixed-point arithmetic with saturation counting.
-
-    Raw values are int64 scalars or arrays; every result is saturated back
-    to the format range. ``saturations`` holds one count per row: a clipped
-    element of a result whose leading axis is the ``rows`` counts for its
-    row, and of any other result (a constant all rows share) for every row.
-    """
+    """Raw-integer fixed-point arithmetic on int64 scalars or arrays, every
+    result saturated back to the format range. ``saturations`` holds one
+    count per row: a clipped element of a result whose leading axis is the
+    ``rows`` counts for its row, and of any other result (a constant all
+    rows share) for every row."""
 
     def __init__(self, fmt: FixedPointFormat, rows: int = 1):
         self.fmt = fmt
@@ -194,22 +192,27 @@ class _FixedOps:
 
     def sum(self, terms, axis=0):
         """Saturating running sum from zero along ``axis``: one :meth:`add`
-        per term, in order.
-
-        Every term is in range, so the int64 prefix sums cannot overflow. When
-        no prefix leaves the range, the last one is exactly what the
-        sequential adds give, with no saturation. Otherwise the adds are
-        replayed one term at a time, for all the sums at once, since
-        saturating addition is not associative.
-        """
+        per term, in order. Every term is in range, so the int64 prefix sums
+        cannot overflow, and a sum none of whose prefixes leaves the range is
+        its last prefix. Only the sums whose prefixes leave it, found by mask,
+        are replayed one add at a time (saturating addition is not
+        associative); they are few, so the replay runs on Python ints."""
         terms = np.asarray(terms, dtype=np.int64)
         prefix = terms.cumsum(axis=axis)
+        total = prefix[(slice(None),) * (axis % terms.ndim) + (-1,)]  # a view of the fresh prefix
         if self._in_range(prefix):
-            # a view of the fresh prefix
-            return prefix[(slice(None),) * (axis % terms.ndim) + (-1,)]
-        total = 0
-        for term in np.moveaxis(terms, axis, 0):
-            total = self.add(total, term)
+            return total
+        prefix = np.moveaxis(prefix, axis, -1)
+        leaving = (prefix.min(axis=-1) < self._lo) | (prefix.max(axis=-1) > self._hi)
+        total, hits, replayed = np.array(total), np.zeros(leaving.shape, np.int64), []
+        for lane in np.moveaxis(terms, axis, -1)[leaving].tolist():
+            run = hit = 0
+            for term in lane:
+                run, raw = min(max(run + term, self._lo), self._hi), run + term
+                hit += run != raw
+            replayed.append((run, hit))
+        total[leaving], hits[leaving] = zip(*replayed)
+        self._count(hits)
         return total
 
     def sub(self, a, b):
