@@ -14,9 +14,8 @@ hardware lookup tables.
 
 A sum of many terms (the mean step, the C^(-1/2) matvec, the squared path
 length, the rank-mu update) is saturating adds from zero in index order,
-computed as int64 prefix sums (exact, every term fitting in 32 bits) and
-replayed one term at a time, for all its sums at once, only when a prefix
-leaves the range. No product or shifted numerator exceeds 2^62 in
+computed as int64 prefix sums (exact, every term fitting in 32 bits); only
+the sums whose prefixes leave the range are replayed, one add at a time. No product or shifted numerator exceeds 2^62 in
 magnitude. A zero register times anything is 0, and adding 0 neither
 changes a register nor counts a saturation, so the zero coefficients of the
 h_sigma gate give the bits of skipping its terms. Division is only by
