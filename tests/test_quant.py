@@ -581,6 +581,73 @@ def test_div_refuses_all_but_one_positive_register(den):
         _FixedOps(F8B4).div(np.array([1, 2], dtype=np.int64), den)
 
 
+# ---------------------------------------------------------------- scalar path
+
+
+@st.composite
+def _format_and_scalars(draw):
+    total_bits = draw(st.integers(4, 32))
+    fmt = FixedPointFormat(total_bits, draw(st.integers(0, total_bits - 1)))
+    # extremes over-weighted: raw_min * raw_min is the largest product, and
+    # division by 1 and by raw_max the widest quotients
+    raw = st.one_of(st.sampled_from([fmt.raw_min, fmt.raw_max, 0, 1, -1]),
+                    st.integers(fmt.raw_min, fmt.raw_max))
+    den = st.one_of(st.sampled_from([1, fmt.raw_max]), st.integers(1, fmt.raw_max))
+    # half steps hit the rounding ties; +-inf and huge values saturate
+    value = st.one_of(
+        st.integers(2 * fmt.raw_min - 4, 2 * fmt.raw_max + 4).map(
+            lambda h: h * fmt.resolution / 2),
+        st.floats(allow_nan=False),
+    )
+    return fmt, draw(raw), draw(raw), draw(den), draw(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_format_and_scalars())
+def test_int_ops_equal_the_kernel_on_0d_registers(case):
+    # a constant shared by every row is a 0-d int64 register: each op on it
+    # gives a 0-d register with what the same op gives on a one-row stack,
+    # in value and count
+    fmt, a, b, den, x = case
+    scalars, stacks = _FixedOps(fmt), _FixedOps(fmt)
+    a0, b0, den0 = (np.int64(v) for v in (a, b, den))
+    a1, b1, den1 = (np.array([v], dtype=np.int64) for v in (a, b, den))
+    root = np.int64(a if a >= 0 else -(a + 1))  # a non-negative register for sqrt
+    with np.errstate(over="ignore"):  # exp of a large register is +inf, then saturates
+        pairs = [
+            (lambda: scalars.mul(a0, b0), lambda: stacks.mul(a1, b1)),
+            (lambda: scalars.mul(np.int64(fmt.raw_min), np.int64(fmt.raw_min)),
+             lambda: stacks.mul(np.array([fmt.raw_min]), np.array([fmt.raw_min]))),
+            (lambda: scalars.add(a0, b0), lambda: stacks.add(a1, b1)),
+            (lambda: scalars.sub(a0, b0), lambda: stacks.sub(a1, b1)),
+            (lambda: scalars.halve(a0), lambda: stacks.halve(a1)),
+            (lambda: scalars.div(a0, den0), lambda: stacks.div(a1, den1)),
+            (lambda: scalars.quantize(x), lambda: stacks.quantize(np.array([x]))),
+            (lambda: scalars.quantize(np.sqrt(scalars.to_float(root))),
+             lambda: stacks.quantize(np.sqrt(stacks.to_float(root[None])))),
+            (lambda: scalars.exp(a0), lambda: stacks.exp(a1)),
+            (lambda: scalars.norm(np.array([a, b], dtype=np.int64)),
+             lambda: stacks.norm(np.array([[a, b]], dtype=np.int64))),
+        ]
+        for scalar_op, stack_op in pairs:
+            got, want = scalar_op(), stack_op()
+            assert np.ndim(got) == 0 and np.asarray(got).dtype == np.int64
+            assert int(got) == int(want[0])
+            assert scalars.saturations.tolist() == stacks.saturations.tolist()
+
+
+def test_int_ops_refuse_what_the_kernel_refuses():
+    ops = _FixedOps(F8B4)
+    with pytest.raises(ContractViolation):
+        ops.quantize(float("nan"))
+    with pytest.raises(ContractViolation), np.errstate(invalid="ignore"):
+        ops.quantize(np.sqrt(ops.to_float(np.int64(-16))))  # sqrt of a negative register
+    for den in (0, -3):
+        with pytest.raises(ContractViolation):
+            ops.div(np.int64(8), np.int64(den))
+    assert ops.saturations.tolist() == [0]
+
+
 # ---------------------------------------------------------------- register stacks
 
 _STACK_FORMATS = [FixedPointFormat.parse(text) for text in ("4b2", "8b4", "16b8", "32b16")]
