@@ -386,6 +386,9 @@ _GOLDEN = [
     # h_sigma is off in 6 of the 8 generations
     ("16b8", 16, 1.0, 3, "linear", None, 8,
      "979d3ed8a9d159ab08d10a66f6f78bc2b696ab0f0e2eedd3090ca121e0bfb207"),
+    # no integer bits: sigma0 and the identity covariance saturate to 127/128
+    ("8b0", 16, 1.0, 14, "shifted", 0.0, 12,
+     "1045b8c3eeb52c95e053d67d1bab6d581b6821a10bdc402cf05463eb9523024e"),
 ]
 
 

@@ -8,13 +8,15 @@ In each checkout, with its own ``src`` on the import path, runs ``gen``,
 7`` (21 normals a generation, so that a spare carries from one generation
 into the next), qted-v1, qted-v1 with ``--binary-feedback --alpha 0.5``
 (the snapped points are the candidates ``tell`` ranks), fixed 8b4, fixed
-16b8 and fixed 4b2 (the format that saturates most, so its saturating sums
-are replayed most often), each in a fresh temporary directory. Exits 0 only
-when every ``gen`` file and ``model.lama`` are byte-identical and every
-report and its summary match by ``tools/compare_reports.py`` (all but the
-wall-clock column and line); exits 1 and prints the first difference
-otherwise; exits 2 when a command fails in either checkout. Standard library
-only, so it runs against any checkout.
+16b8, fixed 4b2 (the format that saturates most, so its saturating sums are
+replayed most often) and fixed 8b0 (no integer bits: 1.0 saturates, so the
+search starts from a covariance register below the identity), each in a
+fresh temporary directory. Exits 0 only when every ``gen`` file and
+``model.lama`` are byte-identical and every report and its summary match by
+``tools/compare_reports.py`` (all but the wall-clock column and line);
+exits 1 and prints the first difference otherwise; exits 2 when a command
+fails in either checkout. Standard library only, so it runs against any
+checkout.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ MODES = {"none": ["none"], "ted": ["ted"], "ted-odd": ["ted", "--k", "3", "--lam
          "qted-v1": ["qted-v1"],
          "qted-v1-feedback": ["qted-v1", "--binary-feedback", "--alpha", "0.5"],
          "fixed-8b4": ["fixed", "--fmt", "8b4"], "fixed-16b8": ["fixed", "--fmt", "16b8"],
-         "fixed-4b2": ["fixed", "--fmt", "4b2"]}
+         "fixed-4b2": ["fixed", "--fmt", "4b2"], "fixed-8b0": ["fixed", "--fmt", "8b0"]}
 
 # runs the CLI of the checkout whose src is argv[1], refusing any other copy
 _RUN = """import sys
