@@ -10,11 +10,12 @@ unadapted one. Nothing in the decoder or subspace is ever modified.
 
 :func:`adapt_batch` runs its rows in lockstep, ``_LOCKSTEP_ROWS`` at a time,
 as the rows of one search machine driven by one :class:`cmaes.Search`: each
-generation is one :func:`cmaes.decompose_stale`, one noise draw, one
-``ask`` and one ``tell`` for all live rows, and one :func:`decoder.fitness`
-call per candidate. A row that fails is dropped and the others go on with
-the same bits, so a row's result does not depend on its batch. :func:`adapt`
-is the same runner, on one row or on one chunk of a batch.
+generation is at most one eigensolver call (rows start decomposed, so an
+8b4 chunk makes none), one noise draw, one ``ask`` and one ``tell`` for all
+live rows, and one :func:`decoder.fitness` call per candidate. A row that
+fails is dropped and the others go on with the same bits, so a row's result
+does not depend on its batch. :func:`adapt` is the same runner, on one row
+or on one chunk of a batch.
 """
 
 from __future__ import annotations

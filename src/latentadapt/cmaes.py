@@ -19,9 +19,10 @@ call of the row alone (gemv for a matrix-vector product, ddot for the
 squared path length, then its square root, where ``np.linalg.norm(axis=)``
 and ``einsum`` round differently); the step-size factor is ``math.exp`` per
 row, as ``np.exp`` may differ from it in the last bit; and fixed-point
-registers are exact integers. :func:`decompose_stale` solves the stale rows'
-matrices, each distinct one once, and keeps nothing between calls.
-:class:`Search` drives all rows of a machine, :func:`search` one.
+registers are exact integers. Rows start decomposed, and
+:meth:`CmaEs.prepare` solves those whose covariance ``tell`` has changed in
+one :func:`linalg.sym_eig_many` call. :class:`Search` drives all rows of a
+machine, :func:`search` one.
 """
 
 from __future__ import annotations
@@ -154,14 +155,14 @@ _CONSTANTS = (
 
 
 class Decomposition(NamedTuple):
-    """What a machine keeps of the eigen-decomposition of a row's covariance;
-    the machine holds one of stacks, one entry per row."""
+    """What a machine keeps of the eigen-decompositions of its rows'
+    covariances, as stacks with one entry per row."""
 
     vectors: np.ndarray                    # eigenvectors, by descending eigenvalue
     scale: np.ndarray                      # square roots of the eigenvalues
-    clamps: int = 0                        # fixed point: eigenvalues clamped up to the resolution
+    clamps: np.ndarray                     # fixed point: eigenvalues clamped up to the resolution
     invsqrt: Optional[np.ndarray] = None   # fixed point: C^(-1/2), tabulated in float and quantized
-    invsqrt_saturations: int = 0           # the table's, counted again by every tell that uses it
+    invsqrt_saturations: Optional[np.ndarray] = None  # the table's, counted again by every tell
 
 
 def _matvec(a, x):
@@ -205,12 +206,14 @@ class FloatOps:
         """Sigma as it is, and that no row was clamped."""
         return sigma, np.zeros(len(sigma), dtype=bool)
 
-    def decomposition(self, values, vectors) -> Decomposition:
-        if values[-1] <= 0.0:
-            raise ConvergenceFailure(
-                f"covariance lost positive definiteness (min eigenvalue {values[-1]:.3e})"
-            )
-        return Decomposition(vectors, np.sqrt(values), 0)
+    def decomposition(self, values, vectors) -> tuple[Decomposition, dict]:
+        """The rows' decompositions from their (B, k) eigenvalues and (B, k, k)
+        eigenvectors, and the rows that lost positive definiteness."""
+        errors = {j: ConvergenceFailure(
+            f"covariance lost positive definiteness (min eigenvalue {low:.3e})")
+            for j, low in enumerate(values[:, -1].tolist()) if low <= 0.0}
+        scale = np.sqrt(np.maximum(values, 0.0))  # a failed row's scale is not kept
+        return Decomposition(vectors, scale, np.zeros(len(values), dtype=np.int64)), errors
 
 
 class CmaEs:
@@ -218,7 +221,8 @@ class CmaEs:
 
     A machine holds its ``params`` and one row per seed (``seed`` is one int
     or a sequence of them), each an independent search on its own noise
-    stream, starting at zero mean, identity covariance and zeroed paths. It
+    stream, starting at zero mean, identity covariance (as its number system
+    holds it), zeroed paths and that covariance's decomposition. It
     proposes the points to evaluate (``ask``, a (B, population, dim) float
     array), takes back their fitnesses (``tell``) and drops rows (``keep``).
     Single-owner: drive from one thread only.
@@ -240,10 +244,11 @@ class CmaEs:
         self.path_c = ops.quantize(np.zeros((b, k)))
         self.generation = 0
         self._candidates = None  # asked, not yet told
-        # the identity's eigenpairs, a placeholder until each stale row is decomposed
-        self.decomposition = Decomposition(*(None if f is None else np.array([f] * b)
-                                             for f in ops.decomposition(np.ones(k), np.eye(k))))
-        self.stale = np.ones(b, dtype=bool)
+        # the register is a multiple of the identity, whose eigenpairs are its
+        # diagonal and the identity, as the eigensolver returns them
+        self.decomposition, _ = ops.decomposition(
+            ops.to_float(self.cov).diagonal(axis1=1, axis2=2), np.tile(np.eye(k), (b, 1, 1)))
+        self.stale = np.zeros(b, dtype=bool)  # a row's register changed since its decomposition
         # strategy constants, quantized once per machine and shared by its rows:
         # in one row, so that a saturation counts for every row
         values = [0.0, 1.0, params.chi_n] + [value(params) for _, _, value in _CONSTANTS]
@@ -252,9 +257,26 @@ class CmaEs:
         for attr, register in zip(["zero", "one", "chi"] + [c[0] for c in _CONSTANTS], shared[mu:]):
             setattr(self, attr, register)
 
-    def prepare(self) -> dict[int, Optional[Exception]]:
-        """Make every row ready to ask; the outcome of :func:`decompose_stale`."""
-        return decompose_stale(self)
+    def prepare(self) -> dict[int, Exception]:
+        """Make every row ready to ask: decompose the covariances of the stale
+        rows in one :func:`linalg.sym_eig_many` call and keep, by mask, what
+        the number system derives from their eigenpairs. Returns the rows
+        that failed, in order, each with the error that stops it; a failed
+        row stays stale."""
+        if not self.stale.any():
+            return {}
+        stale = np.flatnonzero(self.stale)
+        values, vectors, errors = linalg.sym_eig_many(self.ops.to_float(self.cov[stale]),
+                                                      self.params.dim)
+        dec, failed = self.ops.decomposition(values, vectors)
+        failed.update(errors)  # an eigensolver failure is the cause
+        done = np.ones(len(stale), dtype=bool)
+        done[list(failed)] = False
+        for whole, part in zip(self.decomposition, dec):
+            if whole is not None:
+                whole[stale[done]] = part[done]
+        self.stale[stale[done]] = False
+        return {int(stale[j]): failed[j] for j in sorted(failed)}
 
     def keep(self, rows) -> None:
         """Keep only ``rows`` (a mask or positions), in order, dropping the rest."""
@@ -345,34 +367,6 @@ class CmaEs:
         self._candidates = None
 
 
-def decompose_stale(machine) -> dict[int, Optional[Exception]]:
-    """Decompose the covariance of every stale row of ``machine`` and keep
-    what its number system derives from the eigenpairs: one
-    :func:`linalg.sym_eig_many` call, which solves each distinct matrix once.
-    Returns the rows that took part, each mapped to None, or to the
-    exception that stops it; a failed row stays stale.
-    """
-    if not machine.stale.any():
-        return {}
-    stale = np.flatnonzero(machine.stale).tolist()
-    matrices = machine.ops.to_float(machine.cov[stale])
-    keys = dict(zip(stale, (matrix.tobytes() for matrix in matrices)))
-    distinct = dict(zip(keys.values(), matrices))
-    found = dict(zip(distinct, linalg.sym_eig_many(list(distinct.values()), machine.params.dim)))
-    outcome: dict[int, Optional[Exception]] = {}
-    for i, key in keys.items():
-        try:
-            if isinstance(found[key], Exception):
-                raise found[key]
-            for whole, part in zip(machine.decomposition, machine.ops.decomposition(*found[key])):
-                if whole is not None:
-                    whole[i] = part
-            machine.stale[i], outcome[i] = False, None
-        except (ContractViolation, ConvergenceFailure) as exc:
-            outcome[i] = exc
-    return outcome
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     best_p: np.ndarray
@@ -413,7 +407,8 @@ class Search:
             baseline = np.asarray(baseline, dtype=np.float64)
             if baseline.shape != (machine.params.dim,):
                 raise ContractViolation("baseline must have the search dimension")
-            point = machine.ops.to_float(machine.ops.quantize(baseline))  # in its number system
+            # in its number system, as one row all rows share
+            point = machine.ops.to_float(machine.ops.quantize(baseline[None])[0])
             fits, _ = self._evaluate(np.broadcast_to(point, (count, 1, point.size)))
             self.best_f[self.rows] = fits[:, 0]
             self.best_p = np.tile(point, (count, 1))
@@ -452,8 +447,7 @@ class Search:
     def step(self) -> None:
         """One generation of every live row."""
         start, rows, own = time.perf_counter(), self.rows, self.seconds.sum()
-        self._drop({int(rows[j]): exc for j, exc in self.machine.prepare().items()
-                    if exc is not None})
+        self._drop({int(rows[j]): exc for j, exc in self.machine.prepare().items()})
         if self.rows.size:
             points = np.asarray(self.machine.ask())
             fits, kept = self._evaluate(points)

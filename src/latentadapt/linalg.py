@@ -21,7 +21,10 @@ then full row update, then the eigenvector update) bit for bit, with five
 array steps per rotation and ``O(n^2)`` memory.
 
 :func:`sym_eig_many` is the one sweep driver, and :func:`sym_eig` is it on
-a list of one matrix. It keeps the lane matrices of all its matrices as one
+a stack of one matrix. It takes a ``(B, n, n)`` stack and returns stacks: the
+``(B, k)`` eigenvalues, the ``(B, n, k)`` eigenvectors and the failures by
+position, a matrix that is not finite or not symmetric being set aside by
+mask before any sweep. It keeps the lane matrices of all its matrices as one
 ``(n, 2n, B)`` stack, the stack axis last, tests each iterate's residual once
 per sweep, and picks the kernel of each sweep from the number of iterates not
 yet converged. From ``_STACK_MIN`` = 10 on, the crossover measured for
@@ -33,7 +36,7 @@ tolerance keeps its lanes by selection. Fewer live iterates are each swept
 alone, in scalar arithmetic on a contiguous copy of their lane matrix, which
 costs about a seventh of a sweep of a one-matrix stack. A converged iterate
 leaves the sweeps, so no arithmetic touches it, and every matrix gets the
-same bits in any list and under either kernel.
+same bits in any stack and under either kernel.
 """
 
 from __future__ import annotations
@@ -51,29 +54,20 @@ _MAX_SWEEPS = 100
 _STACK_MIN = 10  # fewer live iterates are swept one at a time; see sym_eig_many
 
 
-def _as_matrix(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ContractViolation(f"{name} must be a non-empty 2-d array")
-    if not np.all(np.isfinite(a)):
-        raise ContractViolation(f"{name} contains non-finite entries")
-    return a
-
-
-def _top_pairs(values: np.ndarray, vt: np.ndarray, k: int) -> list:
+def _top_pairs(values: np.ndarray, vt: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each matrix of a stack, given its (B, n) eigenvalues and its
     eigenvectors as the rows of ``vt[b]``: the ``k`` largest eigenvalues in
-    non-increasing order, ties in index order, and their eigenvectors as the
-    columns of a fresh (n, k) array, each with its largest-magnitude
-    component positive (ties to the lowest index, as argmax takes the first
-    maximum)."""
+    non-increasing order, ties in index order, as a (B, k) array, and their
+    eigenvectors as the columns of a C-contiguous (B, n, k) array, each with
+    its largest-magnitude component positive (ties to the lowest index, as
+    argmax takes the first maximum)."""
     order = np.argsort(-values, axis=1, kind="stable")[:, :k]
     top_values = np.take_along_axis(values, order, axis=1)
     vectors = np.take_along_axis(vt, order[:, :, None], axis=1)
     peak = np.abs(vectors).argmax(axis=2)[:, :, None]
     flip = np.take_along_axis(vectors, peak, axis=2) < 0.0
     vectors = np.where(flip, -vectors, vectors).transpose(0, 2, 1)
-    return [(v.copy(), np.ascontiguousarray(u)) for v, u in zip(top_values, vectors)]
+    return top_values, np.ascontiguousarray(vectors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -94,21 +88,6 @@ def _rotation_plan(n: int) -> tuple:
     return tuple(plan)
 
 
-def _checked(s: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """The input checks of :func:`sym_eig`; returns the matrix as float64
-    and its Frobenius norm."""
-    s = _as_matrix(s, "s")
-    n = s.shape[0]
-    if s.shape[1] != n:
-        raise ContractViolation(f"matrix must be square, got {s.shape}")
-    if not (1 <= k <= n):
-        raise ContractViolation(f"k must be in [1, {n}], got {k}")
-    fro = float(np.sqrt(np.sum(s * s)))
-    if np.max(np.abs(s - s.T)) > _SYMMETRY_RTOL * max(fro, 1.0):
-        raise ContractViolation("matrix is not symmetric within tolerance")
-    return s, fro
-
-
 def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` eigenpairs of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -118,41 +97,43 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     input (or is exactly zero), capped at 100 sweeps. Each eigenvector's sign
     is fixed so its largest-magnitude component is positive.
     """
-    found = sym_eig_many([s], k)[0]
-    if isinstance(found, Exception):
-        raise found
-    return found
+    values, vectors, errors = sym_eig_many(np.asarray(s, dtype=np.float64)[None], k)
+    if errors:
+        raise errors[0]
+    return values[0], vectors[0]
 
 
-def sym_eig_many(matrices: list, k: int) -> list:
-    """:func:`sym_eig` of each of a list of n x n matrices, all of one n, one
-    result per matrix: its ``(values, vectors)``, or the
+def sym_eig_many(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """:func:`sym_eig` of each matrix of a (B, n, n) stack, n >= 1: the
+    (B, k) eigenvalues, the (B, n, k) eigenvectors and, by position, the
     :class:`ContractViolation` or :class:`ConvergenceFailure` that
-    :func:`sym_eig` raises for it.
+    :func:`sym_eig` raises for a matrix, whose entries are then no
+    eigenpairs. Any other stack, or a ``k`` outside [1, n], is refused whole.
 
-    Each sweep drops the converged iterates and rotates the rest: as one
-    stack while at least ``_STACK_MIN`` are live, else each alone.
+    A non-finite or non-symmetric matrix is set aside by mask before any
+    sweep. Each sweep drops the converged iterates and rotates the rest: as
+    one stack while at least ``_STACK_MIN`` are live, else each alone.
     """
-    found: list = [None] * len(matrices)
-    valid, inputs, fros = [], [], []
-    for i, s in enumerate(matrices):
-        try:
-            s, fro = _checked(s, k)
-        except ContractViolation as exc:
-            found[i] = exc
-            continue
-        valid.append(i)
-        inputs.append(s)
-        fros.append(fro)
-    if not valid:
-        return found
+    s = np.asarray(stack, dtype=np.float64)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] == 0:
+        raise ContractViolation(f"need a stack of non-empty square matrices, got {s.shape}")
+    b, n = s.shape[:2]
+    if not (1 <= k <= n):
+        raise ContractViolation(f"k must be in [1, {n}], got {k}")
+    finite = np.isfinite(s).all(axis=(1, 2))
+    s = np.where(finite[:, None, None], s, 0.0)  # a zero matrix is never swept
+    fros = np.sqrt(np.sum(s * s, axis=(1, 2)))
+    asymmetric = np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2)) \
+        > _SYMMETRY_RTOL * np.maximum(fros, 1.0)
+    s[asymmetric] = 0.0
+    errors = {j: ContractViolation("s contains non-finite entries" if not finite[j]
+                                   else "matrix is not symmetric within tolerance")
+              for j in np.flatnonzero(~finite | asymmetric).tolist()}
 
-    s = np.stack(inputs, axis=2)
-    n, b = s.shape[0], s.shape[2]
     lanes = np.empty((n, 2 * n, b), dtype=np.float64)
-    lanes[:, :n] = (s + s.transpose(1, 0, 2)) / 2.0
+    lanes[:, :n] = (s + s.transpose(0, 2, 1)).transpose(1, 2, 0) / 2.0
     lanes[:, n:] = np.eye(n, dtype=np.float64)[:, :, None]
-    tol = _OFFDIAG_RTOL * np.array(fros)
+    tol = _OFFDIAG_RTOL * fros
 
     live = np.arange(b)
     for _ in range(_MAX_SWEEPS):
@@ -173,16 +154,13 @@ def sym_eig_many(matrices: list, k: int) -> list:
     else:
         residuals = _residuals(lanes[:, :, live])
         capped = residuals > tol[live]
-        for j, residual in zip(live[capped], residuals[capped]):
-            found[valid[j]] = ConvergenceFailure(
+        for j, residual in zip(live[capped].tolist(), residuals[capped]):
+            errors[j] = ConvergenceFailure(
                 f"Jacobi sweep cap reached, off-diagonal residual {residual:.3e}")
 
     diagonals = lanes.reshape(2 * n * n, b)[:: 2 * n + 1].T
-    pairs = _top_pairs(diagonals, lanes[:, n:].transpose(2, 0, 1), k)
-    for i, pair in zip(valid, pairs):
-        if found[i] is None:
-            found[i] = pair
-    return found
+    values, vectors = _top_pairs(diagonals, lanes[:, n:].transpose(2, 0, 1), k)
+    return values, vectors, dict(sorted(errors.items()))
 
 
 def _residuals(lanes: np.ndarray) -> np.ndarray:

@@ -22,9 +22,10 @@ h_sigma gate give the bits of skipping its terms. Division is only by
 positive registers (each row's sigma, clamped to at least 1, and chi).
 
 A row's covariance decomposition clamps its eigenvalues up to the
-resolution and tabulates C^(-1/2); the row keeps it while its register stays
-unchanged bit for bit, as always when c_1 and c_mu round to 0 and
-1-c_1-c_mu to 1.
+resolution and tabulates C^(-1/2). A row starts with that of its initial
+register (the identity, or below it where 1.0 saturates) and keeps it while
+the register stays unchanged bit for bit, as always when c_1 and c_mu round
+to 0 and 1-c_1-c_mu to 1: such a search never calls the eigensolver.
 """
 
 from __future__ import annotations
@@ -122,11 +123,11 @@ class BinaryCmaes(CmaEs):
 
     def prepare(self) -> dict:
         """Also refuses each row whose magnitude is not finite and positive."""
-        outcome = super().prepare()
-        for i in np.flatnonzero(~(np.isfinite(self.sigma) & (self.sigma > 0.0))).tolist():
-            if self.alpha is None and outcome.get(i) is None:
-                outcome[i] = ContractViolation("magnitude must be finite and > 0")
-        return outcome
+        failed = super().prepare()
+        if self.alpha is None:
+            for i in np.flatnonzero(~(np.isfinite(self.sigma) & (self.sigma > 0.0))).tolist():
+                failed.setdefault(i, ContractViolation("magnitude must be finite and > 0"))
+        return failed
 
     def ask(self) -> np.ndarray:
         alpha = self.sigma[:, None, None] if self.alpha is None else self.alpha
@@ -287,15 +288,16 @@ class _FixedOps:
         clamped = sigma <= 0
         return np.where(clamped, 1, sigma), clamped
 
-    def decomposition(self, values, vectors) -> Decomposition:
-        """The eigenvalues clamped up to the resolution, and C^(-1/2)
-        tabulated in float from them and quantized."""
-        table = _FixedOps(self.fmt)  # counts the table's saturations alone
+    def decomposition(self, values, vectors) -> tuple[Decomposition, dict]:
+        """The rows' decompositions from their (B, k) eigenvalues and (B, k, k)
+        eigenvectors: the eigenvalues clamped up to the resolution, and
+        C^(-1/2) tabulated in float from them and quantized. No row fails."""
+        table = _FixedOps(self.fmt, len(values))  # counts the tables' saturations alone
         floor = self.fmt.resolution
         scale = np.sqrt(np.maximum(values, floor))
-        invsqrt = table.quantize(vectors @ ((1.0 / scale)[:, None] * vectors.T))
-        return Decomposition(vectors, scale, int(np.count_nonzero(values < floor)),
-                             invsqrt, int(table.saturations[0]))
+        invsqrt = table.quantize(vectors @ ((1.0 / scale)[:, :, None] * np.swapaxes(vectors, 1, 2)))
+        return Decomposition(vectors, scale, np.count_nonzero(values < floor, axis=1),
+                             invsqrt, table.saturations), {}
 
 
 class FixedCmaes(CmaEs):

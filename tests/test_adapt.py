@@ -530,25 +530,21 @@ def test_a_row_leaving_the_lockstep_draw_shifts_no_other_row(monkeypatch, mode, 
         alone[:leaving] + alone[leaving + 1:]
 
 
-def test_an_8b4_batch_and_single_rows_after_it_make_one_eigensolve(monkeypatch):
-    # at 8b4 and k = 16 the covariance never moves: a whole batch and each
-    # single row after it make one solve of the identity per call
+def test_an_8b4_batch_and_single_rows_after_it_make_no_eigensolve(monkeypatch):
+    # at 8b4 and k = 16 the covariance never moves from the identity, which
+    # every row starts decomposed: neither a batch nor a single row solves
     task = datagen.make_task(class_count=4, dim=20, seed=24)
     source, _ = datagen.gen_source(task, 50, stream=0)
     sub, dec = fit(source, 16), datagen.make_decoder(task)
     rows, _ = datagen.gen_source(task, 6, stream=10)
     solved = []
     real = linalg.sym_eig_many
-    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
+    monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.append(len(mats)) or real(mats, k))
     cfg = AdaptationConfig(k=16, n=3, seed=5, mode="fixed", fixed_format=FixedPointFormat(8, 4))
     batch = adapt_batch(rows[:23], dec, sub, cfg)
     assert len(batch.results) == 23 and not batch.errors
-    assert len(solved) == 1
     again = adapt_batch(rows[:23], dec, sub, cfg)  # nothing is kept from the first run
-    assert len(solved) == 2
     assert [_row_bits(r) for r in again.results] == [_row_bits(r) for r in batch.results]
     for z in rows[:2]:
         adapt(z, dec, sub, cfg)
-    assert len(solved) == 4
-    for matrix in solved:
-        np.testing.assert_array_equal(matrix, np.eye(16))
+    assert solved == []

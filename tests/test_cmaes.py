@@ -85,7 +85,46 @@ def test_init_contract():
     np.testing.assert_array_equal(machine.path_sigma, [[0.0, 0.0]])
     np.testing.assert_array_equal(machine.path_c, [[0.0, 0.0]])
     assert machine.generation == 0
-    assert machine.stale.tolist() == [True]
+    assert machine.stale.tolist() == [False]  # decomposed from the start, see below
+
+
+def _fixed(fmt):
+    return lambda params, seed: quant.FixedCmaes(params, quant.FixedPointFormat.parse(fmt), seed)
+
+
+@pytest.mark.parametrize("make", [cmaes.CmaEs, quant.BinaryCmaes] + [
+    _fixed(fmt) for fmt in ("8b4", "16b8", "4b0", "8b0")],
+    ids=["float", "binary", "8b4", "16b8", "4b0", "8b0"])
+def test_a_fresh_machine_holds_the_eigensolver_s_decomposition_of_its_register(monkeypatch, make):
+    # the start register is a multiple of the identity (below it where 1.0
+    # saturates, as at 4b0 and 8b0): each row holds what the eigensolver's
+    # pairs give, and its first generation makes no solve but the counts and
+    # candidates of a twin that solves its register
+    params = cmaes.CmaEsParams.defaults(6)
+    fresh, twin = make(params, [3, 4]), make(params, [3, 4])
+    for i in range(2):
+        values, vectors = linalg.sym_eig(fresh.ops.to_float(fresh.cov[i]), 6)
+        want, errors = fresh.ops.decomposition(values[None], vectors[None])
+        assert errors == {}
+        for got, expected in zip(fresh.decomposition, want):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.asarray(got[i]).tobytes() == np.asarray(expected[0]).tobytes()
+    twin.stale[:] = True
+    solved = []
+    real = linalg.sym_eig_many
+    monkeypatch.setattr(linalg, "sym_eig_many",
+                        lambda mats, k: solved.append(len(mats)) or real(mats, k))
+    asked = [fresh.ask(), twin.ask()]
+    assert solved == [2]  # the twin's
+    assert asked[0].tobytes() == asked[1].tobytes()
+    for machine, points in zip((fresh, twin), asked):
+        machine.tell([[sphere(p) for p in row] for row in points])
+    assert fresh.cov.tobytes() == twin.cov.tobytes()
+    assert fresh.mean.tobytes() == twin.mean.tobytes()
+    if fresh.quant_warnings is not None:
+        for name, counts in fresh.quant_warnings.items():
+            assert counts.tolist() == twin.quant_warnings[name].tolist()
 
 
 def test_init_bit_identical_for_equal_seeds():
@@ -125,6 +164,7 @@ def test_ask_monte_carlo_anisotropic_covariance():
     params = cmaes.CmaEsParams.defaults(2)
     machine = cmaes.CmaEs(params, 10)
     machine.cov[0] = np.diag([4.0, 1.0])
+    machine.stale[0] = True  # a register written since its decomposition
     draws = []
     while len(draws) < 40_000:
         draws.extend(machine.ask()[0])
@@ -384,7 +424,7 @@ def test_stacked_float_primitives_equal_the_per_row_expressions(rows, lam, k, se
 
 def _ask_one_row_at_a_time(machine):
     """The float ask as one normals draw and one matvec per candidate."""
-    cmaes.decompose_stale(machine)
+    assert machine.prepare() == {}
     vectors, scale = machine.decomposition.vectors[0], machine.decomposition.scale[0]
     rng = machine.rngs[0].clone()
     candidates = []
@@ -455,7 +495,7 @@ def _told(machine):
 
 
 @pytest.mark.parametrize("count", [4, linalg._STACK_MIN + 2])
-def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(monkeypatch, count):
+def test_prepare_gives_each_row_its_own_decomposition_or_error(monkeypatch, count):
     # a machine of float rows, an 8b4 row with a clamped eigenvalue and two
     # 16b8 rows with one matrix, each row with a twin that decomposes alone
     params = cmaes.CmaEsParams.defaults(6)
@@ -467,6 +507,7 @@ def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(monke
                                                            for seed in seeds]
         for m in group:
             m.cov[:, 0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+            m.stale[:] = True  # a register written since its decomposition
             if len(seeds) == 2:
                 _told(m)  # a register that is not diagonal
         machines.append(group[0])
@@ -475,32 +516,33 @@ def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(monke
            2: np.triu(np.ones((6, 6)))}
     for i, cov in bad.items():
         machines[0].cov[i] = twins[0][i].cov[0] = cov
+        machines[0].stale[i] = twins[0][i].stale[0] = True
 
     solved = []
     real = linalg.sym_eig_many
     monkeypatch.setattr(linalg, "sym_eig_many",
                         lambda mats, k: solved.append(len(mats)) or real(mats, k))
-    outcomes = [cmaes.decompose_stale(machine) for machine in machines]
-    assert solved == [count, 1, 1]  # the two 16b8 rows share one matrix
-    monkeypatch.setattr(linalg, "sym_eig_many", real)
+    failures = [machine.prepare() for machine in machines]
+    assert solved == [count, 1, 2]  # one call a machine, one matrix a stale row
     wants = []
-    for machine, outcome, alone in zip(machines, outcomes, twins):
-        assert set(outcome) == set(range(len(alone)))
+    for machine, failed, alone in zip(machines, failures, twins):
+        assert set(failed) == (set(bad) if machine is machines[0] else set())
         for i, twin in enumerate(alone):
             want, error = _ask(twin)
             wants.append(want)
-            if i in bad and machine is machines[0]:
-                assert type(outcome[i]) is type(error) and str(outcome[i]) == str(error)
+            if i in failed:
+                assert type(failed[i]) is type(error) and str(failed[i]) == str(error)
                 assert machine.stale[i]
                 continue
-            assert error is None and outcome[i] is None and not machine.stale[i]
+            assert error is None and not machine.stale[i]
             for got, expected in zip(machine.decomposition, twin.decomposition):
                 if got is not None:
                     assert np.asarray(got[i]).tobytes() == np.asarray(expected[0]).tobytes()
-    assert "positive definiteness" in str(outcomes[0][0])
-    assert isinstance(outcomes[0][2], ContractViolation)
+    assert "positive definiteness" in str(failures[0][0])
+    assert isinstance(failures[0][2], ContractViolation)
     # a failed row stays stale, and a decomposed one takes no part again
-    assert set(cmaes.decompose_stale(machines[0])) == set(bad)
+    solved.clear()
+    assert list(machines[0].prepare()) == sorted(bad) and solved == [len(bad)]
     machines[0].keep(~machines[0].stale)
     del twins[0][:len(bad)], wants[:len(bad)]
     for machine, alone in zip(machines, twins):
@@ -510,6 +552,7 @@ def test_decompose_stale_gives_each_machine_its_own_decomposition_or_error(monke
             if twin.quant_warnings is not None:
                 assert {name: counts[i] for name, counts in machine.quant_warnings.items()} \
                     == twin.quant_warnings
+    assert solved == [len(bad)]
     assert machines[2].cov[0].tobytes() == machines[2].cov[1].tobytes()
     assert machines[1].eig_clamps.tolist() == [1] and machines[2].eig_clamps.tolist() == [2, 2]
 

@@ -230,19 +230,21 @@ def test_sym_eig_bit_identical_property(m):
 
 def test_sym_eig_bit_identical_on_a_float_cmaes_run(monkeypatch):
     # the covariances a k=16 float search on the sphere decomposes in
-    # generations 1-7, as in an n=8 harness adaptation
+    # generations 1-7, as in an n=8 harness adaptation; generation 0 uses
+    # the identity's eigenpairs the machine starts with
     seen = []
     real = linalg.sym_eig_many
 
     def recording(mats, k):
-        seen.extend(np.array(s, copy=True) for s in mats)
+        seen.extend(np.array(mats, copy=True))
         return real(mats, k)
 
     monkeypatch.setattr(linalg, "sym_eig_many", recording)
     params = cmaes.CmaEsParams.defaults(16)
     cmaes.search(cmaes.CmaEs(params, 14), lambda p: float(p @ p), 8)
-    assert len(seen) == 8 and np.array_equal(seen[0], np.eye(16))
-    for generation in seen[1:]:
+    monkeypatch.setattr(linalg, "sym_eig_many", real)
+    assert len(seen) == 7
+    for generation in seen:
         assert not np.array_equal(generation, np.eye(16))
         _assert_matches_reference(generation)
 
@@ -287,17 +289,22 @@ def _mixed_stack(rng, n, count):
         lambda: _random_spd(rng, n),
         lambda: np.eye(n),
     ]
-    return [kinds[i % len(kinds)]() for i in range(count)]
+    return np.array([kinds[i % len(kinds)]() for i in range(count)])
 
 
-def _assert_each_matches_reference(mats, found, k):
-    assert len(found) == len(mats)
-    for s, item in zip(mats, found):
-        ref_values, ref_vectors = _reference_sym_eig(s, k)
-        values, vectors = item
-        assert values.tobytes() == ref_values.tobytes()
-        assert vectors.tobytes() == ref_vectors.tobytes()
-        assert vectors.flags.c_contiguous and vectors.shape == (s.shape[0], k)
+def _assert_each_matches_reference(mats, found, k, failed=()):
+    """The stacks of ``sym_eig_many``: every matrix but those at ``failed``
+    has the reference's bits, and only those failed."""
+    values, vectors, errors = found
+    assert sorted(errors) == sorted(failed)
+    n = mats.shape[1]
+    assert values.shape == (len(mats), k) and vectors.shape == (len(mats), n, k)
+    assert vectors.flags.c_contiguous
+    for i, s in enumerate(mats):
+        if i not in errors:
+            ref_values, ref_vectors = _reference_sym_eig(s, k)
+            assert values[i].tobytes() == ref_values.tobytes()
+            assert vectors[i].tobytes() == ref_vectors.tobytes()
 
 
 def _record_kernels(monkeypatch):
@@ -335,13 +342,15 @@ def _single_outcome(s, k):
 
 
 def _assert_same_failures(mats, found, k):
-    for s, item in zip(mats, found):
+    values, vectors, errors = found
+    for i, s in enumerate(mats):
         expected = _single_outcome(s, k)
         if isinstance(expected, Exception):
-            assert type(item) is type(expected) and str(item) == str(expected)
+            assert type(errors[i]) is type(expected) and str(errors[i]) == str(expected)
         else:
-            assert expected[0].tobytes() == item[0].tobytes()
-            assert expected[1].tobytes() == item[1].tobytes()
+            assert i not in errors
+            assert expected[0].tobytes() == values[i].tobytes()
+            assert expected[1].tobytes() == vectors[i].tobytes()
 
 
 @pytest.mark.parametrize("count", [6, 2 * linalg._STACK_MIN])
@@ -349,10 +358,11 @@ def test_sweep_cap_fails_only_the_matrices_that_need_more_sweeps(monkeypatch, co
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     mats = _mixed_stack(np.random.default_rng(600 + count), 8, count)
     found = linalg.sym_eig_many(mats, 8)
-    failed = [i for i, item in enumerate(found) if isinstance(item, ConvergenceFailure)]
+    errors = found[2]
     # the CMA-ES shaped and the SPD matrices need more than one sweep
-    assert failed == [i for i in range(count) if i % 6 in (3, 4)]
-    assert all("Jacobi sweep cap reached" in str(found[i]) for i in failed)
+    assert list(errors) == [i for i in range(count) if i % 6 in (3, 4)]
+    assert all(type(exc) is ConvergenceFailure and "Jacobi sweep cap reached" in str(exc)
+               for exc in errors.values())
     _assert_same_failures(mats, found, 8)
 
 
@@ -364,11 +374,11 @@ def test_bad_matrices_in_a_stack_fail_alone(count):
     mats[3] = _random_spd(rng, 6)
     mats[3][0, 5] += 1.0
     found = linalg.sym_eig_many(mats, 6)
-    assert isinstance(found[1], ContractViolation) and "non-finite" in str(found[1])
-    assert isinstance(found[3], ContractViolation) and "not symmetric" in str(found[3])
+    errors = found[2]
+    assert isinstance(errors[1], ContractViolation) and "non-finite" in str(errors[1])
+    assert isinstance(errors[3], ContractViolation) and "not symmetric" in str(errors[3])
     _assert_same_failures(mats, found, 6)
-    good = [i for i in range(count) if i not in (1, 3)]
-    _assert_each_matches_reference([mats[i] for i in good], [found[i] for i in good], 6)
+    _assert_each_matches_reference(mats, found, 6, failed=(1, 3))
 
 
 def test_a_shrinking_stack_is_handed_to_the_per_matrix_sweep(monkeypatch):
@@ -385,5 +395,17 @@ def test_a_shrinking_stack_is_handed_to_the_per_matrix_sweep(monkeypatch):
     ran.clear()
     found = linalg.sym_eig_many(mats, 16)
     assert ("stack", 12) in ran and ("one", 1) in ran
-    assert any(isinstance(item, ConvergenceFailure) for item in found)
+    assert any(isinstance(exc, ConvergenceFailure) for exc in found[2].values())
     _assert_same_failures(mats, found, 16)
+
+
+@pytest.mark.parametrize("shape, k", [((3, 3), 1), ((2, 3, 4), 1), ((2, 0, 0), 1),
+                                      ((2, 3, 3), 0), ((2, 3, 3), 4)])
+def test_a_stack_that_is_not_square_matrices_or_a_bad_k_is_refused_whole(shape, k):
+    with pytest.raises(ContractViolation):
+        linalg.sym_eig_many(np.zeros(shape), k)
+
+
+def test_an_empty_stack_gives_empty_stacks():
+    values, vectors, errors = linalg.sym_eig_many(np.zeros((0, 4, 4)), 2)
+    assert values.shape == (0, 2) and vectors.shape == (0, 4, 2) and errors == {}

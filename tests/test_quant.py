@@ -289,6 +289,17 @@ def test_fixed_cmaes_baseline_guarantee_and_budget():
     assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
 
 
+@pytest.mark.parametrize("rows", [3, 4, 5])
+def test_a_shared_baseline_s_saturation_counts_for_every_row(rows):
+    # the k = 4 baseline is one row all rows share, also when the machine
+    # has exactly k rows: 100 saturates at 8b4 and counts once for each
+    params = cmaes.CmaEsParams.defaults(4)
+    run = cmaes.Search(FixedCmaes(params, F8B4, range(rows)), sphere,
+                       np.array([100.0, 0.0, 0.0, 0.0]))
+    assert run.machine.ops.saturations.tolist() == [1] * rows
+    assert run.best_p.tolist() == [[F8B4.max_value, 0.0, 0.0, 0.0]] * rows
+
+
 def test_fixed_cmaes_deterministic():
     params = cmaes.CmaEsParams.defaults(2)
     r1 = cmaes.search(FixedCmaes(params, F8B4, 11), sphere, 20)
@@ -490,6 +501,7 @@ def _run_generations(monkeypatch, fmt, generations):
     monkeypatch.setattr(linalg, "sym_eig_many", lambda mats, k: solved.extend(mats) or real(mats, k))
     machine = FixedCmaes(cmaes.CmaEsParams.defaults(16), fmt, 3)
     machine.cov[0, 0, 0] = 0  # an eigenvalue of 0, clamped up to the resolution
+    machine.stale[0] = True  # a register written since its decomposition
     start = machine.cov.copy()
     for _ in range(generations):
         machine.tell([[sphere(p) for p in machine.ask()[0]]])
@@ -749,6 +761,7 @@ def test_a_machine_starts_from_registers_no_earlier_machine_changed():
     params = cmaes.CmaEsParams.defaults(16)
     first = FixedCmaes(params, F8B4, 4)
     first.cov[0, 0, 0] = 0  # as _run_generations does: an eigenvalue of 0, clamped
+    first.stale[0] = True
     first.w[0] = 0
     for _ in range(3):
         first.tell([[sphere(p) for p in first.ask()[0]]])
