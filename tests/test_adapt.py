@@ -153,15 +153,83 @@ def test_adapt_is_pure_given_config():
     assert r1.entropy_trace == r2.entropy_trace
 
 
+_GOOD = AdaptationConfig(k=4, n=2, seed=0)
+_BAD_K = AdaptationConfig(k=3, n=2)
+
+
+def _refusals(task, dec):
+    """Each row refusal of ``adapt`` on the subspace of ``_small_setup``, in
+    check order: name -> (latent, decoder, config, message)."""
+    wide = LinearDecoder(weights=np.hstack([dec.weights, dec.weights[:, :1]]), bias=dec.bias)
+    return {
+        "shape": (np.zeros(5), dec, _GOOD, f"latent must have shape ({task.dim},), got (5,)"),
+        "nonfinite": (np.full(task.dim, np.nan), dec, _GOOD, "latent contains non-finite entries"),
+        "k": (np.zeros(task.dim), dec, _BAD_K, "config k=3 does not match subspace k=4"),
+        "dims": (np.zeros(task.dim), wide, _GOOD, "decoder and subspace dimensions differ"),
+    }
+
+
 def test_adapt_rejects_bad_inputs():
     task, sub, dec = _small_setup(seed=11)
-    cfg = AdaptationConfig(k=4, n=2, seed=0)
-    with pytest.raises(ContractViolation):
-        adapt(np.zeros(5), dec, sub, cfg)  # wrong dimension
-    with pytest.raises(ContractViolation):
-        adapt(np.full(task.dim, np.nan), dec, sub, cfg)
-    with pytest.raises(ContractViolation):
-        adapt(np.zeros(task.dim), dec, sub, AdaptationConfig(k=3, n=2))  # k mismatch
+    for z, decoder, cfg, message in _refusals(task, dec).values():
+        with pytest.raises(ContractViolation) as info:
+            adapt(z, decoder, sub, cfg)
+        assert str(info.value) == message
+
+
+def test_a_latent_with_two_problems_reports_the_first_in_check_order():
+    task, sub, dec = _small_setup(seed=11)
+    refusals = _refusals(task, dec)
+    wide, message = refusals["dims"][1], {name: r[3] for name, r in refusals.items()}
+    two = [(np.full(5, np.nan), dec, _GOOD, message["shape"]),  # and non-finite
+           (np.full(task.dim, np.inf), dec, _BAD_K, message["nonfinite"]),  # and k
+           (np.zeros(task.dim), wide, _BAD_K, message["k"])]  # and the dimensions
+    for z, decoder, cfg, first in two:
+        with pytest.raises(ContractViolation) as info:
+            adapt(z, decoder, sub, cfg)
+        assert str(info.value) == first
+        batch = adapt_batch(np.atleast_2d(z), decoder, sub, cfg)
+        assert [str(exc) for exc in batch.errors.values()] == [first]
+
+
+@pytest.mark.parametrize("mode, fmt", [("none", None), ("ted", None), ("qted-v1", None),
+                                       ("fixed", FixedPointFormat(8, 4))],
+                         ids=["none", "ted", "qted-v1", "8b4"])
+def test_a_refused_middle_row_leaves_the_others_their_bits_alone(mode, fmt):
+    task, sub, dec = _small_setup(seed=11)
+    rows = task.class_means[np.arange(7) % 4] * 0.5 + 0.1 * np.arange(7)[:, None]
+    rows[3, 2] = np.nan
+    cfg = AdaptationConfig(k=4, n=3, seed=17, mode=mode, fixed_format=fmt)
+    batch = adapt_batch(rows, dec, sub, cfg)
+    assert list(batch.errors) == [3]
+    assert isinstance(batch.errors[3], ContractViolation)
+    assert str(batch.errors[3]) == "latent contains non-finite entries"
+    assert batch.results[3] is None
+    assert len(batch.wall_ms) == 7 and all(w >= 0.0 for w in batch.wall_ms)
+    for i, got in enumerate(batch.results):
+        if i == 3:
+            continue
+        alone = adapt(rows[i], dec, sub, cfg.with_seed(derive_seed(17, i)))
+        assert got.p_star.tobytes() == alone.p_star.tobytes()
+        assert got.z_adapted.tobytes() == alone.z_adapted.tobytes()
+        assert np.array(got.entropy_trace).tobytes() == np.array(alone.entropy_trace).tobytes()
+        assert (got.evaluations, got.nonfinite_count, got.quant_warnings) \
+            == (alone.evaluations, alone.nonfinite_count, alone.quant_warnings)
+        _same_prediction(got.prediction, alone.prediction)
+        _same_prediction(got.baseline_prediction, alone.baseline_prediction)
+
+
+def test_a_refusal_of_every_row_is_reported_per_row_and_nothing_raises():
+    task, sub, dec = _small_setup(seed=11)
+    for name, (z, decoder, cfg, message) in _refusals(task, dec).items():
+        if name == "nonfinite":
+            continue  # a property of one row, pinned above
+        batch = adapt_batch(np.tile(z, (3, 1)), decoder, sub, cfg)
+        assert batch.results == [None] * 3
+        assert list(batch.errors) == [0, 1, 2]
+        assert all(type(exc) is ContractViolation and str(exc) == message
+                   for exc in batch.errors.values())
+        assert len(batch.wall_ms) == 3 and all(w >= 0.0 for w in batch.wall_ms)
 
 
 def test_batch_single_row_matches_adapt_with_derived_seed():
