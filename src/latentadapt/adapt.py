@@ -12,10 +12,12 @@ unadapted one. Nothing in the decoder or subspace is ever modified.
 as the rows of one search machine driven by one :class:`cmaes.Search`: each
 generation is at most one eigensolver call (rows start decomposed, so an
 8b4 chunk makes none), one noise draw, one ``ask`` and one ``tell`` for all
-live rows, and one :func:`decoder.fitness` call per candidate. A row that
-fails is dropped and the others go on with the same bits, so a row's result
-does not depend on its batch. :func:`adapt` is the same runner, on one row
-or on one chunk of a batch.
+live rows, and one :func:`decoder.fitness` call per candidate. Every row of
+a chunk is a row of the machine: a row whose latent is refused gets an
+objective that raises the refusal, so it fails at its baseline evaluation,
+before any noise is drawn. A row that fails is dropped and the others go on
+with the same bits, so a row's result does not depend on its batch.
+:func:`adapt` is the same runner, on one row or on one chunk of a batch.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, decode, fitness
-from .errors import ContractViolation, ConvergenceFailure
+from .errors import ContractViolation
 from .quant import FixedPointFormat
 from .rng import derive_seed
 from .subspace import PrincipalSubspace, apply_correction
@@ -117,27 +119,31 @@ def adapt(
     """
     if indices is not None:
         z_rows, indices = _checked_batch(z_t, indices)
-        return _run(z_rows, decoder, s, cfg, indices)
-    batch = _run([z_t], decoder, s, cfg, None)
+        return _run(z_rows, decoder, s, cfg, [derive_seed(cfg.seed, int(i)) for i in indices])
+    batch = _run([z_t], decoder, s, cfg, [cfg.seed])
     if batch.errors:
         raise batch.errors[0]
     return batch.results[0]
 
 
-def _start_row(z_t, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
-               index: Optional[int]) -> tuple[int, np.ndarray]:
-    """One row's seed, from ``index`` or else ``cfg.seed``, and its checked latent."""
-    seed = cfg.seed if index is None else derive_seed(cfg.seed, int(index))
+def _checked_latent(z_t, decoder: LinearDecoder, s: PrincipalSubspace,
+                    cfg: AdaptationConfig) -> np.ndarray | ContractViolation:
+    """A row's latent as a float array, or the refusal of its first failed check."""
     z_t = np.asarray(z_t, dtype=np.float64)
     if z_t.shape != (s.dim,):
-        raise ContractViolation(f"latent must have shape ({s.dim},), got {z_t.shape}")
+        return ContractViolation(f"latent must have shape ({s.dim},), got {z_t.shape}")
     if not np.all(np.isfinite(z_t)):
-        raise ContractViolation("latent contains non-finite entries")
+        return ContractViolation("latent contains non-finite entries")
     if cfg.k != s.k:
-        raise ContractViolation(f"config k={cfg.k} does not match subspace k={s.k}")
+        return ContractViolation(f"config k={cfg.k} does not match subspace k={s.k}")
     if decoder.dim != s.dim:
-        raise ContractViolation("decoder and subspace dimensions differ")
-    return seed, z_t
+        return ContractViolation("decoder and subspace dimensions differ")
+    return z_t
+
+
+def _refuse(error: ContractViolation, p: np.ndarray) -> float:
+    """The objective of a refused row, which fails at its first evaluation."""
+    raise error
 
 
 def _machine(cfg: AdaptationConfig, seeds: list[int]):
@@ -192,10 +198,10 @@ def adapt_batch(
     runs), so outcomes do not depend on processing order and shards can be
     recombined. Rows run in lockstep ``_LOCKSTEP_ROWS`` at a time, each chunk
     by one :func:`adapt` call. A row that raises ContractViolation
-    or ConvergenceFailure is recorded as failed; any other exception
-    propagates. Each row's wall time is the time spent on that row alone
-    (its checks, evaluations and result) plus an equal share of the rest of
-    each generation it took part in.
+    or ConvergenceFailure, a refused latent at its baseline evaluation
+    included, is recorded as failed; any other exception propagates. Each
+    row's wall time is the time of its evaluations and its result plus an
+    equal share of the rest of each generation it took part in.
     """
     z_rows, indices = _checked_batch(z_rows, indices)
     n_rows = z_rows.shape[0]
@@ -229,38 +235,24 @@ def _checked_batch(z_rows, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run(z_rows, decoder: LinearDecoder, s: PrincipalSubspace, cfg: AdaptationConfig,
-         indices: Optional[np.ndarray]) -> BatchResult:
+         seeds: list[int]) -> BatchResult:
     """The lockstep runner of the module docstring, for the rows and wall
-    times :func:`adapt_batch` describes. Row ``i`` is seeded from
-    ``indices[i]``, or with ``cfg.seed`` itself when ``indices`` is None."""
-    n_rows = len(z_rows)
-    wall = [0.0] * n_rows
-    errors: dict[int, Exception] = {}
-    results: list[Optional[AdaptationResult]] = [None] * n_rows
-
-    def timed(i: int, step, *args):
-        start = time.perf_counter()
-        try:
-            return step(*args)
-        except (ContractViolation, ConvergenceFailure) as exc:
-            errors[i] = exc
-        finally:
-            wall[i] += time.perf_counter() - start
-
-    started = {i: timed(i, _start_row, z_rows[i], decoder, s, cfg,
-                        None if indices is None else indices[i]) for i in range(n_rows)}
-    started = {i: row for i, row in started.items() if row is not None}
-    ids = list(started)
+    times :func:`adapt_batch` describes: row ``i`` is machine row ``i``,
+    seeded with ``seeds[i]``. A refused row's objective is :func:`_refuse`,
+    so :class:`cmaes.Search` drops it at the baseline evaluation, before any
+    noise is drawn."""
+    latents = [_checked_latent(z_t, decoder, s, cfg) for z_t in z_rows]
+    objectives = [functools.partial(_refuse, z_t) if isinstance(z_t, ContractViolation)
+                  else functools.partial(fitness, decoder, s, z_t) for z_t in latents]
     # every row starts from the zero correction, +0.0 in each coordinate
-    run = cmaes.Search(_machine(cfg, [seed for seed, _ in started.values()]),
-                       [functools.partial(fitness, decoder, s, z_t) for _, z_t in started.values()],
-                       np.zeros(cfg.k))
+    run = cmaes.Search(_machine(cfg, seeds), objectives, np.zeros(cfg.k))
     for _ in range(0 if cfg.mode == "none" else cfg.n):
         run.step()
-    errors.update((ids[j], exc) for j, exc in run.errors.items())
-    for j, i in enumerate(ids):
-        wall[i] += float(run.seconds[j])
-    for j in run.rows.tolist():
-        results[ids[j]] = timed(ids[j], _finish_row, run.result(j), started[ids[j]][1], decoder, s)
-    return BatchResult(results=results, errors=dict(sorted(errors.items())),
-                       wall_ms=[w * 1e3 for w in wall])
+    results: list[Optional[AdaptationResult]] = [None] * len(latents)
+    wall = run.seconds.copy()
+    for i in run.rows.tolist():
+        start = time.perf_counter()
+        results[i] = _finish_row(run.result(i), latents[i], decoder, s)
+        wall[i] += time.perf_counter() - start
+    return BatchResult(results=results, errors=dict(sorted(run.errors.items())),
+                       wall_ms=(wall * 1e3).tolist())

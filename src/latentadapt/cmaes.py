@@ -27,7 +27,6 @@ machine, :func:`search` one.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -51,9 +50,8 @@ def default_lambda(k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CmaEsParams:
-    """Strategy constants, read-only and free of the seed, so one instance
-    serves every machine of a configuration. Build with :meth:`defaults`
-    unless testing."""
+    """Strategy constants, read-only and free of the seed. Build with
+    :meth:`defaults` unless testing."""
 
     dim: int
     population: int
@@ -95,47 +93,41 @@ class CmaEsParams:
         population: Optional[int] = None,
         initial_sigma: float = 1.0,
     ) -> "CmaEsParams":
-        """Standard strategy constants for the given dimension: one shared
-        instance per (dim, population, initial_sigma)."""
+        """Standard strategy constants for the given dimension."""
         if dim < 1:
             raise ContractViolation("dimension must be >= 1")
         lam = population if population is not None else default_lambda(dim)
-        return _defaults(cls, dim, lam, float(initial_sigma))
+        mu = lam // 2
+        raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=np.float64))
+        weights = raw / raw.sum()
+        mu_eff = 1.0 / float(np.sum(weights ** 2))
+        c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
+        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma
+        c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
+        c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
+        c_mu = min(
+            1.0 - c_1,
+            2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff),
+        )
+        return cls(
+            dim=dim,
+            population=lam,
+            parent_count=mu,
+            recombination_weights=weights,
+            mu_eff=mu_eff,
+            c_sigma=c_sigma,
+            d_sigma=d_sigma,
+            c_c=c_c,
+            c_1=c_1,
+            c_mu=c_mu,
+            initial_sigma=float(initial_sigma),
+        )
 
     @property
     def chi_n(self) -> float:
         """Expected norm of a standard normal vector of the search dimension."""
         k = self.dim
         return math.sqrt(k) * (1.0 - 1.0 / (4.0 * k) + 1.0 / (21.0 * k * k))
-
-
-@functools.lru_cache(maxsize=64)
-def _defaults(cls, dim: int, lam: int, initial_sigma: float) -> CmaEsParams:
-    mu = lam // 2
-    raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=np.float64))
-    weights = raw / raw.sum()
-    mu_eff = 1.0 / float(np.sum(weights ** 2))
-    c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
-    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma
-    c_c = (4.0 + mu_eff / dim) / (dim + 4.0 + 2.0 * mu_eff / dim)
-    c_1 = 2.0 / ((dim + 1.3) ** 2 + mu_eff)
-    c_mu = min(
-        1.0 - c_1,
-        2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dim + 2.0) ** 2 + mu_eff),
-    )
-    return cls(
-        dim=dim,
-        population=lam,
-        parent_count=mu,
-        recombination_weights=weights,
-        mu_eff=mu_eff,
-        c_sigma=c_sigma,
-        d_sigma=d_sigma,
-        c_c=c_c,
-        c_1=c_1,
-        c_mu=c_mu,
-        initial_sigma=initial_sigma,
-    )
 
 
 # strategy constants held in the machine's number system: (attribute, label, value)
@@ -294,8 +286,7 @@ class CmaEs:
         the RNG states, and raises the first error of :meth:`prepare`."""
         params, ops = self.params, self.ops
         for error in self.prepare().values():
-            if error is not None:
-                raise error
+            raise error
         dec = self.decomposition
         self.eig_clamps += dec.clamps  # once per generation, reused or not
         noise = normals_many(self.rngs, params.population * params.dim)

@@ -23,13 +23,14 @@ array steps per rotation and ``O(n^2)`` memory.
 :func:`sym_eig_many` is the one sweep driver, and :func:`sym_eig` is it on
 a stack of one matrix. It takes a ``(B, n, n)`` stack and returns stacks: the
 ``(B, k)`` eigenvalues, the ``(B, n, k)`` eigenvectors and the failures by
-position, a matrix that is not finite or not symmetric being set aside by
-mask before any sweep. It keeps the lane matrices of all its matrices as one
-``(n, 2n, B)`` stack, the stack axis last, tests each iterate's residual once
-per sweep, and picks the kernel of each sweep from the number of iterates not
-yet converged. From ``_STACK_MIN`` = 10 on, the crossover measured for
-16 x 16 covariances (``BENCH_15.json``), one sweep is one array operation per
-step over all of them: the same rotation plan with the rotation parameters
+position, a matrix that is not finite, whose Frobenius norm overflows or
+that is not symmetric being set aside by mask before any sweep. It keeps
+the lane matrices of all its matrices as one ``(n, 2n, B)`` stack, the
+stack axis last, tests each iterate's residual once per sweep, and picks
+the kernel of each sweep from the number of iterates not yet converged.
+From ``_STACK_MIN`` = 10 on, the crossover measured for 16 x 16
+covariances (``BENCH_15.json``), one sweep is one array operation per step
+over all of them: the same rotation plan with the rotation parameters
 computed for all at once by the same IEEE operations (``np.sqrt``, like
 ``math.sqrt``, is correctly rounded), and a matrix whose pivot is within its
 tolerance keeps its lanes by selection. Fewer live iterates are each swept
@@ -110,9 +111,10 @@ def sym_eig_many(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, dic
     :func:`sym_eig` raises for a matrix, whose entries are then no
     eigenpairs. Any other stack, or a ``k`` outside [1, n], is refused whole.
 
-    A non-finite or non-symmetric matrix is set aside by mask before any
-    sweep. Each sweep drops the converged iterates and rotates the rest: as
-    one stack while at least ``_STACK_MIN`` are live, else each alone.
+    A matrix that is not finite, whose Frobenius norm overflows or that is
+    not symmetric is set aside by mask before any sweep. Each sweep drops
+    the converged iterates and rotates the rest: as one stack while at least
+    ``_STACK_MIN`` are live, else each alone.
     """
     s = np.asarray(stack, dtype=np.float64)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] == 0:
@@ -122,13 +124,17 @@ def sym_eig_many(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, dic
         raise ContractViolation(f"k must be in [1, {n}], got {k}")
     finite = np.isfinite(s).all(axis=(1, 2))
     s = np.where(finite[:, None, None], s, 0.0)  # a zero matrix is never swept
-    fros = np.sqrt(np.sum(s * s, axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        fros = np.sqrt(np.sum(s * s, axis=(1, 2)))
+    overflows = fros == np.inf  # entries past about 1e154: inf would pass every residual
+    s[overflows], fros[overflows] = 0.0, 0.0
     asymmetric = np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2)) \
         > _SYMMETRY_RTOL * np.maximum(fros, 1.0)
     s[asymmetric] = 0.0
     errors = {j: ContractViolation("s contains non-finite entries" if not finite[j]
+                                   else "s is too large: Frobenius norm overflows" if overflows[j]
                                    else "matrix is not symmetric within tolerance")
-              for j in np.flatnonzero(~finite | asymmetric).tolist()}
+              for j in np.flatnonzero(~finite | overflows | asymmetric).tolist()}
 
     lanes = np.empty((n, 2 * n, b), dtype=np.float64)
     lanes[:, :n] = (s + s.transpose(0, 2, 1)).transpose(1, 2, 0) / 2.0

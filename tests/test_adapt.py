@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from latentadapt import datagen, linalg, rng
+from latentadapt import cmaes, datagen, linalg, rng
 from latentadapt.adapt import MODES, AdaptationConfig, adapt, adapt_batch
 from latentadapt.decoder import LinearDecoder, decode
 from latentadapt.errors import ContractViolation, ConvergenceFailure
@@ -305,18 +305,22 @@ def test_batch_collects_row_errors_without_failing():
                          ids=["negative", "fractional", "bool", "short", "long"])
 def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
     adapt_module = importlib.import_module("latentadapt.adapt")
-    rows_run = []
-    start_row = adapt_module._start_row
-    monkeypatch.setattr(adapt_module, "_start_row",
-                        lambda *args: rows_run.append(args) or start_row(*args))
+    machines, evaluations = [], []
+    machine, real_fitness = adapt_module._machine, adapt_module.fitness
+    monkeypatch.setattr(adapt_module, "_machine",
+                        lambda cfg, seeds: machines.append(seeds) or machine(cfg, seeds))
+    monkeypatch.setattr(adapt_module, "fitness",
+                        lambda *args: evaluations.append(args) or real_fitness(*args))
     task, sub, dec = _small_setup(seed=21)
     rows = task.class_means[:3]
+    cfg = AdaptationConfig(k=4, n=2, seed=3)
     for run in (adapt_batch, adapt):  # adapt given indices runs a chunk of rows
         with pytest.raises(ContractViolation):
-            run(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=indices)
-    assert rows_run == []
-    adapt_batch(rows, dec, sub, AdaptationConfig(k=4, n=2, seed=3), indices=[5, 0, 2 ** 40])
-    assert len(rows_run) == 3
+            run(rows, dec, sub, cfg, indices=indices)
+    assert machines == [] and evaluations == []
+    adapt_batch(rows, dec, sub, cfg, indices=[5, 0, 2 ** 40])
+    assert machines == [[derive_seed(3, 5), derive_seed(3, 0), derive_seed(3, 2 ** 40)]]
+    assert len(evaluations) == 3 * (cfg.n * cmaes.default_lambda(cfg.k) + 1)
 
 
 def _same_prediction(a, b):

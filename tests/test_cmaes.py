@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -52,12 +53,19 @@ def test_params_defaults_are_valid():
             assert 0.0 < rate <= 1.0
 
 
+def _param_values(params):
+    return {f.name: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for f in dataclasses.fields(params) for v in [getattr(params, f.name)]}
+
+
 def test_params_defaults_are_one_shared_read_only_instance():
     params = cmaes.CmaEsParams.defaults(16)
-    assert cmaes.CmaEsParams.defaults(16, population=None) is params
-    assert cmaes.CmaEsParams.defaults(16, population=12, initial_sigma=1) is params
-    assert cmaes.CmaEsParams.defaults(16, initial_sigma=0.5) is not params
-    assert cmaes.CmaEsParams.defaults(16, population=10) is not params
+    values = _param_values(params)
+    assert _param_values(cmaes.CmaEsParams.defaults(16, population=None)) == values
+    same = cmaes.CmaEsParams.defaults(16, population=12, initial_sigma=1)
+    assert _param_values(same) == values and type(same.initial_sigma) is float
+    assert _param_values(cmaes.CmaEsParams.defaults(16, initial_sigma=0.5)) != values
+    assert _param_values(cmaes.CmaEsParams.defaults(16, population=10)) != values
     assert not hasattr(params, "seed")
     with pytest.raises(ValueError):
         params.recombination_weights[0] = 0.5

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -379,6 +380,40 @@ def test_bad_matrices_in_a_stack_fail_alone(count):
     assert isinstance(errors[3], ContractViolation) and "not symmetric" in str(errors[3])
     _assert_same_failures(mats, found, 6)
     _assert_each_matches_reference(mats, found, 6, failed=(1, 3))
+
+
+# finite matrices whose Frobenius norm overflows: s * s is inf, and a
+# tolerance of inf would take the diagonal for the eigenvalues
+_OVERFLOWING = {"symmetric": np.full((2, 2), 1e200),
+                "asymmetric": np.array([[1e200, 3e200], [1e200, 1e200]])}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_a_matrix_whose_norm_overflows_is_refused(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        with pytest.raises(ContractViolation, match="Frobenius norm overflows"):
+            sym_eig(_OVERFLOWING[name], 2)
+        found = linalg.sym_eig_many(_OVERFLOWING[name][None], 1)
+    assert list(found[2]) == [0] and "Frobenius norm overflows" in str(found[2][0])
+
+
+@pytest.mark.parametrize("count", [5, 2 * linalg._STACK_MIN + 1])
+def test_an_overflowing_norm_in_a_stack_fails_alone(count):
+    rng = np.random.default_rng(900 + count)
+    mats = _mixed_stack(rng, 2, count)
+    mats[1], mats[3] = _OVERFLOWING["symmetric"], _OVERFLOWING["asymmetric"]
+    # the largest norms that do not overflow keep every bit
+    spd = _random_spd(rng, 2)
+    mats[2] = spd * (1e154 / np.sqrt(np.sum(spd * spd)))
+    mats[4] = np.array([[1e154, 3e153], [3e153, -1e153]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = linalg.sym_eig_many(mats, 2)
+    assert all(type(found[2][i]) is ContractViolation
+               and "Frobenius norm overflows" in str(found[2][i]) for i in (1, 3))
+    _assert_same_failures(mats, found, 2)
+    _assert_each_matches_reference(mats, found, 2, failed=(1, 3))
 
 
 def test_a_shrinking_stack_is_handed_to_the_per_matrix_sweep(monkeypatch):
