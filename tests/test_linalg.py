@@ -398,18 +398,21 @@ def test_a_matrix_whose_norm_overflows_is_refused(name):
     assert list(found[2]) == [0] and "Frobenius norm overflows" in str(found[2][0])
 
 
-@pytest.mark.parametrize("count", [5, 2 * linalg._STACK_MIN + 1])
-def test_an_overflowing_norm_in_a_stack_fails_alone(count):
-    rng = np.random.default_rng(900 + count)
-    mats = _mixed_stack(rng, 2, count)
+@pytest.mark.parametrize("kernel", ["stack", "one"])
+def test_an_overflowing_norm_in_a_stack_fails_alone(monkeypatch, kernel):
+    rng = np.random.default_rng(900)
+    mats = _mixed_stack(rng, 2, 12)
     mats[1], mats[3] = _OVERFLOWING["symmetric"], _OVERFLOWING["asymmetric"]
     # the largest norms that do not overflow keep every bit
     spd = _random_spd(rng, 2)
     mats[2] = spd * (1e154 / np.sqrt(np.sum(spd * spd)))
     mats[4] = np.array([[1e154, 3e153], [3e153, -1e153]])
+    ran = _record_kernels(monkeypatch)
+    monkeypatch.setattr(linalg, "_STACK_MIN", 1 if kernel == "stack" else len(mats) + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = linalg.sym_eig_many(mats, 2)
+    assert {name for name, _ in ran} == {kernel}
     assert all(type(found[2][i]) is ContractViolation
                and "Frobenius norm overflows" in str(found[2][i]) for i in (1, 3))
     _assert_same_failures(mats, found, 2)
