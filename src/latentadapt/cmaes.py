@@ -18,18 +18,19 @@ product is a stacked ``np.matmul``, which runs each row through the BLAS
 call of the row alone (gemv for a matrix-vector product, ddot for the
 squared path length, then its square root, where ``np.linalg.norm(axis=)``
 and ``einsum`` round differently); the step-size factor is ``math.exp`` per
-row, as ``np.exp`` may differ from it in the last bit; and fixed-point
-registers are exact integers. Rows start decomposed, and
-:meth:`CmaEs.prepare` solves those whose covariance ``tell`` has changed in
-one :func:`linalg.sym_eig_many` call. :class:`Search` drives all rows of a
-machine, :func:`search` one.
+row (+inf where it overflows), as ``np.exp`` may differ from it in the last
+bit; and fixed-point registers are exact integers. Rows start decomposed,
+and :meth:`CmaEs.prepare` solves those whose covariance ``tell`` has changed
+in one :func:`linalg.sym_eig_many` call. ``tell`` ranks +inf after every
+finite value, and a row whose step size is not finite and positive fails
+alone in ``prepare``. :class:`Search` drives all rows of a machine,
+:func:`search` one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -162,6 +163,14 @@ def _matvec(a, x):
     return np.matmul(a, x[..., None])[..., 0]
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class FloatOps:
     """The float number system of :class:`CmaEs`: each primitive is a numpy
     expression stacked over the rows, each row getting its bits alone."""
@@ -188,7 +197,7 @@ class FloatOps:
         return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
     def exp(self, x):
-        return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
+        return np.fromiter(map(_exp, x.tolist()), np.float64, len(x))
 
     def invsqrt_times(self, dec: Decomposition, v):
         """C^(-1/2) v through the eigenpairs."""
@@ -253,22 +262,28 @@ class CmaEs:
         """Make every row ready to ask: decompose the covariances of the stale
         rows in one :func:`linalg.sym_eig_many` call and keep, by mask, what
         the number system derives from their eigenpairs. Returns the rows
-        that failed, in order, each with the error that stops it; a failed
-        row stays stale."""
+        that fail, in order, each with the error that stops it: a step size
+        not finite and positive, else a failed decomposition, after which
+        the row stays stale."""
+        failed = {i: ConvergenceFailure(f"step size is {s!r}")
+                  for i, s in enumerate(self.ops.to_float(self.sigma).tolist())
+                  if not 0.0 < s < math.inf}
         if not self.stale.any():
-            return {}
+            return failed
         stale = np.flatnonzero(self.stale)
         values, vectors, errors = linalg.sym_eig_many(self.ops.to_float(self.cov[stale]),
                                                       self.params.dim)
-        dec, failed = self.ops.decomposition(values, vectors)
-        failed.update(errors)  # an eigensolver failure is the cause
+        dec, unsolved = self.ops.decomposition(values, vectors)
+        unsolved.update(errors)  # an eigensolver failure is the cause
         done = np.ones(len(stale), dtype=bool)
-        done[list(failed)] = False
+        done[list(unsolved)] = False
         for whole, part in zip(self.decomposition, dec):
             if whole is not None:
                 whole[stale[done]] = part[done]
         self.stale[stale[done]] = False
-        return {int(stale[j]): failed[j] for j in sorted(failed)}
+        for j, error in unsolved.items():
+            failed.setdefault(int(stale[j]), error)
+        return dict(sorted(failed.items()))
 
     def keep(self, rows) -> None:
         """Keep only ``rows`` (a mask or positions), in order, dropping the rest."""
@@ -301,7 +316,8 @@ class CmaEs:
     def tell(self, fitnesses) -> None:
         """Rank each row's last candidates ascending by fitness, ties by
         index, and update its search distribution: one ``tell`` per ``ask``,
-        one finite float per candidate as a (B, population) array, else
+        one float per candidate as a (B, population) array, +inf ranked
+        after every finite value; a wrong shape or a NaN is
         :class:`ContractViolation` and no change. The mean moves to the
         weighted recombination of the top parents, sigma follows cumulative
         step-size adaptation, and the covariance gets the rank-1 plus rank-mu
@@ -317,8 +333,8 @@ class CmaEs:
             raise ContractViolation("fitnesses must be floats") from exc
         if fit.shape != shape:
             raise ContractViolation(f"expected fitnesses of shape {shape}, got {fit.shape}")
-        if not np.isfinite(fit).all():
-            raise ContractViolation("fitnesses must be finite")
+        if np.isnan(fit).any():
+            raise ContractViolation("fitnesses must not be NaN")
         order = np.argsort(fit, axis=1, kind="stable")
         dec = self.decomposition
         parents = self._candidates[np.arange(len(order))[:, None], order[:, :params.parent_count]]
@@ -449,15 +465,6 @@ class Search:
                 self.best_p = np.zeros((len(self.objectives), points.shape[2]))
             self.best_f[live[better]] = low[better]
             self.best_p[live[better]] = points[better, best[better]]
-            # a non-finite value is told as above its row's worst finite one (0 when
-            # none is), also where adding 1 rounds back to it (|worst| >= 2^53);
-            # nothing finite lies above the largest float, which ties instead
-            finite = fits < math.inf
-            if not finite.all():
-                worst = np.where(finite.any(axis=1), np.where(finite, fits, -math.inf).max(1), 0.0)
-                with np.errstate(over="ignore"):
-                    above = np.maximum(worst + 1.0, np.nextafter(worst, math.inf))[:, None]
-                fits = np.where(finite, fits, np.minimum(above, sys.float_info.max))
             self.machine.tell(fits)
             self.trace.append(self.best_f.copy())
         rest = time.perf_counter() - start - (self.seconds.sum() - own)  # less the evaluations
@@ -491,9 +498,7 @@ def search(
     The optional ``baseline`` is evaluated first and competes with the
     machine's points, so the result can never be worse than it; with a
     baseline, zero iterations evaluate it alone. A non-finite objective value
-    counts as +inf for selection and reaches ``tell`` as one more than the
-    generation's worst finite value (1 when none is finite), or as the next
-    float above it where adding 1 would round back to that value.
+    counts, and is +inf for selection and for ``tell``.
     """
     if iterations < 0 or (iterations == 0 and baseline is None):
         raise ContractViolation("iterations must be >= 1, or 0 with a baseline")

@@ -121,14 +121,6 @@ class BinaryCmaes(CmaEs):
         self.alpha = alpha
         self.feedback = feedback
 
-    def prepare(self) -> dict:
-        """Also refuses each row whose magnitude is not finite and positive."""
-        failed = super().prepare()
-        if self.alpha is None:
-            for i in np.flatnonzero(~(np.isfinite(self.sigma) & (self.sigma > 0.0))).tolist():
-                failed.setdefault(i, ContractViolation("magnitude must be finite and > 0"))
-        return failed
-
     def ask(self) -> np.ndarray:
         alpha = self.sigma[:, None, None] if self.alpha is None else self.alpha
         points = quantize_binary(super().ask(), alpha)

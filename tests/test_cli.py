@@ -231,6 +231,36 @@ def test_adapt_non_finite_sigma0_or_alpha_is_a_usage_error(workdir, flags):
     assert not rep.exists()
 
 
+def _statuses(path):
+    with open(path, newline="") as fh:
+        return {row["status"] for row in csv.DictReader(fh)}
+
+
+def test_a_step_size_that_overflows_fails_each_row_alone(workdir, capsys):
+    # far 1-bit points fed back make each row's step-size factor overflow:
+    # every row fails with its own error, nothing is printed, and the run ends
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.csv"
+    target = str(out / "target_combined.latf")
+    flags = ["--mode", "qted-v1", "--binary-feedback", "--alpha", "1e6", "--sigma0", "1e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["adapt", str(art), target, *flags, "--out", str(rep)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _statuses(rep) == {"error:ConvergenceFailure"}
+
+
+@pytest.mark.parametrize("mode", ["ted", "qted-v1"])
+def test_a_largest_finite_sigma0_fails_each_row_on_its_step_size(workdir, mode):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "r.csv"
+    target = str(out / "target_combined.latf")
+    with np.errstate(all="ignore"):  # the candidates overflow before the step size does
+        assert main(["adapt", str(art), target, "--mode", mode, "--sigma0", "1.7e308",
+                     "--out", str(rep)]) == 0
+    assert _statuses(rep) == {"error:ConvergenceFailure"}
+
+
 def test_adapt_reads_config_file_with_flag_override(workdir):
     tmp_path, out, art = workdir
     cfg = tmp_path / "run.cfg"

@@ -3,6 +3,7 @@ import hashlib
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -346,8 +347,8 @@ def test_minimize_counts_nonfinite_objective_values():
 
 @pytest.mark.parametrize("worst", [2.0 ** 60, -(2.0 ** 60), 3.0, sys.float_info.max])
 def test_a_nonfinite_value_reaches_tell_above_every_finite_one(worst):
-    # worst + 1 rounds back to worst once |worst| >= 2^53: a NaN candidate
-    # would then tie the finite ones and could rank ahead of them by index
+    # a NaN evaluation reaches tell as +inf and ranks after every finite value,
+    # the largest float included; the +inf values tie, and index order decides
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(4), 1)
     told = []
     real_tell = machine.tell
@@ -356,12 +357,37 @@ def test_a_nonfinite_value_reaches_tell_above_every_finite_one(worst):
     run.step()
     fits = told[0]
     assert 0 < run.nonfinite[0] < len(fits)
-    above = [f for f in fits if f != worst]
-    if worst < sys.float_info.max:
-        assert len(above) == run.nonfinite[0] and min(above) > worst
-        assert set(above) == {max(worst + 1.0, math.nextafter(worst, math.inf))}
-    else:  # nothing finite lies above the largest float: a tie, not an error
-        assert not above
+    assert sorted(set(fits)) == [worst, math.inf]
+    # the same candidates told their rank: the finite ones by index, then the rest
+    twin = cmaes.CmaEs(cmaes.CmaEsParams.defaults(4), 1)
+    twin.ask()
+    order = [i for i, f in enumerate(fits) if f == worst] + [
+        i for i, f in enumerate(fits) if f == math.inf]
+    twin.tell([[float(order.index(i)) for i in range(len(fits))]])
+    assert _machine_state(machine) == _machine_state(twin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 64 - 1), st.data())
+def test_telling_inf_is_telling_any_value_above_the_finite_ones(dim, seed, data):
+    params = cmaes.CmaEsParams.defaults(dim)
+    # below the largest float, so that some finite value lies above them all
+    finite = st.floats(max_value=math.nextafter(sys.float_info.max, 0.0), allow_nan=False,
+                       allow_infinity=False)
+    fits = data.draw(st.lists(finite, min_size=params.population,
+                              max_size=params.population))
+    lost = data.draw(st.lists(st.booleans(), min_size=params.population,
+                              max_size=params.population))
+    kept = [f for f, gone in zip(fits, lost) if not gone]
+    above = data.draw(st.floats(min_value=max(kept, default=-math.inf), exclude_min=True,
+                                allow_nan=False, allow_infinity=False))
+    states = []
+    for value in (math.inf, above):
+        machine = cmaes.CmaEs(params, seed)
+        machine.ask()
+        machine.tell([[value if gone else f for f, gone in zip(fits, lost)]])
+        states.append(_machine_state(machine))
+    assert states[0] == states[1]
 
 
 def test_search_reports_the_point_the_machine_evaluated():
@@ -603,6 +629,34 @@ def test_a_dropped_row_changes_no_other_row_s_registers(make):
         got = run.result(row)
         assert got.best_p.tobytes() == alone.best_p.tobytes() and got.trace == alone.trace
         assert got.quant_warnings == alone.quant_warnings
+
+
+def test_a_row_whose_step_size_overflows_fails_alone():
+    # row 2's path is so long that its step-size factor overflows at its first
+    # tell: that row fails at the next prepare, naming its step size, and
+    # every other row ends where it ends alone
+    params = cmaes.CmaEsParams.defaults(5, population=7)
+    seeds = [3, 1, 4, 1, 5]
+    machine = cmaes.CmaEs(params, seeds)
+    machine.path_sigma[2] = 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = cmaes.Search(machine, rosenbrock, np.zeros(5))
+        for _ in range(4):
+            run.step()
+    assert run.rows.tolist() == [0, 1, 3, 4] and list(run.errors) == [2]
+    assert type(run.errors[2]) is ConvergenceFailure
+    assert str(run.errors[2]) == "step size is inf"
+    for position, row in enumerate(run.rows.tolist()):
+        twin = cmaes.CmaEs(params, seeds[row])
+        alone = cmaes.search(twin, rosenbrock, 4, np.zeros(5))
+        assert _registers(run.machine, position) == _registers(twin, 0)
+        got = run.result(row)
+        assert got.best_p.tobytes() == alone.best_p.tobytes() and got.trace == alone.trace
+    lone = cmaes.CmaEs(params, seeds[2])
+    lone.path_sigma[0] = 1e150
+    with pytest.raises(ConvergenceFailure, match="^step size is inf$"):
+        cmaes.search(lone, rosenbrock, 2)
 
 
 @pytest.mark.parametrize("make", _STACKED_MACHINES, ids=["float", "binary", "8b4", "4b2"])
