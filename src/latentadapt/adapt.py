@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -35,7 +37,7 @@ from .decoder import LinearDecoder, Prediction, decode, fitness
 from .errors import ContractViolation
 from .quant import FixedPointFormat
 from .rng import derive_seed
-from .subspace import PrincipalSubspace, apply_correction
+from .subspace import PrincipalSubspace, apply_correction, real_array
 
 MODES = ("none", "ted", "qted-v1", "fixed")
 # a batch runs in lockstep this many rows at a time: each live row holds its
@@ -46,6 +48,27 @@ _LOCKSTEP_ROWS = 256
 
 def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
+
+
+def _integer(x) -> bool:
+    """Whether ``x`` is an integer by :func:`operator.index`; a bool is not."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """Whether ``x`` is a real number; a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# the kind of each field's value; a field whose default is None may be None
+_INTEGER, _REAL = (_integer, "an integer"), (_real, "a real number")
+_KINDS = {"k": _INTEGER, "n": _INTEGER, "population": _INTEGER, "seed": _INTEGER,
+          "sigma0": _REAL, "binary_alpha": _REAL,
+          "fixed_format": (lambda x: isinstance(x, FixedPointFormat), "a FixedPointFormat")}
 
 
 @dataclass(frozen=True)
@@ -69,6 +92,16 @@ class AdaptationConfig:
     binary_feedback: bool = False
 
     def __post_init__(self):
+        for name, (kind, what) in _KINDS.items():
+            value = getattr(self, name)
+            if value is None and getattr(AdaptationConfig, name) is None:
+                continue
+            if not kind(value):
+                raise ContractViolation(f"{name} must be {what}, got {value!r}")
+            if kind is _integer:  # as a Python int
+                object.__setattr__(self, name, operator.index(value))
+        if not 0 <= self.seed < 1 << 64:
+            raise ContractViolation(f"seed must be in [0, 2^64), got {self.seed}")
         if self.k < 1 or self.n < 1:
             raise ContractViolation("k and n must be >= 1")
         if self.mode not in MODES:
@@ -129,7 +162,10 @@ def adapt(
 def _checked_latent(z_t, decoder: LinearDecoder, s: PrincipalSubspace,
                     cfg: AdaptationConfig) -> np.ndarray | ContractViolation:
     """A row's latent as a float array, or the refusal of its first failed check."""
-    z_t = np.asarray(z_t, dtype=np.float64)
+    try:
+        z_t = real_array(z_t, "latent")
+    except ContractViolation as exc:
+        return exc
     if z_t.shape != (s.dim,):
         return ContractViolation(f"latent must have shape ({s.dim},), got {z_t.shape}")
     if not np.all(np.isfinite(z_t)):
@@ -221,7 +257,7 @@ def _checked_batch(z_rows, indices) -> tuple[np.ndarray, np.ndarray]:
     """The rows as a 2-d float array and their seed indices: the row
     positions when ``indices`` is None, else checked as one integer >= 0 per
     row, so that bad indices fail before any row runs."""
-    z_rows = np.asarray(z_rows, dtype=np.float64)
+    z_rows = real_array(z_rows, "batch")
     if z_rows.ndim != 2:
         raise ContractViolation("batch must be a 2-d array of latents")
     if indices is None:

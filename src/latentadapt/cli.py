@@ -294,6 +294,18 @@ def _grid(text: str) -> list[str]:
     return items
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in [0, 2^64), checked as it is parsed,
+    so that a bad seed is a usage error before any file is read."""
+    try:
+        seed = int(text)
+        if 0 <= seed < 1 << 64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
+
+
 def _int_grid(text: str) -> list[int]:
     return [int(part) for part in _grid(text)]
 
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_adapt, p_sweep):
         p.add_argument("--sigma0", type=float, default=1.0)
     for p in (p_gen, p_fit, p_adapt, p_sweep):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", help="key = value file of defaults for the optional flags")
 
     p_rep = sub.add_parser("report", help="recompute the summary of a per-sample CSV")

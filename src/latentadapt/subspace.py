@@ -53,6 +53,19 @@ class PrincipalSubspace:
         )
 
 
+def real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array if it is a real numeric array (integers or
+    floats), else :class:`ContractViolation`: a bool, complex, string or
+    object array, or a ragged nesting, is refused, never cast."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # ragged
+        raise ContractViolation(f"{name} must be a real numeric array") from exc
+    if a.dtype.kind not in "iuf":
+        raise ContractViolation(f"{name} must be a real numeric array, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
     """Fit the principal subspace of ``source_features`` (rows are samples).
 
@@ -61,7 +74,7 @@ def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
     singular values sqrt(eigenvalue). Requires N >= 2 and k <= min(N-1, D).
     A near-zero trailing eigenvalue is flagged on the result, not raised.
     """
-    z = np.asarray(source_features, dtype=np.float64)
+    z = real_array(source_features, "source features")
     if z.ndim != 2:
         raise ContractViolation("source features must be a 2-d array")
     n, d = z.shape

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,61 @@ def test_config_validation():
         with pytest.raises(ContractViolation):
             AdaptationConfig(mode="qted-v1", binary_alpha=bad)
     AdaptationConfig(mode="fixed", fixed_format=FixedPointFormat(8, 4))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 3.0}, "k must be an integer, got 3.0"),
+    ({"n": 1.5}, "n must be an integer, got 1.5"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"population": 2.5}, "population must be an integer, got 2.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": -1}, "seed must be in [0, 2^64), got -1"),
+    ({"seed": 2 ** 64}, "seed must be in [0, 2^64), got 18446744073709551616"),
+    ({"mode": "fixed", "fixed_format": "8b4"}, "fixed_format must be a FixedPointFormat, got '8b4'"),
+    ({"sigma0": "1"}, "sigma0 must be a real number, got '1'"),
+    ({"mode": "qted-v1", "binary_alpha": False},
+     "binary_alpha must be a real number, got False"),
+], ids=["k-float", "n-float", "n-bool", "population-float", "seed-float", "seed-negative",
+        "seed-2^64", "format-text", "sigma0-text", "alpha-bool"])
+def test_config_refuses_a_value_of_the_wrong_kind(kwargs, message):
+    with pytest.raises(ContractViolation) as info:
+        AdaptationConfig(**kwargs)
+    assert str(info.value) == message
+
+
+def test_config_keeps_integers_as_python_ints():
+    cfg = AdaptationConfig(k=np.int64(4), n=np.uint8(2), population=np.int32(6),
+                           seed=np.uint64(2 ** 64 - 1))
+    assert [type(v) for v in (cfg.k, cfg.n, cfg.population, cfg.seed)] == [int] * 4
+    assert (cfg.k, cfg.n, cfg.population, cfg.seed) == (4, 2, 6, 2 ** 64 - 1)
+    assert AdaptationConfig(sigma0=1, binary_alpha=np.float32(0.5)).sigma0 == 1
+
+
+def test_a_latent_that_is_not_a_real_numeric_array_is_refused():
+    task, sub, dec = _small_setup(seed=11)
+    z = task.class_means[0]
+    latents = {"text": ("abc", ", got dtype <U3"), "ragged": ([[1, 2], [3]], ""),
+               "dict": ({"a": 1}, ", got dtype object"),
+               "complex": (z + 0j, ", got dtype complex128"), "bool": (z > 0, ", got dtype bool")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex latent is not cast with a warning
+        for bad, tail in latents.values():
+            with pytest.raises(ContractViolation) as info:
+                adapt(bad, dec, sub, _GOOD)
+            assert str(info.value) == "latent must be a real numeric array" + tail
+        batches = {"ragged": [list(z), list(z[:-1])], "complex": np.tile(z + 0j, (3, 1)),
+                   "text": np.full((3, task.dim), "1")}
+        for bad in batches.values():
+            for run in (lambda: adapt_batch(bad, dec, sub, _GOOD),
+                        lambda: adapt(bad, dec, sub, _GOOD, indices=np.arange(3))):
+                with pytest.raises(ContractViolation, match="^batch must be a real numeric"):
+                    run()
+        with pytest.raises(ContractViolation, match="^source features must be a real"):
+            fit(np.tile(z, (5, 1)) + 1j, 2)
+    # integers are real numbers: an integer latent is its float value
+    ints = np.round(z).astype(np.int64)
+    assert adapt(ints, dec, sub, _GOOD).p_star.tobytes() \
+        == adapt(ints.astype(np.float64), dec, sub, _GOOD).p_star.tobytes()
 
 
 def test_confident_sample_keeps_its_prediction():

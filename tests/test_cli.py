@@ -261,6 +261,29 @@ def test_a_largest_finite_sigma0_fails_each_row_on_its_step_size(workdir, mode):
     assert _statuses(rep) == {"error:ConvergenceFailure"}
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "fit", "adapt", "sweep"])
+def test_a_seed_outside_0_to_2_64_is_a_usage_error_before_any_file_is_read(
+        tmp_path, capsys, command, via, seed):
+    missing = str(tmp_path / "missing")  # read first, it would be a data error
+    argv = {"gen": ["gen"], "fit": ["fit", missing], "adapt": ["adapt", missing, missing],
+            "sweep": ["sweep", missing, missing]}[command]
+    if via == "flag":
+        argv += ["--seed", seed]
+    else:
+        (tmp_path / "run.cfg").write_text(f"seed = {seed}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert f"seed must be an integer in [0, 2^64), got {seed!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_seed_is_a_seed():
+    args = _parse_args(["gen", "--out", "data", "--seed", str(2 ** 64 - 1)])
+    assert args.seed == 2 ** 64 - 1
+
+
 def test_adapt_reads_config_file_with_flag_override(workdir):
     tmp_path, out, art = workdir
     cfg = tmp_path / "run.cfg"
