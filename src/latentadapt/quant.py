@@ -8,9 +8,9 @@ over :class:`_FixedOps`, the one implementation of signed two's-complement
 fixed-point arithmetic: round-to-nearest-even everywhere, saturating (never
 wrapping) on overflow, on int64 register stacks of one
 :class:`FixedPointFormat` whose leading axis is the machine's rows, each
-row's saturations counted apart. Noise is quantized on arrival; sqrt and exp
-are taken in float on each row's register and requantized, standing in for
-hardware lookup tables.
+row's saturations counted apart. The few steps that run in float (its sqrt
+and exp stand in for hardware lookup tables) are named on
+:class:`FixedCmaes`.
 
 A sum of many terms (the mean step, the C^(-1/2) matvec, the squared path
 length, the rank-mu update) is saturating adds from zero in index order,
@@ -293,8 +293,13 @@ class _FixedOps:
 
 
 class FixedCmaes(CmaEs):
-    """CMA-ES carried entirely in fixed-point registers: :class:`CmaEs` over
-    :class:`_FixedOps` of ``fmt``.
+    """CMA-ES over fixed-point registers: :class:`CmaEs` over
+    :class:`_FixedOps` of ``fmt``. The state and its update are fixed-point
+    arithmetic except for these float steps, each quantized after: ``ask``
+    forms mean + sigma * B D z in float; ``exp`` and ``norm`` take float
+    ``exp`` and ``sqrt`` of a register; the h_sigma test compares in float;
+    and the decomposition is the float Jacobi solver, from whose eigenpairs
+    C^(-1/2) is tabulated in float.
 
     The baseline is quantized onto the grid, and each candidate is evaluated
     at its exact fixed-point value as a float. ``quant_warnings`` holds each

@@ -226,8 +226,8 @@ def _machine_state(machine):
 ], ids=["float", "binary", "fixed8b4"])
 def test_machine_protocol(make, warnings):
     # every machine asks a (rows, lambda, k) float array and holds tell to one
-    # finite fitness per candidate and to one tell per ask, leaving its
-    # state alone when refused
+    # fitness per candidate, NaN refused, and to one tell per ask, leaving
+    # its state alone when refused
     params = cmaes.CmaEsParams.defaults(4)
     machine = make(params)
     with pytest.raises(ContractViolation):
