@@ -47,7 +47,10 @@ _LOCKSTEP_ROWS = 256
 
 
 def _positive(x: float) -> bool:
-    return math.isfinite(x) and x > 0.0
+    try:
+        return math.isfinite(x) and x > 0.0
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _integer(x) -> bool:

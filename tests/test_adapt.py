@@ -33,7 +33,7 @@ def test_config_validation():
         AdaptationConfig(mode="weird")
     with pytest.raises(ContractViolation):
         AdaptationConfig(mode="fixed")  # missing format
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, 10 ** 400):
         with pytest.raises(ContractViolation):
             AdaptationConfig(sigma0=bad)
         with pytest.raises(ContractViolation):
