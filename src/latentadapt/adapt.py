@@ -34,10 +34,10 @@ import numpy as np
 
 from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, decode, fitness
-from .errors import ContractViolation
+from .errors import ContractViolation, real_array
 from .quant import FixedPointFormat
 from .rng import derive_seed
-from .subspace import PrincipalSubspace, apply_correction, real_array
+from .subspace import PrincipalSubspace, apply_correction
 
 MODES = ("none", "ted", "qted-v1", "fixed")
 # a batch runs in lockstep this many rows at a time: each live row holds its
@@ -166,11 +166,9 @@ def _checked_latent(z_t, decoder: LinearDecoder, s: PrincipalSubspace,
                     cfg: AdaptationConfig) -> np.ndarray | ContractViolation:
     """A row's latent as a float array, or the refusal of its first failed check."""
     try:
-        z_t = real_array(z_t, "latent")
+        z_t = real_array(z_t, "latent", (s.dim,))
     except ContractViolation as exc:
         return exc
-    if z_t.shape != (s.dim,):
-        return ContractViolation(f"latent must have shape ({s.dim},), got {z_t.shape}")
     if not np.all(np.isfinite(z_t)):
         return ContractViolation("latent contains non-finite entries")
     if cfg.k != s.k:

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation, ConvergenceFailure
+from .errors import ContractViolation, ConvergenceFailure, real_array
 from .rng import Xoshiro256pp, normals_many
 
 
@@ -69,9 +69,8 @@ class CmaEsParams:
     def __post_init__(self):
         if self.population < 2:
             raise ContractViolation("population must be >= 2")
-        w = np.array(self.recombination_weights, dtype=np.float64)
-        if w.shape != (self.parent_count,):
-            raise ContractViolation("weights length must equal parent count")
+        w = real_array(self.recombination_weights, "recombination weights",
+                       (self.parent_count,)).copy()
         if np.any(w <= 0.0) or np.any(np.diff(w) >= 0.0):
             raise ContractViolation("weights must be positive and strictly decreasing")
         if abs(float(w.sum()) - 1.0) > 1e-12:
@@ -327,12 +326,7 @@ class CmaEs:
         params, ops, shape = self.params, self.ops, (len(self.rngs), self.params.population)
         if self._candidates is None:
             raise ContractViolation("tell needs an ask first, and pairs with one ask only")
-        try:
-            fit = np.asarray(fitnesses, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation("fitnesses must be floats") from exc
-        if fit.shape != shape:
-            raise ContractViolation(f"expected fitnesses of shape {shape}, got {fit.shape}")
+        fit = real_array(fitnesses, "fitnesses", shape)
         if np.isnan(fit).any():
             raise ContractViolation("fitnesses must not be NaN")
         order = np.argsort(fit, axis=1, kind="stable")
@@ -411,9 +405,7 @@ class Search:
         self.best_f = np.full(count, math.inf)
         self.trace: list[np.ndarray] = []  # every row's running best after each generation
         if baseline is not None:
-            baseline = np.asarray(baseline, dtype=np.float64)
-            if baseline.shape != (machine.params.dim,):
-                raise ContractViolation("baseline must have the search dimension")
+            baseline = real_array(baseline, "baseline", (machine.params.dim,))
             # in its number system, as one row all rows share
             point = machine.ops.to_float(machine.ops.quantize(baseline[None])[0])
             fits, _ = self._evaluate(np.broadcast_to(point, (count, 1, point.size)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import LinearDecoder
-from .errors import ContractViolation
+from .errors import ContractViolation, real_array
 from .rng import Xoshiro256pp, derive_seed
 
 # substream tags so every generator call gets an independent seed
@@ -107,11 +107,11 @@ def apply_shift(
     features: np.ndarray, source_mean: np.ndarray, spec: ShiftSpec
 ) -> np.ndarray:
     """Transform rows by the shift: A (z - mu) + mu + delta_mu."""
-    features = np.asarray(features, dtype=np.float64)
-    source_mean = np.asarray(source_mean, dtype=np.float64)
-    d = source_mean.shape[0]
-    if features.ndim != 2 or features.shape[1] != d:
-        raise ContractViolation("features and source mean dimensions differ")
+    features = real_array(features, "features")
+    if features.ndim != 2:
+        raise ContractViolation("features must be a 2-d array")
+    d = features.shape[1]
+    source_mean = real_array(source_mean, "source mean", (d,))
     if spec.covariance_transform.shape != (d, d) or spec.mean_shift.shape != (d,):
         raise ContractViolation("shift spec dimensions differ from features")
     # written as z + (A - I)(z - mu) + delta so the identity spec is exact

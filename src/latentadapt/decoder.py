@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
-from .subspace import PrincipalSubspace, _check_coords, _check_latent
+from .errors import ContractViolation, real_array
+from .subspace import PrincipalSubspace
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,10 @@ class LinearDecoder:
     bias: np.ndarray     # (C,)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        w = real_array(self.weights, "weights")
         if w.ndim != 2 or w.shape[0] < 2:
             raise ContractViolation("weights must be (C, D) with C >= 2")
-        if b.shape != (w.shape[0],):
-            raise ContractViolation("bias length must equal class count")
+        b = real_array(self.bias, "bias", (w.shape[0],))
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ContractViolation("decoder parameters must be finite")
         object.__setattr__(self, "weights", w)
@@ -65,7 +63,7 @@ class Prediction:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max logit subtracted before exp)."""
-    return _softmax(np.asarray(logits, dtype=np.float64))
+    return _softmax(real_array(logits, "logits"))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -75,7 +73,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def shannon_entropy(probabilities: np.ndarray) -> float:
     """Entropy in nats, with the 0 * log 0 = 0 convention."""
-    return _entropy(np.asarray(probabilities, dtype=np.float64))
+    return _entropy(real_array(probabilities, "probabilities"))
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -91,9 +89,7 @@ def _entropy(p: np.ndarray) -> float:
 
 def decode(d: LinearDecoder, z: np.ndarray) -> Prediction:
     """Forward pass: logits, probabilities, argmax class, and entropy."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (d.dim,):
-        raise ContractViolation(f"latent must have shape ({d.dim},), got {z.shape}")
+    z = real_array(z, "latent", (d.dim,))
     logits = d.weights @ z + d.bias
     probabilities = _softmax(logits)
     return Prediction(
@@ -116,8 +112,8 @@ def fitness(
     same checks and the same arithmetic, computed inline: this runs once per
     evaluation.
     """
-    z_t = _check_latent(s, z_t)
-    p = _check_coords(s, p)
+    z_t = real_array(z_t, "latent", (s.dim,))
+    p = real_array(p, "coordinates", (s.k,))
     if d.dim != s.dim:
         raise ContractViolation("decoder and subspace dimensions differ")
     return _entropy(_softmax(d.weights @ (z_t + s.basis @ p) + d.bias))

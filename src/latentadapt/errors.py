@@ -1,4 +1,7 @@
-"""Shared exception types. CLI exit codes map onto these classes."""
+"""Shared exception types, and the one check that turns an argument into a
+float array. CLI exit codes map onto the exception classes."""
+
+import numpy as np
 
 
 class ContractViolation(ValueError):
@@ -11,3 +14,19 @@ class DataFormatError(ValueError):
 
 class ConvergenceFailure(RuntimeError):
     """An iterative numerical routine failed to converge."""
+
+
+def real_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``x`` as a float64 array if it is a real numeric array (integers or
+    floats) of ``shape``, when given, else :class:`ContractViolation`: a
+    bool, complex, string or object array, or a ragged nesting, is refused,
+    never cast. A float64 array comes back as ``np.asarray`` returns it."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # ragged
+        raise ContractViolation(f"{name} must be a real numeric array") from exc
+    if a.dtype.kind not in "iuf":
+        raise ContractViolation(f"{name} must be a real numeric array, got dtype {a.dtype}")
+    if shape is not None and a.shape != shape:
+        raise ContractViolation(f"{name} must have shape {shape}, got {a.shape}")
+    return a.astype(np.float64, copy=False)

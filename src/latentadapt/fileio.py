@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .decoder import LinearDecoder
-from .errors import ContractViolation, DataFormatError
+from .errors import ContractViolation, DataFormatError, real_array
 from .subspace import PrincipalSubspace
 
 FEATURE_MAGIC = b"LATF"
@@ -93,7 +93,7 @@ def check_features(
     little-endian float32 matrix, every value finite after the cast (so
     nothing beyond the float32 range), and ``labels``, if given, as N u32
     values. Anything else is a :class:`ContractViolation`."""
-    features = np.asarray(features, dtype=np.float64)
+    features = real_array(features, "features")
     if features.ndim != 2 or features.size == 0:
         raise ContractViolation("features must be a non-empty 2-d array")
     with np.errstate(over="ignore"):

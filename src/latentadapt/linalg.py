@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceFailure
+from .errors import ContractViolation, ConvergenceFailure, real_array
 
 _SYMMETRY_RTOL = 1e-9
 _OFFDIAG_RTOL = 1e-12
@@ -98,7 +98,7 @@ def sym_eig(s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     input (or is exactly zero), capped at 100 sweeps. Each eigenvector's sign
     is fixed so its largest-magnitude component is positive.
     """
-    values, vectors, errors = sym_eig_many(np.asarray(s, dtype=np.float64)[None], k)
+    values, vectors, errors = sym_eig_many(real_array(s, "s")[None], k)
     if errors:
         raise errors[0]
     return values[0], vectors[0]
@@ -116,7 +116,7 @@ def sym_eig_many(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, dic
     the converged iterates and rotates the rest: as one stack while at least
     ``_STACK_MIN`` are live, else each alone.
     """
-    s = np.asarray(stack, dtype=np.float64)
+    s = real_array(stack, "stack")
     if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape[1] == 0:
         raise ContractViolation(f"need a stack of non-empty square matrices, got {s.shape}")
     b, n = s.shape[:2]

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .cmaes import _CONSTANTS, CmaEs, CmaEsParams, Decomposition
-from .errors import ContractViolation
+from .errors import ContractViolation, real_array
 
 _FMT_RE = re.compile(r"^(\d+)b(\d+)$")
 
@@ -100,10 +100,10 @@ def quantize_binary(p: np.ndarray, magnitude) -> np.ndarray:
     """Collapse each element to +magnitude or -magnitude by sign (0 maps to +).
     ``magnitude`` is a float, or an array that broadcasts against ``p``, such
     as one magnitude per row."""
-    magnitude = np.asarray(magnitude, dtype=np.float64)
+    magnitude = real_array(magnitude, "magnitude")
     if not (np.isfinite(magnitude).all() and (magnitude > 0.0).all()):
         raise ContractViolation("magnitude must be finite and > 0")
-    p = np.asarray(p, dtype=np.float64)
+    p = real_array(p, "p")
     return np.where(p >= 0.0, magnitude, -magnitude)
 
 

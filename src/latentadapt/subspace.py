@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation
+from .errors import ContractViolation, real_array
 
 _RANK_RTOL = 1e-12
 
@@ -51,19 +51,6 @@ class PrincipalSubspace:
             source_count=self.source_count,
             rank_deficient=self.rank_deficient,
         )
-
-
-def real_array(x, name: str) -> np.ndarray:
-    """``x`` as a float array if it is a real numeric array (integers or
-    floats), else :class:`ContractViolation`: a bool, complex, string or
-    object array, or a ragged nesting, is refused, never cast."""
-    try:
-        a = np.asarray(x)
-    except ValueError as exc:  # ragged
-        raise ContractViolation(f"{name} must be a real numeric array") from exc
-    if a.dtype.kind not in "iuf":
-        raise ContractViolation(f"{name} must be a real numeric array, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
 
 
 def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
@@ -104,29 +91,15 @@ def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
     )
 
 
-def _check_latent(s: PrincipalSubspace, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (s.dim,):
-        raise ContractViolation(f"latent must have shape ({s.dim},), got {z.shape}")
-    return z
-
-
-def _check_coords(s: PrincipalSubspace, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (s.k,):
-        raise ContractViolation(f"coordinates must have shape ({s.k},), got {p.shape}")
-    return p
-
-
 def project(s: PrincipalSubspace, z: np.ndarray) -> np.ndarray:
     """Coordinates of ``z`` in the subspace: (z - mean) dotted onto the basis."""
-    z = _check_latent(s, z)
+    z = real_array(z, "latent", (s.dim,))
     return (z - s.mean) @ s.basis
 
 
 def reconstruct(s: PrincipalSubspace, p: np.ndarray) -> np.ndarray:
     """Latent with subspace coordinates ``p``: mean + basis combination."""
-    p = _check_coords(s, p)
+    p = real_array(p, "coordinates", (s.k,))
     return s.mean + s.basis @ p
 
 
@@ -136,6 +109,6 @@ def apply_correction(s: PrincipalSubspace, z_t: np.ndarray, p: np.ndarray) -> np
     Equivalent to adding the basis combination of ``p`` to ``z_t``; the
     component of ``z_t`` orthogonal to the subspace is unchanged.
     """
-    z_t = _check_latent(s, z_t)
-    p = _check_coords(s, p)
+    z_t = real_array(z_t, "latent", (s.dim,))
+    p = real_array(p, "coordinates", (s.k,))
     return z_t + s.basis @ p
