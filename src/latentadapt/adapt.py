@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import cmaes, quant
 from .decoder import LinearDecoder, Prediction, decode, fitness
-from .errors import ContractViolation, real_array
+from .errors import ContractViolation, integer, real_array, seed64
 from .quant import FixedPointFormat
 from .rng import derive_seed
 from .subspace import PrincipalSubspace, apply_correction
@@ -53,25 +52,24 @@ def _positive(x: float) -> bool:
         return False
 
 
-def _integer(x) -> bool:
-    """Whether ``x`` is an integer by :func:`operator.index`; a bool is not."""
-    try:
-        operator.index(x)
-    except TypeError:
-        return False
-    return not isinstance(x, bool)
+def _real(x, name: str):
+    """``x`` if it is a real number, else :class:`ContractViolation`; a bool
+    is not."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return x
+    raise ContractViolation(f"{name} must be a real number, got {x!r}")
 
 
-def _real(x) -> bool:
-    """Whether ``x`` is a real number; a bool is not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _fixed_format(x, name: str) -> FixedPointFormat:
+    if isinstance(x, FixedPointFormat):
+        return x
+    raise ContractViolation(f"{name} must be a FixedPointFormat, got {x!r}")
 
 
-# the kind of each field's value; a field whose default is None may be None
-_INTEGER, _REAL = (_integer, "an integer"), (_real, "a real number")
-_KINDS = {"k": _INTEGER, "n": _INTEGER, "population": _INTEGER, "seed": _INTEGER,
-          "sigma0": _REAL, "binary_alpha": _REAL,
-          "fixed_format": (lambda x: isinstance(x, FixedPointFormat), "a FixedPointFormat")}
+# each field's check, which returns the value kept; a field whose default is
+# None may be None
+_KINDS = {"k": integer, "n": integer, "population": integer, "seed": seed64,
+          "sigma0": _real, "binary_alpha": _real, "fixed_format": _fixed_format}
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,10 @@ class AdaptationConfig:
     binary_feedback: bool = False
 
     def __post_init__(self):
-        for name, (kind, what) in _KINDS.items():
+        for name, kind in _KINDS.items():
             value = getattr(self, name)
-            if value is None and getattr(AdaptationConfig, name) is None:
-                continue
-            if not kind(value):
-                raise ContractViolation(f"{name} must be {what}, got {value!r}")
-            if kind is _integer:  # as a Python int
-                object.__setattr__(self, name, operator.index(value))
-        if not 0 <= self.seed < 1 << 64:
-            raise ContractViolation(f"seed must be in [0, 2^64), got {self.seed}")
+            if value is not None or getattr(AdaptationConfig, name) is not None:
+                object.__setattr__(self, name, kind(value, name))
         if self.k < 1 or self.n < 1:
             raise ContractViolation("k and n must be >= 1")
         if self.mode not in MODES:

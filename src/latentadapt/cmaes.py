@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation, ConvergenceFailure, real_array
+from .errors import ContractViolation, ConvergenceFailure, integer, real_array, seed64
 from .rng import Xoshiro256pp, normals_many
 
 
@@ -220,11 +220,12 @@ class CmaEs:
     """CMA-ES as a search machine for :class:`Search`, over a number system.
 
     A machine holds its ``params`` and one row per seed (``seed`` is one int
-    or a sequence of them), each an independent search on its own noise
-    stream, starting at zero mean, identity covariance (as its number system
-    holds it), zeroed paths and that covariance's decomposition. It
-    proposes the points to evaluate (``ask``, a (B, population, dim) float
-    array), takes back their fitnesses (``tell``) and drops rows (``keep``).
+    or a sequence of them, each in [0, 2^64)), each an independent search on
+    its own noise stream, starting at zero mean, identity covariance (as its
+    number system holds it), zeroed paths and that covariance's
+    decomposition. It proposes the points to evaluate (``ask``, a (B,
+    population, dim) float array), takes back their fitnesses (``tell``) and
+    drops rows (``keep``).
     Single-owner: drive from one thread only.
     """
 
@@ -233,8 +234,8 @@ class CmaEs:
     def __init__(self, params: CmaEsParams, seed, ops=None):
         self.params = params
         self.ops = ops = FloatOps() if ops is None else ops
-        # one int seed is one row; numpy would round seeds of 2^63 and up
-        self.rngs = [Xoshiro256pp(int(s)) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+        self.rngs = [Xoshiro256pp(seed64(s, "seed"))  # one int seed is one row
+                     for s in ([seed] if np.ndim(seed) == 0 else seed)]
         b, k = len(self.rngs), params.dim
         self.mean = ops.quantize(np.zeros((b, k)))
         self.sigma, clamped = ops.floor_sigma(ops.quantize(np.full(b, params.initial_sigma)))
@@ -388,6 +389,9 @@ class Search:
     :meth:`CmaEs.prepare` fails, goes to ``errors`` and leaves ``rows``, the
     live ones; the rest go on with the same bits. ``seconds`` holds each
     row's own evaluation time plus an equal share of the rest of each step.
+    Evaluations and steps run with numpy's overflow and invalid warnings
+    off: a value they would warn of is non-finite, and the non-finite rule
+    handles it, so ``nonfinite_count`` and the row's error are the signal.
     """
 
     def __init__(self, machine, objectives, baseline: Optional[np.ndarray] = None):
@@ -422,6 +426,7 @@ class Search:
         self.rows = self.rows[kept]
         return kept
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _evaluate(self, points: np.ndarray) -> tuple:
         """Each live row's objective on its points, one timed call each; a
         non-finite value counts and becomes +inf. Drops the rows that fail;
@@ -443,6 +448,7 @@ class Search:
             fits[nonfinite] = math.inf
         return fits, kept
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self) -> None:
         """One generation of every live row."""
         start, rows, own = time.perf_counter(), self.rows, self.seconds.sum()
@@ -492,6 +498,7 @@ def search(
     baseline, zero iterations evaluate it alone. A non-finite objective value
     counts, and is +inf for selection and for ``tell``.
     """
+    iterations = integer(iterations, "iterations")
     if iterations < 0 or (iterations == 0 and baseline is None):
         raise ContractViolation("iterations must be >= 1, or 0 with a baseline")
     if len(machine.rngs) != 1:

@@ -1,5 +1,8 @@
-"""Shared exception types, and the one check that turns an argument into a
-float array. CLI exit codes map onto the exception classes."""
+"""Shared exception types, and the checks that turn an argument into a
+float array, an integer or a seed, or refuse it. CLI exit codes map onto
+the exception classes."""
+
+import operator
 
 import numpy as np
 
@@ -30,3 +33,23 @@ def real_array(x, name: str, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and a.shape != shape:
         raise ContractViolation(f"{name} must have shape {shape}, got {a.shape}")
     return a.astype(np.float64, copy=False)
+
+
+def integer(x, name: str) -> int:
+    """``x`` as a Python int if it is an integer by :func:`operator.index`,
+    else :class:`ContractViolation`; a bool is refused."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ContractViolation(f"{name} must be an integer, got {x!r}")
+
+
+def seed64(x, name: str) -> int:
+    """``x`` as an :func:`integer` in [0, 2^64), else
+    :class:`ContractViolation`: no two seeds alias."""
+    x = integer(x, name)
+    if not 0 <= x < 1 << 64:
+        raise ContractViolation(f"{name} must be in [0, 2^64), got {x}")
+    return x

@@ -92,7 +92,8 @@ def check_features(
     """The arrays a feature file stores: ``features`` as a non-empty N x D
     little-endian float32 matrix, every value finite after the cast (so
     nothing beyond the float32 range), and ``labels``, if given, as N u32
-    values. Anything else is a :class:`ContractViolation`."""
+    values from an integer array. Anything else is a
+    :class:`ContractViolation`."""
     features = real_array(features, "features")
     if features.ndim != 2 or features.size == 0:
         raise ContractViolation("features must be a non-empty 2-d array")
@@ -102,7 +103,12 @@ def check_features(
         raise ContractViolation("features contain non-finite entries or values "
                                 "beyond the float32 range")
     if labels is not None:
-        labels = np.asarray(labels)
+        try:
+            labels = np.asarray(labels)
+        except ValueError as exc:  # ragged
+            raise ContractViolation("labels must be an integer array") from exc
+        if labels.dtype.kind not in "iu":  # never truncated, nor a bool read as 0/1
+            raise ContractViolation(f"labels must be an integer array, got dtype {labels.dtype}")
         if labels.shape != (features.shape[0],):
             raise ContractViolation("labels must have one entry per row")
         if np.any(labels < 0) or np.any(labels > 0xFFFFFFFF):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolation, real_array
+from .errors import ContractViolation, integer, real_array
 
 _RANK_RTOL = 1e-12
 
@@ -40,6 +40,7 @@ class PrincipalSubspace:
 
     def truncated(self, k: int) -> "PrincipalSubspace":
         """Restrict to the leading ``k`` directions of an existing fit."""
+        k = integer(k, "k")
         if not (1 <= k <= self.k):
             raise ContractViolation(f"k must be in [1, {self.k}], got {k}")
         if k == self.k:
@@ -65,6 +66,7 @@ def fit(source_features: np.ndarray, k: int) -> PrincipalSubspace:
     if z.ndim != 2:
         raise ContractViolation("source features must be a 2-d array")
     n, d = z.shape
+    k = integer(k, "k")
     if n < 2:
         raise ContractViolation("need at least 2 source samples")
     if not (1 <= k <= min(n - 1, d)):

@@ -61,6 +61,19 @@ def test_config_refuses_a_value_of_the_wrong_kind(kwargs, message):
     assert str(info.value) == message
 
 
+def test_config_refuses_a_population_below_2():
+    with pytest.raises(ContractViolation, match="^population must be >= 2$"):
+        AdaptationConfig(population=1)
+
+
+def test_a_batch_that_is_not_2d_fails_whole():
+    task, sub, dec = _small_setup(seed=11)
+    for run in (lambda: adapt_batch(task.class_means[0], dec, sub, _GOOD),
+                lambda: adapt(task.class_means[0], dec, sub, _GOOD, indices=np.arange(1))):
+        with pytest.raises(ContractViolation, match="^batch must be a 2-d array of latents$"):
+            run()
+
+
 def test_config_keeps_integers_as_python_ints():
     cfg = AdaptationConfig(k=np.int64(4), n=np.uint8(2), population=np.int32(6),
                            seed=np.uint64(2 ** 64 - 1))

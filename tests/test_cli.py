@@ -251,14 +251,16 @@ def test_a_step_size_that_overflows_fails_each_row_alone(workdir, capsys):
 
 
 @pytest.mark.parametrize("mode", ["ted", "qted-v1"])
-def test_a_largest_finite_sigma0_fails_each_row_on_its_step_size(workdir, mode):
+def test_a_largest_finite_sigma0_fails_each_row_on_its_step_size(workdir, mode, capsys):
     tmp_path, out, art = workdir
     rep = tmp_path / "r.csv"
     target = str(out / "target_combined.latf")
-    with np.errstate(all="ignore"):  # the candidates overflow before the step size does
-        assert main(["adapt", str(art), target, "--mode", mode, "--sigma0", "1.7e308",
-                     "--out", str(rep)]) == 0
+    capsys.readouterr()
+    # the candidates overflow before the step size does, without a warning
+    assert main(["adapt", str(art), target, "--mode", mode, "--sigma0", "1.7e308",
+                 "--out", str(rep)]) == 0
     assert _statuses(rep) == {"error:ConvergenceFailure"}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
@@ -819,3 +821,48 @@ def test_fixed_summary_counts_match_recorded(workdir, fmt, line):
     rep = _adapt_workdir_task(workdir, ["--mode", "fixed", "--fmt", fmt])
     lines = rep.with_suffix(".txt").read_text().splitlines()
     assert [x for x in lines if x.startswith("saturation events:")] == [line]
+
+
+@pytest.mark.parametrize("case", ["unlabeled", "n-1", "one-class"])
+def test_a_fit_that_cannot_give_a_model_is_refused(workdir, capsys, case):
+    tmp_path, out, _ = workdir
+    features = np.arange(24, dtype=np.float64).reshape(6, 4) % 5
+    src, flags = tmp_path / "src.latf", []
+    if case == "unlabeled":
+        fileio.write_features(src, features)
+    elif case == "one-class":
+        fileio.write_features(src, features, np.zeros(6, dtype=np.uint32))
+    else:
+        src, flags = out / "source_train.latf", ["--n", "1"]
+    code, message = {"unlabeled": (1, "usage error: fit requires a labeled source file"),
+                     "n-1": (1, "usage error: --n must be >= 2"),
+                     "one-class": (2, "data error: need at least 2 classes")}[case]
+    art = tmp_path / "m.lama"
+    capsys.readouterr()
+    assert main(["fit", str(src), "--k", "2", *flags, "--out", str(art)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not art.exists()
+
+
+def test_an_empty_k_grid_is_a_usage_error(workdir, capsys):
+    tmp_path, out, art = workdir
+    rep = tmp_path / "sweep.csv"
+    argv = ["sweep", str(art), str(out / "target_combined.latf"), "--k-grid", ",",
+            "--out", str(rep)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "empty grid" in err
+    assert not rep.exists()
+
+
+def test_a_convergence_failure_exits_3(workdir, capsys, monkeypatch):
+    from latentadapt import linalg
+
+    tmp_path, out, _ = workdir
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    art = tmp_path / "capped.lama"
+    capsys.readouterr()
+    assert main(["fit", str(out / "source_train.latf"), "--k", "4", "--out", str(art)]) == 3
+    assert capsys.readouterr().err.startswith("convergence error: Jacobi sweep cap reached")
+    assert not art.exists()

@@ -86,6 +86,42 @@ def test_params_refuse_an_initial_sigma_not_finite_and_positive(sigma):
         cmaes.CmaEsParams.defaults(4, initial_sigma=sigma)
 
 
+def _replaced(**fields):
+    params = cmaes.CmaEsParams.defaults(4)
+    return lambda: dataclasses.replace(params, **fields)
+
+
+_WEIGHTS = cmaes.CmaEsParams.defaults(4).recombination_weights
+_PARAM_REFUSALS = {
+    "lambda-dim": (lambda: cmaes.default_lambda(0), "dimension must be >= 1"),
+    "defaults-dim": (lambda: cmaes.CmaEsParams.defaults(0), "dimension must be >= 1"),
+    "population": (_replaced(population=1), "population must be >= 2"),
+    "weights-count": (_replaced(recombination_weights=_WEIGHTS[:-1]),
+                      "recombination weights must have shape (4,), got (3,)"),
+    "weights-order": (_replaced(recombination_weights=_WEIGHTS[::-1]),
+                      "weights must be positive and strictly decreasing"),
+    "weights-sum": (_replaced(recombination_weights=_WEIGHTS / 2.0), "weights must sum to 1"),
+    "rate": (_replaced(c_c=0.0), "c_c must be in (0, 1]"),
+    "d_sigma": (_replaced(d_sigma=0.5), "d_sigma must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARAM_REFUSALS))
+def test_params_refuse_constants_outside_their_ranges(case):
+    call, message = _PARAM_REFUSALS[case]
+    with pytest.raises(ContractViolation) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_search_needs_one_objective_per_row_and_search_one_row():
+    two_rows = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), [0, 1])
+    with pytest.raises(ContractViolation, match="^need one objective per row$"):
+        cmaes.Search(two_rows, [sphere])
+    with pytest.raises(ContractViolation, match="^search runs a one-row machine$"):
+        cmaes.search(two_rows, sphere, 1)
+
+
 def test_init_contract():
     machine = cmaes.CmaEs(cmaes.CmaEsParams.defaults(2), 0)
     np.testing.assert_array_equal(machine.mean, [[0.0, 0.0]])

@@ -1,5 +1,5 @@
 """The argument checks of ``latentadapt.errors`` and the public entries that
-route their array arguments through ``real_array``."""
+route their arguments through them."""
 
 import warnings
 
@@ -13,7 +13,7 @@ from latentadapt.errors import ContractViolation, real_array
 from latentadapt.fileio import write_features
 from latentadapt.linalg import sym_eig, sym_eig_many
 from latentadapt.quant import quantize_binary
-from latentadapt.subspace import PrincipalSubspace, apply_correction, project, reconstruct
+from latentadapt.subspace import PrincipalSubspace, apply_correction, fit, project, reconstruct
 
 _SUB = PrincipalSubspace(mean=np.zeros(3), basis=np.eye(3)[:, :2], singular_values=np.ones(2),
                          source_count=5)
@@ -75,3 +75,39 @@ def test_a_real_array_keeps_its_bits_and_checks_its_shape():
     with pytest.raises(ContractViolation) as info:
         real_array(x, "latent", (4,))
     assert str(info.value) == "latent must have shape (4,), got (3,)"
+
+
+def _source():
+    return np.arange(30, dtype=np.float64).reshape(10, 3) % 7
+
+
+# a count or a seed of the wrong kind: (call, message)
+_COUNTS = {
+    "fit-k-float": (lambda: fit(_source(), 2.0), "k must be an integer, got 2.0"),
+    "fit-k-bool": (lambda: fit(_source(), True), "k must be an integer, got True"),
+    "truncated-float": (lambda: fit(_source(), 2).truncated(2.0),
+                        "k must be an integer, got 2.0"),
+    "truncated-bool": (lambda: fit(_source(), 2).truncated(True),
+                       "k must be an integer, got True"),
+    "seed-negative": (lambda: cmaes.CmaEs(_PARAMS, -1), "seed must be in [0, 2^64), got -1"),
+    "seed-2^64": (lambda: cmaes.CmaEs(_PARAMS, [0, 2 ** 64]),
+                  "seed must be in [0, 2^64), got 18446744073709551616"),
+    "seed-float": (lambda: cmaes.CmaEs(_PARAMS, 1.5), "seed must be an integer, got 1.5"),
+    "iterations-float": (lambda: cmaes.search(cmaes.CmaEs(_PARAMS, 0), np.sum, 2.5),
+                         "iterations must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNTS))
+def test_a_count_or_a_seed_of_the_wrong_kind_is_refused(case):
+    call, message = _COUNTS[case]
+    with pytest.raises(ContractViolation) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_numpy_integer_is_an_integer():
+    sub = fit(_source(), np.int64(2))
+    assert sub.truncated(np.uint8(1)).k == 1
+    assert [r.state() for r in cmaes.CmaEs(_PARAMS, np.uint64(2 ** 64 - 1)).rngs] \
+        == [r.state() for r in cmaes.CmaEs(_PARAMS, 2 ** 64 - 1).rngs]

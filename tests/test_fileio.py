@@ -90,6 +90,20 @@ def test_write_features_rejects_values_beyond_float32(tmp_path, value):
     assert fileio.read_features(path)[0].tolist() == [[max32, -max32]]
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.5, 1.5], "labels must be an integer array, got dtype float64"),
+    ([True, False], "labels must be an integer array, got dtype bool"),
+    ([[0], [0, 1]], "labels must be an integer array"),
+], ids=["float", "bool", "ragged"])
+def test_write_features_refuses_labels_that_are_not_integers(tmp_path, labels, message):
+    # float labels were truncated and bool ones read as 0/1, without a word
+    path = tmp_path / "labeled.latf"
+    with pytest.raises(ContractViolation) as info:
+        fileio.write_features(path, np.ones((2, 2)), labels)
+    assert str(info.value) == message
+    assert not path.exists()
+
+
 def test_artifact_roundtrip_bit_exact(tmp_path):
     task = datagen.make_task(class_count=4, dim=10, seed=3)
     source, _ = datagen.gen_source(task, 30)

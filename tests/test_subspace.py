@@ -199,3 +199,8 @@ def test_truncated_keeps_leading_directions():
     np.testing.assert_array_equal(s_cut.singular_values, s_full.singular_values[:2])
     with pytest.raises(ContractViolation):
         s_full.truncated(7)
+
+
+def test_fit_refuses_a_source_that_is_not_2d():
+    with pytest.raises(ContractViolation, match="^source features must be a 2-d array$"):
+        fit(np.arange(6.0), 1)
