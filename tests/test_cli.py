@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentadapt import fileio, report
+from latentadapt import fileio, linalg, report
 from latentadapt.cli import _parse_args, build_parser, main
 
 GEN_ARGS = [
@@ -857,8 +857,6 @@ def test_an_empty_k_grid_is_a_usage_error(workdir, capsys):
 
 
 def test_a_convergence_failure_exits_3(workdir, capsys, monkeypatch):
-    from latentadapt import linalg
-
     tmp_path, out, _ = workdir
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
     art = tmp_path / "capped.lama"
