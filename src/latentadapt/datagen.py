@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import LinearDecoder
-from .errors import ContractViolation, real_array
+from .errors import ContractViolation, integer, real_array
 from .rng import Xoshiro256pp, derive_seed
 
 # substream tags so every generator call gets an independent seed
@@ -51,16 +51,20 @@ def make_task(
     within_class_std: float = 1.0,
     seed: int = 0,
 ) -> SyntheticTask:
-    """Draw class means uniformly on the sphere of the given radius."""
+    """Draw class means uniformly on the sphere of the given radius.
+
+    Every mean's normals come from one ``normals`` call, which equals one
+    call per class; each row is scaled by its own 1-d norm, because
+    ``np.linalg.norm(axis=1)`` rounds differently.
+    """
+    class_count, dim = integer(class_count, "class_count"), integer(dim, "dim")
     if class_count < 2:
         raise ContractViolation("need at least 2 classes")
     if dim < 1 or not 0.0 < mean_radius < math.inf or not 0.0 <= within_class_std < math.inf:
         raise ContractViolation("invalid task geometry")
     rng = Xoshiro256pp(derive_seed(seed, _STREAM_MEANS))
-    means = np.empty((class_count, dim))
-    for c in range(class_count):
-        g = rng.normals(dim)
-        means[c] = mean_radius * g / np.linalg.norm(g)
+    g = rng.normals(class_count * dim).reshape(class_count, dim)
+    means = np.array([mean_radius * row / np.linalg.norm(row) for row in g])
     dists = [
         float(np.linalg.norm(means[i] - means[j]))
         for i in range(class_count)
@@ -88,6 +92,7 @@ def gen_source(
     same task (train vs test) do not overlap. The rows' normals are drawn in
     row order by one ``normals`` call, which equals one call per row.
     """
+    n_per_class = integer(n_per_class, "n_per_class")
     if n_per_class < 1:
         raise ContractViolation("n_per_class must be >= 1")
     rng = Xoshiro256pp(derive_seed(task.seed, _STREAM_SOURCE + 16 * stream))

@@ -7,21 +7,22 @@ polar Box-Muller transform (with the usual spare-value cache), so candidate
 streams can be replayed exactly by any implementation of the same three
 primitives.
 
-:func:`normals_many` draws one block of normals from each of many streams,
-as the batch runner does for all its live searches once per generation; row
-``j`` is bit for bit what ``generators[j].normals(n)`` gives. The kernel is
-chosen by lane count: from ``_LANES_MIN`` = 10 generators on, the crossover
-measured for 192 normals a generation (``BENCH_22.json``), their state words
-are ``uint64`` arrays stepped in lockstep; fewer are drawn one at a time by
-:meth:`Xoshiro256pp.normals`, which is also what one search alone and the
-data generator use. The log of each accepted
-polar pair is taken by ``math.log``, one call per pair, because ``np.log``
-differs from it in the last bit on some inputs; the rest of the transform is
-correctly rounded IEEE operations, the same in numpy as in the scalar loop.
-"""
+Every kernel gives the bits of the scalar loop of :meth:`Xoshiro256pp.normals`.
+A draw of one stream from ``_LONG_MIN`` = 2048 normals on, as the data
+generator's are (``BENCH_28.json``), is cut into consecutive segments whose
+starts are found by jumping ahead, and the segments are stepped in lockstep
+as ``uint64`` arrays; fewer, such as one search's noise, run the loop.
+:func:`normals_many` draws one block from each of many streams, as the batch
+runner does for its live searches once per generation; from ``_LANES_MIN`` =
+10 generators on (``BENCH_22.json``) they are stepped in lockstep, fewer are
+drawn one at a time. The log of each accepted polar pair is ``math.log``'s,
+because ``np.log`` differs from it in the last bit on some inputs; the rest
+of the transform is correctly rounded IEEE operations, in numpy as in the
+loop."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,9 @@ from .errors import ContractViolation
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _LANES_MIN = 10  # fewer generators are drawn one at a time; see normals_many
+_LONG_MIN = 2048  # fewer normals are drawn by the scalar loop; see _draw_long
+_LONG_LANES = 256  # most lanes of one block of _draw_long
+_LONG_ROUNDS = 64  # rounds of two generator steps a lane of _draw_long runs
 
 
 def _sm64_mix(z: int) -> int:
@@ -112,12 +116,17 @@ class Xoshiro256pp:
     def normals(self, n: int) -> np.ndarray:
         """Array of ``n`` standard normals, drawn sequentially.
 
-        Equal to ``n`` calls of :meth:`normal`, spare value included; the
-        generator step and the uniform draw are inlined over local ints.
+        Equal to ``n`` calls of :meth:`normal`, spare value included. From
+        ``_LONG_MIN`` normals on they are drawn by :func:`_draw_long`;
+        fewer by a loop with the generator step and the uniform draw
+        inlined over local ints.
         """
+        out = np.empty(n, dtype=np.float64)
+        if n >= _LONG_MIN:
+            _draw_long(self, out)
+            return out
         s0, s1, s2, s3 = self._s
         spare = self._spare
-        out = np.empty(n, dtype=np.float64)
         for i in range(n):
             if spare is not None:
                 out[i] = spare
@@ -189,34 +198,94 @@ def normals_many(generators: list, n: int) -> np.ndarray:
 
 def _draw_lanes(generators: list, out: np.ndarray) -> None:
     """Fill ``out`` as :func:`normals_many` does, one lane per generator,
-    all of one spare parity.
-
-    Each lane's polar pairs are drawn by :func:`_accepted_pairs`. Then the
-    log of each accepted s is ``math.log``'s, one call per pair (``np.log``
-    may differ from it in the last bit), and the rest of ``sqrt(-2 log(s) /
-    s)`` and the products with u and v are numpy's correctly rounded IEEE
-    operations, the same as the scalar ones.
-    """
+    all of one spare parity, each lane's polar pairs drawn by
+    :func:`_accepted_pairs` and transformed by :func:`_polar_fill`."""
     n = out.shape[1]
     first = 0
     if generators[0]._spare is not None:
         out[:, 0] = [g._spare for g in generators]
         first = 1
-    count = n - first
     spares = [None] * len(generators)
-    if count:
+    if n > first:
         state = np.array([g._s for g in generators], dtype=np.uint64).T.copy()
-        u, v, s = _accepted_pairs(state, (count + 1) // 2)
-        log_s = np.fromiter(map(math.log, s.ravel().tolist()), np.float64, s.size)
-        f = np.sqrt(-2.0 * log_s.reshape(s.shape) / s)
-        values = np.stack((u * f, v * f), axis=2).reshape(len(generators), -1)
-        out[:, first:] = values[:, :count]
-        if count % 2:
-            spares = values[:, count].tolist()
+        spares = _polar_fill(out[:, first:], *_accepted_pairs(state, (n - first + 1) // 2))
         for g, words in zip(generators, state.T.tolist()):
             g._s = words
     for g, spare in zip(generators, spares):
         g._spare = spare
+
+
+def _draw_long(g: Xoshiro256pp, out: np.ndarray) -> None:
+    """Fill ``out`` as ``g.normals(out.size)`` does, in blocks of up to
+    ``_LONG_LANES`` lanes (as many as the pairs likely need) of
+    ``_LONG_ROUNDS`` consecutive rounds each. Each lane starts where the one
+    before ends, by :func:`_jump`; all step together, and their rounds read
+    lane by lane are the stream in order. A block that falls short of pairs
+    is followed by one from where its last lane ends; the words end after
+    the round that gave the last pair, as the loop's do."""
+    first = 0
+    if g._spare is not None and out.size:
+        out[0], g._spare = g._spare, None
+        first = 1
+    pairs = (out.size - first + 1) // 2
+    if not pairs:
+        return
+    table = _jump_table(_LONG_ROUNDS)
+    state = np.array(g._s, dtype=np.uint64)
+    parts = []
+    while pairs:
+        lanes = min(_LONG_LANES, 1 + math.ceil(pairs / (_LONG_ROUNDS * math.pi / 4)))
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = state
+        for lane in range(1, lanes):
+            starts[lane] = _jump(table, starts[lane - 1])
+        words = starts.T.copy()
+        kept = _run_rounds(words, _LONG_ROUNDS)
+        u, v, s = (a.T.ravel() for a in _polar_pairs(kept))  # lane by lane
+        taken = np.flatnonzero((0.0 < s) & (s < 1.0))[:pairs]
+        parts.append((u[taken], v[taken], s[taken]))
+        pairs -= taken.size
+        if pairs:
+            state = words[:, -1]
+        else:
+            lane, last = divmod(int(taken[-1]), _LONG_ROUNDS)
+            state = kept[2 * last + 2, :, lane]
+    u, v, s = (np.concatenate(a)[None] for a in zip(*parts))
+    (g._spare,) = _polar_fill(out[None, first:], u, v, s)
+    g._s = state.tolist()
+
+
+@functools.cache
+def _jump_table(rounds: int) -> np.ndarray:
+    """``(256, 4)`` uint64: row i is the state ``rounds`` rounds after the
+    unit state whose bit i, in :func:`_jump`'s byte order, alone is set."""
+    units = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little")
+    words = units.view(np.uint64).T.copy()
+    _run_rounds(words, rounds)
+    table = words.T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def _jump(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The state ``table``'s rounds after the state ``words``: xoshiro256++'s
+    transition is linear over GF(2), so it is the xor of the table rows that
+    the words' set bits pick."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+    return np.bitwise_xor.reduce(table[bits], axis=0)
+
+
+def _polar_fill(out: np.ndarray, u: np.ndarray, v: np.ndarray, s: np.ndarray) -> list:
+    """Write the normals u·f, v·f, ... of the accepted pairs ``(B, pairs)``
+    into ``out`` ``(B, count)`` and return each row's spare, its last v·f
+    when ``count`` is odd, else None. f = sqrt(-2 log(s) / s) with
+    ``math.log``, one call per pair, and numpy's IEEE operations."""
+    log_s = np.fromiter(map(math.log, s.ravel().tolist()), np.float64, s.size)
+    f = np.sqrt(-2.0 * log_s.reshape(s.shape) / s)
+    values = np.stack((u * f, v * f), axis=2).reshape(len(out), -1)
+    count = out.shape[1]
+    out[:] = values[:, :count]
+    return values[:, count].tolist() if count % 2 else [None] * len(out)
 
 
 def _accepted_pairs(state: np.ndarray, pairs: int) -> tuple:
@@ -225,32 +294,18 @@ def _accepted_pairs(state: np.ndarray, pairs: int) -> tuple:
     ``(4, B)`` uint64 words of the lanes, advanced in place to where each
     lane's own sequential loop would stop.
 
-    All lanes are stepped together in rounds of two generator steps, in
-    chunks of as many rounds as the lane furthest from its count takes on
-    average (at most 512, about 32 KB of kept words a lane), until every
-    lane has its pairs. The words before each step are
-    kept, and the steps' outputs are computed from them after each chunk,
-    all at once. A lane takes the words after the round that gave its last
-    pair; the rounds it runs on beyond that are discarded.
+    The lanes step together by :func:`_run_rounds`, in chunks of as many
+    rounds as the lane furthest from its count takes on average (at most
+    512, about 32 KB of kept words a lane), until each has its pairs. A lane
+    takes the words after the round that gave its last pair.
     """
     lanes = state.shape[1]
     words = state.copy()
     have = np.zeros(lanes, dtype=np.int64)
     chunks = []
-    scratch = np.empty(lanes, dtype=np.uint64)
-    views = (words[1], words[2], words[3], words[:2], words[2:], words[3:1:-1])
     while (short := int((pairs - have).max())) > 0:
-        rounds = min(math.ceil(short * 4.0 / math.pi), 512)
-        kept = np.empty((2 * rounds + 1, 4, lanes), dtype=np.uint64)
-        kept[0] = words
-        for step in range(1, 2 * rounds + 1):
-            _advance(views, scratch)
-            kept[step] = words
-        s0, s3 = kept[:-1, 0], kept[:-1, 3]
-        x = s0 + s3  # xoshiro256++'s output, rotl(s0 + s3, 23) + s0, wrapping mod 2^64
-        uniform = 2.0 * (((((x << 23) | (x >> 41)) + s0) >> 11) * 2.0 ** -53) - 1.0
-        u, v = uniform[0::2], uniform[1::2]
-        s = u * u + v * v
+        kept = _run_rounds(words, min(math.ceil(short * 4.0 / math.pi), 512))
+        u, v, s = _polar_pairs(kept)
         accepted = (0.0 < s) & (s < 1.0)
         running = have + accepted.cumsum(axis=0)
         ending = (have < pairs) & (running[-1] >= pairs)
@@ -262,6 +317,31 @@ def _accepted_pairs(state: np.ndarray, pairs: int) -> tuple:
     # each lane's first ``pairs`` accepted rounds, lane by lane
     take = (accepted & (accepted.cumsum(axis=0) <= pairs)).T
     return tuple(a.T[take].reshape(lanes, pairs) for a in (u, v, s))
+
+
+def _run_rounds(words: np.ndarray, rounds: int) -> np.ndarray:
+    """Step the ``(4, B)`` words of the lanes ``rounds`` rounds of two
+    generator steps, in place, and return the words before each step and
+    after the last, ``(2 * rounds + 1, 4, B)``."""
+    views = (words[1], words[2], words[3], words[:2], words[2:], words[3:1:-1])
+    scratch = np.empty(words.shape[1], dtype=np.uint64)
+    kept = np.empty((2 * rounds + 1, *words.shape), dtype=np.uint64)
+    kept[0] = words
+    for step in range(1, 2 * rounds + 1):
+        _advance(views, scratch)
+        kept[step] = words
+    return kept
+
+
+def _polar_pairs(kept: np.ndarray) -> tuple:
+    """u, v and ``s = u*u + v*v`` of each round of :func:`_run_rounds`'
+    kept words, ``(rounds, B)`` each: the outputs of the two steps, each
+    computed from the words before it."""
+    s0, s3 = kept[:-1, 0], kept[:-1, 3]
+    x = s0 + s3  # xoshiro256++'s output, rotl(s0 + s3, 23) + s0, wrapping mod 2^64
+    uniform = 2.0 * (((((x << 23) | (x >> 41)) + s0) >> 11) * 2.0 ** -53) - 1.0
+    u, v = uniform[0::2], uniform[1::2]
+    return u, v, u * u + v * v
 
 
 def _advance(views: tuple, scratch: np.ndarray) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentadapt import rng
+from latentadapt import datagen, rng
 from latentadapt.errors import ContractViolation
 from latentadapt.rng import Xoshiro256pp, derive_seed, normals_many, splitmix64_at
 
@@ -145,3 +145,73 @@ def test_a_long_lockstep_draw_runs_in_chunks_of_rounds_and_equals_each_stream():
         got = normals_many(gens, n)
         assert got.tobytes() == np.array([g.normals(n) for g in alone]).tobytes()
         assert [g.state() for g in gens] == [g.state() for g in alone]
+
+
+def _long_kernel(lanes=rng._LONG_LANES, rounds=rng._LONG_ROUNDS):
+    """Send every draw through the long kernel, with the given block shape."""
+    return mock.patch.multiple(rng, _LONG_MIN=0, _LONG_LANES=lanes, _LONG_ROUNDS=rounds)
+
+
+@pytest.mark.parametrize("lanes, rounds", [(rng._LONG_LANES, rng._LONG_ROUNDS), (3, 2), (256, 1)])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), warmup=st.integers(0, 3),
+       sizes=st.lists(st.one_of(st.sampled_from([0, 1, 2, 3, 4]), st.integers(0, 400)),
+                      min_size=2, max_size=3))
+def test_a_long_draw_equals_as_many_normal_calls(lanes, rounds, seed, warmup, sizes):
+    # an odd warm-up leaves a spare pending; consecutive odd sizes carry one
+    # from one draw into the next
+    drawn, single = Xoshiro256pp(seed), Xoshiro256pp(seed)
+    for _ in range(warmup):
+        assert drawn.normal() == single.normal()
+    for n in sizes:
+        with _long_kernel(lanes, rounds):
+            got = drawn.normals(n)
+        want = np.array([single.normal() for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert drawn.state() == single.state()
+        assert all(type(w) is int for w in drawn.state()[0])
+
+
+def test_a_block_short_of_pairs_is_followed_by_one_from_where_it_ends(monkeypatch):
+    # blocks of 2 lanes of 4 rounds hold about 6 pairs, far fewer than 51
+    monkeypatch.setattr(rng, "_LONG_MIN", 0)
+    monkeypatch.setattr(rng, "_LONG_LANES", 2)
+    monkeypatch.setattr(rng, "_LONG_ROUNDS", 4)
+    rng._jump_table(4)  # built before the blocks are counted
+    blocks, run_rounds = [], rng._run_rounds
+    monkeypatch.setattr(rng, "_run_rounds",
+                        lambda words, r: blocks.append(words.shape[1]) or run_rounds(words, r))
+    drawn, single = Xoshiro256pp(5), Xoshiro256pp(5)
+    single.normal()  # leaves the spare the long draw starts from
+    drawn.normal()
+    got = drawn.normals(101)
+    assert got.tobytes() == np.array([single.normal() for _ in range(101)]).tobytes()
+    assert drawn.state() == single.state()
+    assert len(blocks) > 1 and set(blocks) == {2}
+
+
+def test_the_jump_table_jumps_as_many_rounds_as_the_generator_steps():
+    g = Xoshiro256pp(9)
+    words = np.array(g._s, dtype=np.uint64)
+    for _ in range(2 * 3):
+        g.next_u64()
+    assert rng._jump(rng._jump_table(3), words).tolist() == g._s
+
+
+def test_gen_draws_by_the_long_kernel_in_bounded_blocks_and_a_search_by_the_loop(monkeypatch):
+    calls, blocks = [], []
+    draw_long, run_rounds = rng._draw_long, rng._run_rounds
+    rng._jump_table(rng._LONG_ROUNDS)  # built before the blocks are counted
+    monkeypatch.setattr(rng, "_draw_long", lambda g, out: calls.append(out.size) or draw_long(g, out))
+    monkeypatch.setattr(rng, "_run_rounds",
+                        lambda words, r: blocks.append((words.shape[1], r)) or run_rounds(words, r))
+    task = datagen.make_task(10, 64, seed=14)
+    source, _ = datagen.gen_source(task, 200)  # the harness's source_train draw
+    Xoshiro256pp(derive_seed(14, 0)).normals(192)  # one generation of a k = 16 search
+    assert calls == [128_000]
+    # each block keeps at most (2 * _LONG_ROUNDS + 1) x 4 x _LONG_LANES words
+    assert blocks and all(lanes <= rng._LONG_LANES and r == rng._LONG_ROUNDS
+                          for lanes, r in blocks)
+    monkeypatch.setattr(rng, "_LONG_MIN", 10 ** 9)
+    assert datagen.gen_source(task, 200)[0].tobytes() == source.tobytes()
