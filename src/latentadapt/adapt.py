@@ -255,7 +255,10 @@ def _checked_batch(z_rows, indices) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation("batch must be a 2-d array of latents")
     if indices is None:
         return z_rows, np.arange(len(z_rows))
-    indices = np.asarray(indices)
+    try:
+        indices = np.asarray(indices)
+    except ValueError as exc:  # ragged
+        raise ContractViolation("indices must have one entry per row") from exc
     if indices.shape != (len(z_rows),):
         raise ContractViolation("indices must have one entry per row")
     if not (np.issubdtype(indices.dtype, np.integer) and (indices >= 0).all()):

@@ -94,9 +94,10 @@ class CmaEsParams:
         initial_sigma: float = 1.0,
     ) -> "CmaEsParams":
         """Standard strategy constants for the given dimension."""
+        dim = integer(dim, "dimension")
         if dim < 1:
             raise ContractViolation("dimension must be >= 1")
-        lam = population if population is not None else default_lambda(dim)
+        lam = integer(population, "population") if population is not None else default_lambda(dim)
         mu = lam // 2
         raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=np.float64))
         weights = raw / raw.sum()

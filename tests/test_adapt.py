@@ -370,8 +370,8 @@ def test_batch_collects_row_errors_without_failing():
 
 
 @pytest.mark.parametrize("indices", [[0, -1, 2], [0, 0.7, 2], [True, False, True], [0, 1],
-                                     [0, 1, 2, 3]],
-                         ids=["negative", "fractional", "bool", "short", "long"])
+                                     [0, 1, 2, 3], [[0], [1, 2], [3]]],
+                         ids=["negative", "fractional", "bool", "short", "long", "ragged"])
 def test_batch_refuses_bad_indices_before_any_row(monkeypatch, indices):
     adapt_module = importlib.import_module("latentadapt.adapt")
     machines, evaluations = [], []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latentadapt import cmaes
-from latentadapt.datagen import apply_shift, identity_shift
+from latentadapt.datagen import apply_shift, gen_source, identity_shift, make_task
 from latentadapt.decoder import LinearDecoder, decode, fitness, shannon_entropy, softmax
 from latentadapt.errors import ContractViolation, real_array
 from latentadapt.fileio import write_features
@@ -95,6 +95,16 @@ _COUNTS = {
     "seed-float": (lambda: cmaes.CmaEs(_PARAMS, 1.5), "seed must be an integer, got 1.5"),
     "iterations-float": (lambda: cmaes.search(cmaes.CmaEs(_PARAMS, 0), np.sum, 2.5),
                          "iterations must be an integer, got 2.5"),
+    "n_per_class-float": (lambda: gen_source(make_task(3, 4), 2.5),
+                          "n_per_class must be an integer, got 2.5"),
+    "class_count-float": (lambda: make_task(3.0, 4), "class_count must be an integer, got 3.0"),
+    "dim-bool": (lambda: make_task(3, True), "dim must be an integer, got True"),
+    "dimension-bool": (lambda: cmaes.CmaEsParams.defaults(True),
+                       "dimension must be an integer, got True"),
+    "dimension-float": (lambda: cmaes.CmaEsParams.defaults(4.0),
+                        "dimension must be an integer, got 4.0"),
+    "population-float": (lambda: cmaes.CmaEsParams.defaults(4, population=7.5),
+                         "population must be an integer, got 7.5"),
 }
 
 
@@ -107,6 +117,9 @@ def test_a_count_or_a_seed_of_the_wrong_kind_is_refused(case):
 
 
 def test_a_numpy_integer_is_an_integer():
+    task = make_task(np.int64(3), np.uint8(4))
+    assert gen_source(task, np.int32(2))[0].tobytes() == gen_source(make_task(3, 4), 2)[0].tobytes()
+    assert cmaes.CmaEsParams.defaults(np.int64(4), np.int16(7)).population == 7
     sub = fit(_source(), np.int64(2))
     assert sub.truncated(np.uint8(1)).k == 1
     assert [r.state() for r in cmaes.CmaEs(_PARAMS, np.uint64(2 ** 64 - 1)).rngs] \
