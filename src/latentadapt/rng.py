@@ -114,7 +114,7 @@ class Xoshiro256pp:
         return u * f
 
     def normals(self, n: int) -> np.ndarray:
-        """Array of ``n`` standard normals, drawn sequentially.
+        """Array of the stream's next ``n`` standard normals.
 
         Equal to ``n`` calls of :meth:`normal`, spare value included. From
         ``_LONG_MIN`` normals on they are drawn by :func:`_draw_long`;
